@@ -193,7 +193,7 @@ def verify_position_law(variant: str, n: int, mode: str = "exact",
             total += 1
     out = []
     for p in range(1, p_max + 1):
-        est = counts[p - 1] / total
+        est = float(counts[p - 1] / total)
         se = math.sqrt(max(est * (1 - est), 1e-300) / total)
         formula = _position_formula(variant, n, p)
         out.append(LemmaVerdict(lemma, variant, n, {"p": p}, formula, est, se,

@@ -6,10 +6,13 @@ upper-bounds the log of the number of designs.  `entropy_upper_estimate`
 evaluates that sum exactly (full enumeration, tiny instances) or by
 Monte Carlo with a standard error.
 
-Monte Carlo sampling is organized in fixed-size blocks, each with its
-own substream spawned from (seed, block-index), and block accumulators
-are merged in index order; the result is therefore byte-identical for
-any worker count, not just any schedule.
+Both modes run one numpy kernel over batches of reveals: per vertex
+position it sorts every forward star by its keys, takes the prefix OR
+of the exposed values and counts N with a popcount.  Monte Carlo
+sampling is organized in fixed-size blocks, each with its own substream
+spawned from (seed, block-index) and drawn CHUNK reveals at a time, and
+block accumulators are merged in index order; the result is therefore
+byte-identical for any worker count, not just any schedule.
 
 `finite_sum_rate` evaluates the closed finite sums that the per-pair
 expectations produce and compares them against their limit log n - 1.
@@ -25,10 +28,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core import DesignError
-from ..enumeration import EmptyPoolError, Pool, enumerate_pool
+from ..enumeration import EmptyPoolError, Pool, enumerate_pool, worker_count
 from .reveal import TooLargeError
 
 BLOCK_SIZE = 4096
+CHUNK = 512             # reveals drawn and evaluated together; bounds memory
+STREAM = 2              # version of the Monte-Carlo draws, part of cache keys
 EXACT_CAP = 2_000_000   # pool x vertex orders x star orders
 
 
@@ -57,87 +62,83 @@ class RateValue:
 
 
 # ---------------------------------------------------------------------------
-# Per-sample sum of log N over ordered pairs
+# Batched reveal sums: sum of log N over all ordered pairs of each reveal
 # ---------------------------------------------------------------------------
 
-def _sum_log_n(variant: str, table, n: int, vertex_order, star_orders) -> float:
-    """Sum of log N over all non-trivial ordered pairs of one reveal."""
-    log = math.log
-    total = 0.0
-    if variant == "1f":
-        ec = [0] * (n + 1)           # colors exposed at v by earlier vertices
-        for p in range(n):
-            i = vertex_order[p]
-            ti = table[i]
-            eci = ec[i]
-            pref = 0                 # colors exposed by earlier edges of i's star
-            for u in star_orders[i]:
-                a = eci | ec[u]
-                nv = (n - 1) - a.bit_count() - (pref & ~a).bit_count()
-                total += log(nv)
-                pref |= 1 << ti[u]
-            for u in star_orders[i]:
-                ec[u] |= 1 << ti[u]
-        return total
+def _exclusive_or_scan(bits):
+    """Row-wise OR of the entries before each column."""
+    out = np.zeros_like(bits)
+    np.bitwise_or.accumulate(bits[:, :-1], axis=1, out=out[:, 1:])
+    return out
 
-    full = ((1 << (n + 1)) - 1) & ~1
-    earlier = 0                      # vertices already scanned
-    ruled = [0] * (n + 1)            # ruled[v]: t whose pair with v closed early
-    for p in range(n):
-        i = vertex_order[p]
-        ti = table[i]
-        star = star_orders[i]
-        rank = {u: r for r, u in enumerate(star)}
-        base = earlier | ruled[i]
-        pref = 0                     # points closed by earlier edges of i's star
-        for u in star:
-            k = ti[u]
-            rk = rank.get(k)
-            if rk is not None and rk > rank[u]:
-                amask = base | ruled[u]
-                mmask = full & ~(amask | (1 << i) | (1 << u))
-                total += log((mmask & ~pref).bit_count())
-            pref |= (1 << u) | (1 << k)
-        earlier |= 1 << i
-        for v in range(1, n + 1):
-            if v != i:
-                ruled[v] |= 1 << table[v][i]
+
+def _reveal_sums(variant: str, tables, d, vo, keys):
+    """Sum of log N over the non-trivial ordered pairs of a batch of reveals.
+
+    Reveal b scans design ``tables[d[b]]`` in the vertex order ``vo[b]``
+    (vertices 1..n); the star of the vertex at position p is its forward
+    neighbors ``vo[b, p+1:]`` sorted by ``keys[b, p, p+1:]``.  A trivial
+    reveal has N = 1 and adds log 1 = 0.
+    """
+    batch, n = vo.shape
+    logs = np.log(np.maximum(np.arange(n + 1), 1))
+    full = (1 << (n if variant == "1f" else n + 1)) - 2   # colors 1..n-1 or points 1..n
+    # 1f: seen[v] holds the colors exposed at v by earlier vertices;
+    # sts: seen[v] the t whose pair with v was closed by an earlier vertex.
+    seen = np.zeros((batch, n + 1), np.int64)
+    earlier = np.zeros((batch, 1), np.int64)   # sts: vertices already scanned
+    total = np.zeros(batch)
+    for p in range(n - 1):
+        i = vo[:, p:p + 1]
+        row = tables[d, i[:, 0]]                # value of {i, v} for every v
+        star = np.take_along_axis(
+            vo[:, p + 1:], np.argsort(keys[:, p, p + 1:], axis=1), axis=1)
+        value = np.take_along_axis(row, star, axis=1)
+        closed = np.take_along_axis(seen, i, axis=1) | np.take_along_axis(seen, star, axis=1)
+        if variant == "1f":
+            closed |= _exclusive_or_scan(1 << value)
+            n_avail = np.bitwise_count(full & ~closed)
+        else:
+            # informative only when {i,k} comes after {i,u} in i's star
+            slots = np.arange(star.shape[1])
+            rank = np.full((batch, n + 1), -1)
+            np.put_along_axis(rank, star, slots, axis=1)
+            informative = np.take_along_axis(rank, value, axis=1) > slots
+            closed |= (earlier | (1 << i) | (1 << star)
+                       | _exclusive_or_scan((1 << star) | (1 << value)))
+            n_avail = np.where(informative, np.bitwise_count(full & ~closed), 1)
+            earlier |= 1 << i
+        total += logs[n_avail].sum(axis=1)   # popcounts are uint8: index, don't compute
+        # every v may be updated: scanned vertices are never read again and
+        # row[i] = 0 only sets bit 0, which lies outside full
+        seen |= 1 << row
     return total
 
 
-def _star_orders_from_priorities(n, vo, prio):
-    pos_of = {v: p for p, v in enumerate(vo)}
-    orders = {}
-    for p, v in enumerate(vo):
-        fw = sorted(vo[p + 1:], key=lambda u: prio[v][u])
-        orders[v] = fw
-    return orders
+def _accumulate(variant, tables, batches):
+    """Count, mean and sum of squared deviations of the reveal sums."""
+    acc = (0, 0.0, 0.0)
+    for d, vo, keys in batches:
+        x = _reveal_sums(variant, tables, d, vo, keys)
+        mean = float(x.mean())
+        acc = _merge(acc, (len(x), mean, float(((x - mean) ** 2).sum())))
+    return acc
+
+
+def _draws(rng, pool_size, n, count):
+    """Uniform designs, vertex orders and star keys, CHUNK reveals at a time."""
+    for start in range(0, count, CHUNK):
+        size = min(CHUNK, count - start)
+        yield (rng.integers(pool_size, size=size),
+               rng.permuted(np.tile(np.arange(1, n + 1), (size, 1)), axis=1),
+               rng.random((size, n, n)))
 
 
 def _mc_block(args):
     variant, tables, n, seed, block, count = args
     rng = np.random.Generator(np.random.PCG64(
         np.random.SeedSequence(entropy=seed, spawn_key=(block,))))
-    edge_list = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    nedges = len(edge_list)
-    acc_n, mean, m2 = 0, 0.0, 0.0
-    for _ in range(count):
-        t_idx = int(rng.integers(len(tables)))
-        table = tables[t_idx]
-        vo = tuple(int(v) + 1 for v in rng.permutation(n))
-        prio_flat = rng.permutation(nedges)
-        prio = [[0] * (n + 1) for _ in range(n + 1)]
-        for e, (a, b) in enumerate(edge_list):
-            pr = int(prio_flat[e])
-            prio[a][b] = pr
-            prio[b][a] = pr
-        x = _sum_log_n(variant, table, n, vo,
-                       _star_orders_from_priorities(n, vo, prio))
-        acc_n += 1
-        delta = x - mean
-        mean += delta / acc_n
-        m2 += delta * (x - mean)
-    return acc_n, mean, m2
+    return _accumulate(variant, tables, _draws(rng, len(tables), n, count))
 
 
 def _merge(a, b):
@@ -154,24 +155,24 @@ def _merge(a, b):
 
 def _exact_enumeration(variant, tables, n):
     """Average the reveal sum over every design, vertex order, star order."""
-    star_orderings = 1
-    for p in range(n):
-        star_orderings *= math.factorial(n - 1 - p)
+    star_orderings = math.prod(math.factorial(m) for m in range(n))
     work = len(tables) * math.factorial(n) * star_orderings
     if work > EXACT_CAP:
         raise TooLargeError(
             f"exact evaluation needs {work} reveals, above the cap {EXACT_CAP}")
-    total = 0.0
-    count = 0
-    for table in tables:
-        for vo in itertools.permutations(range(1, n + 1)):
-            forward = [vo[p + 1:] for p in range(n)]
-            for combo in itertools.product(
-                    *[itertools.permutations(fw) for fw in forward]):
-                orders = {vo[p]: combo[p] for p in range(n)}
-                total += _sum_log_n(variant, table, n, vo, orders)
-                count += 1
-    return total / count, count
+    vertex_orders = np.array(list(itertools.permutations(range(1, n + 1))))
+    # star_keys[c, p, p+1+s]: rank of forward slot s in star combination c
+    star_keys = np.zeros((star_orderings, n, n))
+    combos = itertools.product(*(itertools.permutations(range(n - 1 - p))
+                                 for p in range(n)))
+    for c, combo in enumerate(combos):
+        for p, perm in enumerate(combo):
+            star_keys[c, p, [p + 1 + s for s in perm]] = range(len(perm))
+    shape = (len(tables), len(vertex_orders), star_orderings)
+    chunks = (np.unravel_index(np.arange(start, min(start + CHUNK, work)), shape)
+              for start in range(0, work, CHUNK))
+    batches = ((d, vertex_orders[v], star_keys[c]) for d, v, c in chunks)
+    return _accumulate(variant, tables, batches)[1]
 
 
 def entropy_upper_estimate(variant: str, n: int, samples: int,
@@ -189,22 +190,17 @@ def entropy_upper_estimate(variant: str, n: int, samples: int,
         pool = enumerate_pool("sts" if variant == "sts" else "1f-labeled", n)
     if len(pool) == 0:
         raise EmptyPoolError(f"no designs to sample at n={n}")
-    tables = tuple(x.table for x in pool.items)
+    tables = np.array([x.table for x in pool.items])
 
     if samples == 0:
-        value, count = _exact_enumeration(variant, tables, n)
+        value = _exact_enumeration(variant, tables, n)
         return EntropyEstimate(variant, n, 0, seed, value, 0.0, exact=True)
 
     if samples < 2:
         raise DesignError("need at least 2 samples for a standard error")
-    blocks = []
-    start = 0
-    b = 0
-    while start < samples:
-        cnt = min(BLOCK_SIZE, samples - start)
-        blocks.append((variant, tables, n, seed, b, cnt))
-        start += cnt
-        b += 1
+    blocks = [(variant, tables, n, seed, b, min(BLOCK_SIZE, samples - start))
+              for b, start in enumerate(range(0, samples, BLOCK_SIZE))]
+    jobs = worker_count(jobs, len(blocks))
     if jobs <= 1:
         results = [_mc_block(args) for args in blocks]
     else:

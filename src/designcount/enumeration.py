@@ -22,6 +22,7 @@ throughout; nothing here overflows.
 from __future__ import annotations
 
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -67,6 +68,11 @@ class SearchConfig:
     node_budget: int | None = None
     max_pool: int = 200_000
     split_depth: int | None = None
+
+
+def worker_count(jobs: int, tasks: int) -> int:
+    """Worker processes to start: at most ``jobs``, ``tasks`` and the CPUs."""
+    return max(1, min(jobs, tasks, os.cpu_count() or 1))
 
 
 @dataclass(frozen=True)
@@ -212,8 +218,9 @@ def count_triple_systems(n: int, config: SearchConfig | None = None) -> CountRes
     tasks = [(n, cov) for cov in _sts_prefixes(n, depth, budget)]
     nodes = budget.nodes
     count = 0
-    with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-        for c, nd in pool.map(_sts_worker, tasks, chunksize=max(1, len(tasks) // (4 * cfg.jobs))):
+    workers = worker_count(cfg.jobs, len(tasks))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        for c, nd in pool.map(_sts_worker, tasks, chunksize=max(1, len(tasks) // (4 * workers))):
             count += c
             nodes += nd
     return CountResult("sts", n, count, nodes=nodes,
@@ -324,9 +331,10 @@ def count_one_factorizations(n: int, labeled: bool = False,
         tasks = [(n, edges, depth, u) for u in _onef_prefixes(n, edges, depth, used0, budget)]
         nodes = budget.nodes
         unordered = 0
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+        workers = worker_count(cfg.jobs, len(tasks))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             for c, nd in pool.map(_onef_worker, tasks,
-                                  chunksize=max(1, len(tasks) // (4 * cfg.jobs))):
+                                  chunksize=max(1, len(tasks) // (4 * workers))):
                 unordered += c
                 nodes += nd
         complete = True
@@ -417,9 +425,10 @@ def count_latin_squares(n: int, config: SearchConfig | None = None) -> CountResu
     tasks = [(n,) + p for p in _latin_prefixes(n, depth, budget)]
     nodes = budget.nodes
     count = 0
-    with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+    workers = worker_count(cfg.jobs, len(tasks))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         for c, nd in pool.map(_latin_worker, tasks,
-                              chunksize=max(1, len(tasks) // (4 * cfg.jobs))):
+                              chunksize=max(1, len(tasks) // (4 * workers))):
             count += c
             nodes += nd
     return CountResult("latin", n, count, nodes=nodes,

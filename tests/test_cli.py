@@ -101,6 +101,11 @@ class TestVerify:
                            "--n", "12", "--mode", "exact")
         assert code == 1 and "exact mode gated" in err
 
+    def test_mc_csv_has_plain_floats(self, capsys):
+        code, out, _ = run(capsys, "verify", "--lemma", "dist-p-2", "--variant", "sts",
+                           "--n", "7", "--mode", "mc", "--samples", "5000")
+        assert code == 0 and "np." not in out
+
     def test_mc_mode_json(self, capsys):
         code, out, _ = run(capsys, "verify", "--lemma", "q-law", "--variant", "sts",
                            "--n", "5", "--mode", "mc", "--samples", "20000",
@@ -129,6 +134,15 @@ class TestEntropy:
         assert code1 == code2 == 0 and out1 == out2
         code3, out3, _ = run(capsys, *args, "--jobs", "2")
         assert code3 == 0 and out3 == out1
+
+    def test_constant_reveal_sum_passes(self, capsys):
+        # the reveal sum is constant here, so se = 0 and the mean may land
+        # an ulp below the log-count
+        for variant, n in (("1f", "4"), ("sts", "7")):
+            for seed in range(5):
+                code, out, _ = run(capsys, "entropy", "--variant", variant, "--n", n,
+                                   "--samples", "1000", "--seed", str(seed))
+                assert code == 0 and json.loads(out)["verdict"] == "PASS"
 
     def test_empty_pool_exit_1(self, capsys):
         code, _, err = run(capsys, "entropy", "--variant", "sts", "--n", "5",
@@ -173,6 +187,30 @@ class TestCache:
         code, _, _ = run(capsys, "entropy", "--variant", "1f", "--n", "4",
                          "--samples", "0", "--seed", "5", "--cache", cache)
         assert code == 0
+
+    def test_entropy_entries_from_an_older_stream_do_not_clash(self, capsys, tmp_path):
+        cache = tmp_path / "cache.jsonl"
+        old = {"kind": "entropy", "variant": "sts", "n": 7, "samples": 1000, "seed": 1,
+               "estimate": 1.0, "se": 0.5, "version": "0.1.0"}
+        cache.write_text(json.dumps(old) + "\n")
+        code, _, _ = run(capsys, "entropy", "--variant", "sts", "--n", "7",
+                         "--samples", "1000", "--seed", "1", "--cache", str(cache))
+        assert code == 0
+        lines = [json.loads(s) for s in cache.read_text().splitlines()]
+        assert len(lines) == 2 and lines[0] == old
+        assert lines[1]["stream"] == 2 and lines[1]["estimate"] != 1.0
+
+    def test_corrupt_line_exit_1(self, capsys, tmp_path):
+        cache = tmp_path / "cache.jsonl"
+        cache.write_text('{"kind":"count","n":3}\n{"kind":"sts","n":7\n')
+        code, _, err = run(capsys, "count", "--object", "sts", "--n", "7",
+                           "--cache", str(cache))
+        assert code == 1
+        assert err.count("\n") == 1 and str(cache) in err and "line 2" in err
+        cache.write_bytes(b"\xff\xfe\n")
+        code, _, err = run(capsys, "count", "--object", "sts", "--n", "7",
+                           "--cache", str(cache))
+        assert code == 1 and err.count("\n") == 1 and "line 1" in err
 
     def test_partial_counts_not_cached(self, capsys, tmp_path):
         cache = str(tmp_path / "cache.jsonl")

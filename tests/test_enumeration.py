@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from designcount import enumeration
 from designcount.core import dumps, validate_triple_system
 from designcount.enumeration import (
     EmptyPoolError,
@@ -17,6 +18,7 @@ from designcount.enumeration import (
     pool_from_jsonl,
     pool_to_jsonl,
     sample_uniform,
+    worker_count,
 )
 
 import oracles
@@ -116,6 +118,23 @@ class TestDeterminismUnderParallelism:
             results = [case(SearchConfig(jobs=j)) for j in (1, 2, 8)]
             assert len({r.count for r in results}) == 1
             assert len({r.nodes for r in results}) == 1
+
+
+class TestWorkerClamp:
+    def test_worker_count(self, recording_executor):
+        recording_executor(enumeration)             # os.cpu_count() reads 4
+        assert worker_count(5000, 100) == 4
+        assert worker_count(5000, 3) == 3
+        assert worker_count(2, 100) == 2
+        assert worker_count(5000, 0) == 1
+
+    def test_absurd_jobs_start_at_most_cpu_count_workers(self, recording_executor):
+        requested = recording_executor(enumeration)
+        cfg = SearchConfig(jobs=5000)
+        assert count_triple_systems(9, cfg).count == 840
+        assert count_one_factorizations(8, config=cfg).count == 6240
+        assert count_latin_squares(4, cfg).count == 576
+        assert requested == [4, 4, 4]
 
 
 class TestPools:

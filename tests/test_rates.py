@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from designcount.core import DesignError
@@ -15,7 +16,37 @@ from designcount.entropylab import (
     TooLargeError,
     entropy_upper_estimate,
     finite_sum_rate,
+    make_reveal_order,
+    reveal_sets_1f,
+    reveal_sets_sts,
 )
+from designcount.entropylab import rates
+
+
+class TestBatchedKernel:
+    @pytest.mark.parametrize("variant,kind,n", [
+        ("sts", "sts", 7), ("sts", "sts", 9),
+        ("1f", "1f-labeled", 4), ("1f", "1f-labeled", 6)])
+    def test_matches_reveal_oracle(self, variant, kind, n):
+        # the same seeded reveals through the batched kernel and through
+        # the literal per-pair sets of reveal.py
+        pool = enumerate_pool(kind, n)
+        tables = np.array([x.table for x in pool.items])
+        rng = np.random.default_rng(n)
+        reveals = 1000
+        d = rng.integers(len(pool), size=reveals)
+        vo = rng.permuted(np.tile(np.arange(1, n + 1), (reveals, 1)), axis=1)
+        keys = rng.random((reveals, n, n))
+        sums = rates._reveal_sums(variant, tables, d, vo, keys)
+        reveal_sets = reveal_sets_1f if variant == "1f" else reveal_sets_sts
+        pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+        for b in range(reveals):
+            stars = {int(vo[b, p]): vo[b, p + 1:][np.argsort(keys[b, p, p + 1:])].tolist()
+                     for p in range(n)}
+            order = make_reveal_order(n, vo[b].tolist(), stars)
+            X = pool.items[d[b]]
+            expected = sum(math.log(reveal_sets(X, order, i, j).N) for i, j in pairs)
+            assert abs(sums[b] - expected) <= 1e-12
 
 
 class TestExactEvaluation:
@@ -71,6 +102,13 @@ class TestReproducibility:
         runs = [entropy_upper_estimate("sts", 7, samples=9_000, seed=3, jobs=j)
                 for j in (1, 2, 8)]
         assert len({(r.estimate, r.se) for r in runs}) == 1
+
+    def test_absurd_jobs_clamped(self, recording_executor):
+        requested = recording_executor(rates)       # os.cpu_count() reads 4
+        a = entropy_upper_estimate("sts", 7, samples=9_000, seed=3, jobs=5000)
+        b = entropy_upper_estimate("sts", 7, samples=9_000, seed=3, jobs=1)
+        assert requested == [3]                     # one worker per block
+        assert (a.estimate, a.se) == (b.estimate, b.se)
 
     def test_seed_changes_result(self):
         a = entropy_upper_estimate("sts", 9, samples=3_000, seed=1)
