@@ -113,34 +113,14 @@ def kahn_lovasz_log(degrees) -> LogScalar:
     degrees = list(degrees)
     if any(r < 1 for r in degrees):
         raise ZeroDegreeError("all degrees must be >= 1")
-    total = 0.0
-    comp = 0.0
-    for r in degrees:
-        term = log_factorial(r).value / (2.0 * r)
-        s = total
-        total = s + term
-        if abs(s) >= abs(term):
-            comp += (s - total) + term
-        else:
-            comp += (term - total) + s
-    return LogScalar(total + comp)
+    return LogScalar(math.fsum(log_factorial(r).value / (2.0 * r) for r in degrees))
 
 
 def peel_bound_log(n: int) -> LogScalar:
     """log of prod_{d=1}^{n-1} (d!)^(n/(2d)): repeated matching removal."""
     if n < 2 or n % 2:
         raise OddNError(f"peel bound needs even n >= 2, got {n}")
-    total = 0.0
-    comp = 0.0
-    for d in range(1, n):
-        term = (n / (2.0 * d)) * log_factorial(d).value
-        s = total
-        total = s + term
-        if abs(s) >= abs(term):
-            comp += (s - total) + term
-        else:
-            comp += (term - total) + s
-    return LogScalar(total + comp)
+    return LogScalar(math.fsum((n / (2.0 * d)) * log_factorial(d).value for d in range(1, n)))
 
 
 def vdw_latin_lower_log(n: int) -> LogScalar:

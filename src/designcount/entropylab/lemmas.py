@@ -593,7 +593,7 @@ def verify_suite(lemma: str, variant: str, n: int, mode: str = "exact",
                             out.extend(verify_N_law("sts", X, vo, i, j, q=q,
                                                     mode=mode, samples=samples,
                                                     seed=seed + case))
-                        except DesignError:
+                        except EmptyConditionError:
                             continue
         if not out:
             raise EmptyConditionError("no checkable case for the n law")

@@ -226,13 +226,12 @@ def finite_sum_rate(variant: str, n: int) -> RateValue:
     triple-system variant:
       (3/(n(n-1)(n-2))) sum_{r=2}^{n-1} r(r-1)
             log(1 + (r-2)(r-3)(r-4)/((n-4)(n-5))).
-    Compensated summation; exact finite sums, no asymptotic shortcuts.
+    Exactly rounded summation (math.fsum); exact finite sums, no
+    asymptotic shortcuts.
     """
     if n < 7:
         raise DesignError(f"rate sums need n >= 7, got {n}")
     log = math.log
-    total = 0.0
-    comp = 0.0
     if variant == "1f":
         scale = 2.0 / (n * (n - 1))
         terms = ((r * log(1.0 + (r * (r - 1)) / (n - 1.0)))
@@ -244,13 +243,6 @@ def finite_sum_rate(variant: str, n: int) -> RateValue:
                  for r in range(2, n))
     else:
         raise DesignError(f"unknown variant {variant!r}")
-    for term in terms:
-        s = total
-        total = s + term
-        if abs(s) >= abs(term):
-            comp += (s - total) + term
-        else:
-            comp += (term - total) + s
-    value = scale * (total + comp)
+    value = scale * math.fsum(terms)
     reference = math.log(n) - 1.0
     return RateValue(variant, n, value, reference, abs(value - reference))

@@ -1,22 +1,31 @@
 """Exact, deterministic, parallelizable enumeration of the three families.
 
-All counters are backtracking searches with a fixed branching rule, so
-the search tree (and therefore the count and the node total) is
-identical no matter how the work is split:
+Every search runs one of two bitmask backtracking kernels with a fixed
+branching rule, so the search tree (and therefore the count and the
+node total) is identical no matter how the work is split:
 
-* triple systems: extend the lexicographically least uncovered pair,
-  branching on its third point, pruned by per-vertex coverage bitmasks;
-* 1-factorizations: color the lexicographically least uncolored edge.
-  Unordered partitions are counted directly by pinning the colors of
-  vertex 1's star (color of {1,v} is v-1), which selects exactly one
-  coloring per partition; the labeled count is that total times (n-1)!;
-* Latin squares: fill cells in row-major order against row/column
-  bitmasks.
+* ``_sts_dfs`` (triple systems) extends the lexicographically least
+  uncovered pair, branching on its third point, pruned by per-vertex
+  coverage bitmasks;
+* ``_pair_dfs`` gives each slot pair of a fixed sequence a value whose
+  bit is clear in both slots.  A Latin square fills cells in row-major
+  order: cell (r, c) is row slot r with column slot n+c, and the values
+  are the symbols.  A 1-factorization colors the edges in lexicographic
+  order: edge {i, j} is vertex slots i and j, and the values are the
+  colors.  Unordered partitions are counted directly by pinning the
+  colors of vertex 1's star (color of {1,v} is v-1), which selects
+  exactly one coloring per partition; the labeled count is that total
+  times (n-1)!.
 
-Parallel runs split the tree at a fixed prefix depth, farm the subtrees
-to worker processes, and sum the (exact integer) subtree counts in task
-order, so totals are schedule independent.  Counts are Python ints
-throughout; nothing here overflows.
+Both kernels stop at a depth ``cut``, where they append the choice path
+to ``sink`` (if given) and count 1.  At the full depth that counts or
+collects designs; at a smaller depth the same DFS lists the frontier of
+subtrees.  ``_count`` runs every count: a parallel run cuts at a fixed
+depth, farms the subtrees to worker processes (each replays its path
+onto the start state and searches below it), and sums the (exact
+integer) subtree counts in task order, so totals are schedule
+independent.  Counts are Python ints throughout; nothing here
+overflows.
 """
 
 from __future__ import annotations
@@ -25,7 +34,8 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import combinations
 
 import numpy as np
 
@@ -67,7 +77,6 @@ class SearchConfig:
     jobs: int = 1
     node_budget: int | None = None
     max_pool: int = 200_000
-    split_depth: int | None = None
 
 
 def worker_count(jobs: int, tasks: int) -> int:
@@ -109,196 +118,152 @@ class _Budget:
 
 
 # ---------------------------------------------------------------------------
-# Steiner triple systems
+# The two kernels
 # ---------------------------------------------------------------------------
 
-def _sts_least_uncovered(covered: list[int], n: int) -> tuple[int, int] | None:
-    for i in range(1, n):
-        free = ~covered[i] & _above_mask(i, n)
-        if free:
-            return i, (free & -free).bit_length() - 1
-    return None
-
-
-def _above_mask(v: int, n: int) -> int:
-    # bits v+1 .. n
-    return ((1 << (n + 1)) - 1) & ~((1 << (v + 1)) - 1)
-
-
-def _sts_dfs(n, covered, budget, sink, chosen):
-    """Count completions of a partial system; append to sink if collecting."""
-    pick = _sts_least_uncovered(covered, n)
-    if pick is None:
+def _sts_dfs(n, above, covered, d, cut, budget, sink, path):
+    """Extend a partial triple system of ``d`` triples; count down to ``cut``."""
+    if d == cut:
         if sink is not None:
-            sink.append(tuple(chosen))
+            sink.append(tuple(path))
         return 1
-    i, j = pick
-    total = 0
-    free = ~(covered[i] | covered[j]) & _above_mask(j, n)
+    # below the full depth some pair is still uncovered
+    for i in range(1, n):
+        free = above[i] & ~covered[i]
+        if free:
+            break
+    j = (free & -free).bit_length() - 1
     bi, bj = 1 << i, 1 << j
+    free = above[j] & ~(covered[i] | covered[j])
+    total = 0
     while free:
-        kb = free & -free
-        free ^= kb
+        bk = free & -free
+        free ^= bk
         if not budget.spend():
             break
-        k = kb.bit_length() - 1
-        covered[i] |= bj | kb
-        covered[j] |= bi | kb
+        k = bk.bit_length() - 1
+        covered[i] |= bj | bk
+        covered[j] |= bi | bk
         covered[k] |= bi | bj
         if sink is not None:
-            chosen.append((i, j, k))
-        total += _sts_dfs(n, covered, budget, sink, chosen)
+            path.append((i, j, k))
+        total += _sts_dfs(n, above, covered, d + 1, cut, budget, sink, path)
         if sink is not None:
-            chosen.pop()
-        covered[i] &= ~(bj | kb)
-        covered[j] &= ~(bi | kb)
-        covered[k] &= ~(bi | bj)
+            path.pop()
+        covered[i] ^= bj | bk
+        covered[j] ^= bi | bk
+        covered[k] ^= bi | bj
     return total
 
 
-def _sts_prefixes(n, depth, budget):
-    """All partial systems with ``depth`` triples placed, in DFS order."""
-    out = []
+def _pair_dfs(pairs, full, used, d, cut, budget, sink, path):
+    """Give slot pairs ``d`` .. ``cut``-1 each a value bit of ``full``.
 
-    def rec(covered, d):
-        if d == depth:
-            out.append(tuple(covered))
-            return
-        pick = _sts_least_uncovered(covered, n)
-        if pick is None:
-            out.append(tuple(covered))
-            return
-        i, j = pick
-        free = ~(covered[i] | covered[j]) & _above_mask(j, n)
-        bi, bj = 1 << i, 1 << j
-        while free:
-            kb = free & -free
-            free ^= kb
-            if not budget.spend():
-                return
-            k = kb.bit_length() - 1
-            covered[i] |= bj | kb
-            covered[j] |= bi | kb
-            covered[k] |= bi | bj
-            rec(covered, d + 1)
-            covered[i] &= ~(bj | kb)
-            covered[j] &= ~(bi | kb)
-            covered[k] &= ~(bi | bj)
-
-    rec([0] * (n + 1), 0)
-    return out
+    A value is allowed when its bit is clear in both slots of the pair;
+    placing it sets the bit in both.
+    """
+    if d == cut:
+        if sink is not None:
+            sink.append(tuple(path))
+        return 1
+    a, b = pairs[d]
+    free = full & ~(used[a] | used[b])
+    total = 0
+    while free:
+        bit = free & -free
+        free ^= bit
+        if not budget.spend():
+            break
+        used[a] |= bit
+        used[b] |= bit
+        if sink is not None:
+            path.append(bit.bit_length() - 1)
+        total += _pair_dfs(pairs, full, used, d + 1, cut, budget, sink, path)
+        if sink is not None:
+            path.pop()
+        used[a] ^= bit
+        used[b] ^= bit
+    return total
 
 
-def _sts_worker(args):
-    n, covered = args
+def _start(kind: str, n: int):
+    """The kernel of one search, its fixed arguments, start state and full depth.
+
+    kind is "sts", "latin", "1f" (vertex 1's star pinned) or
+    "1f-labeled"; n must be feasible for the family.
+    """
+    if kind == "sts":
+        above = [((1 << (n + 1)) - 1) & ~((1 << (v + 1)) - 1) for v in range(n + 1)]
+        return _sts_dfs, (n, above), [0] * (n + 1), n * (n - 1) // 6
+    if kind == "latin":
+        cells = [(r, n + c) for r in range(n) for c in range(n)]
+        return _pair_dfs, (cells, ((1 << (n + 1)) - 1) & ~1), [0] * (2 * n), n * n
+    colors = ((1 << n) - 1) & ~1  # color bits 1..n-1
+    used = [0] * (n + 1)
+    if kind == "1f":
+        # color of {1,v} pinned to v-1: one canonical coloring per partition
+        used[1] = colors
+        for v in range(2, n + 1):
+            used[v] = 1 << (v - 1)
+    edges = list(combinations(range(2 if kind == "1f" else 1, n + 1), 2))
+    return _pair_dfs, (edges, colors), used, len(edges)
+
+
+def _subtree(task):
+    """Count one frontier subtree: replay its path, then search below it."""
+    kind, n, path = task
+    kernel, args, state, full_depth = _start(kind, n)
+    if kind == "sts":
+        for i, j, k in path:
+            state[i] |= (1 << j) | (1 << k)
+            state[j] |= (1 << i) | (1 << k)
+            state[k] |= (1 << i) | (1 << j)
+    else:
+        for (a, b), v in zip(args[0], path):
+            state[a] |= 1 << v
+            state[b] |= 1 << v
     budget = _Budget(None)
-    count = _sts_dfs(n, list(covered), budget, None, None)
+    count = kernel(*args, state, len(path), full_depth, budget, None, None)
     return count, budget.nodes
 
+
+def _count(kind: str, n: int, cfg: SearchConfig) -> CountResult:
+    """Count one search, in this process or split into subtrees over workers."""
+    t0 = time.perf_counter()
+    kernel, args, state, full_depth = _start(kind, n)
+    if cfg.jobs <= 1 or cfg.node_budget is not None or full_depth == 0:
+        budget = _Budget(cfg.node_budget)
+        count = kernel(*args, state, 0, full_depth, budget, None, None)
+        return CountResult(kind, n, count, complete=not budget.exhausted,
+                           nodes=budget.nodes, seconds=time.perf_counter() - t0)
+
+    budget = _Budget(None)
+    frontier: list = []
+    split_depth = {"sts": (n - 1) // 2, "1f": n - 2, "latin": n}[kind]
+    cut = min(split_depth, full_depth)
+    kernel(*args, state, 0, cut, budget, frontier, [])
+    tasks = [(kind, n, path) for path in frontier]
+    count, nodes = 0, budget.nodes
+    workers = worker_count(cfg.jobs, len(tasks))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        for c, nd in pool.map(_subtree, tasks,
+                              chunksize=max(1, len(tasks) // (4 * workers))):
+            count += c
+            nodes += nd
+    return CountResult(kind, n, count, nodes=nodes, seconds=time.perf_counter() - t0)
+
+
+# ---------------------------------------------------------------------------
+# Counts
+# ---------------------------------------------------------------------------
 
 def count_triple_systems(n: int, config: SearchConfig | None = None) -> CountResult:
     """Exact number of labeled Steiner triple systems on points 1..n."""
     if n < 1:
         raise DesignError(f"n must be >= 1, got {n}")
-    cfg = config or SearchConfig()
-    t0 = time.perf_counter()
     if not sts_feasible(n):
-        return CountResult("sts", n, 0, seconds=time.perf_counter() - t0)
-    if n < 3:
-        return CountResult("sts", n, 1, seconds=time.perf_counter() - t0)
-
-    if cfg.jobs <= 1 or cfg.node_budget is not None:
-        budget = _Budget(cfg.node_budget)
-        count = _sts_dfs(n, [0] * (n + 1), budget, None, None)
-        return CountResult("sts", n, count, complete=not budget.exhausted,
-                           nodes=budget.nodes, seconds=time.perf_counter() - t0)
-
-    depth = cfg.split_depth if cfg.split_depth is not None else (n - 1) // 2
-    budget = _Budget(None)
-    tasks = [(n, cov) for cov in _sts_prefixes(n, depth, budget)]
-    nodes = budget.nodes
-    count = 0
-    workers = worker_count(cfg.jobs, len(tasks))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for c, nd in pool.map(_sts_worker, tasks, chunksize=max(1, len(tasks) // (4 * workers))):
-            count += c
-            nodes += nd
-    return CountResult("sts", n, count, nodes=nodes,
-                       seconds=time.perf_counter() - t0)
-
-
-# ---------------------------------------------------------------------------
-# 1-factorizations
-# ---------------------------------------------------------------------------
-
-def _onef_edges(n: int, first_vertex: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(first_vertex, n) for j in range(i + 1, n + 1)]
-
-
-def _onef_dfs(n, edges, ei, used, budget, sink, colors):
-    if ei == len(edges):
-        if sink is not None:
-            sink.append(tuple(colors))
-        return 1
-    i, j = edges[ei]
-    free = ~(used[i] | used[j]) & (((1 << n) - 1) & ~1)  # color bits 1..n-1
-    total = 0
-    while free:
-        cb = free & -free
-        free ^= cb
-        if not budget.spend():
-            break
-        used[i] |= cb
-        used[j] |= cb
-        if sink is not None:
-            colors.append(cb.bit_length() - 1)
-        total += _onef_dfs(n, edges, ei + 1, used, budget, sink, colors)
-        if sink is not None:
-            colors.pop()
-        used[i] &= ~cb
-        used[j] &= ~cb
-    return total
-
-
-def _onef_start_state(n: int, fix_star: bool) -> list[int]:
-    used = [0] * (n + 1)
-    if fix_star:
-        # color of {1,v} pinned to v-1: one canonical coloring per partition
-        used[1] = (((1 << n) - 1) & ~1)
-        for v in range(2, n + 1):
-            used[v] = 1 << (v - 1)
-    return used
-
-
-def _onef_prefixes(n, edges, depth, used, budget):
-    out = []
-
-    def rec(ei):
-        if ei == depth or ei == len(edges):
-            out.append(tuple(used))
-            return
-        i, j = edges[ei]
-        free = ~(used[i] | used[j]) & (((1 << n) - 1) & ~1)
-        while free:
-            cb = free & -free
-            free ^= cb
-            if not budget.spend():
-                return
-            used[i] |= cb
-            used[j] |= cb
-            rec(ei + 1)
-            used[i] &= ~cb
-            used[j] &= ~cb
-
-    rec(0)
-    return out
-
-
-def _onef_worker(args):
-    n, edges, depth, used = args
-    budget = _Budget(None)
-    count = _onef_dfs(n, edges, depth, list(used), budget, None, None)
-    return count, budget.nodes
+        return CountResult("sts", n, 0)
+    return _count("sts", n, config or SearchConfig())
 
 
 def count_one_factorizations(n: int, labeled: bool = False,
@@ -311,128 +276,20 @@ def count_one_factorizations(n: int, labeled: bool = False,
     """
     if n < 2:
         raise DesignError(f"n must be >= 2, got {n}")
-    cfg = config or SearchConfig()
-    t0 = time.perf_counter()
     if not one_factorization_feasible(n):
-        return CountResult("1f", n, 0, labeled=labeled,
-                           seconds=time.perf_counter() - t0)
-
-    edges = _onef_edges(n, 2)
-    used0 = _onef_start_state(n, fix_star=True)
-
-    if cfg.jobs <= 1 or cfg.node_budget is not None or not edges:
-        budget = _Budget(cfg.node_budget)
-        unordered = _onef_dfs(n, edges, 0, used0, budget, None, None)
-        nodes = budget.nodes
-        complete = not budget.exhausted
-    else:
-        depth = cfg.split_depth if cfg.split_depth is not None else min(n - 2, len(edges))
-        budget = _Budget(None)
-        tasks = [(n, edges, depth, u) for u in _onef_prefixes(n, edges, depth, used0, budget)]
-        nodes = budget.nodes
-        unordered = 0
-        workers = worker_count(cfg.jobs, len(tasks))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for c, nd in pool.map(_onef_worker, tasks,
-                                  chunksize=max(1, len(tasks) // (4 * workers))):
-                unordered += c
-                nodes += nd
-        complete = True
-
-    count = unordered * math.factorial(n - 1) if labeled else unordered
-    if not complete and labeled:
-        count = unordered  # a partial unordered total must not be scaled
-    return CountResult("1f", n, count, labeled=labeled, complete=complete,
-                       nodes=nodes, seconds=time.perf_counter() - t0)
-
-
-# ---------------------------------------------------------------------------
-# Latin squares
-# ---------------------------------------------------------------------------
-
-def _latin_dfs(n, cell, col_used, row_used, budget, sink, symbols):
-    if cell == n * n:
-        if sink is not None:
-            sink.append(tuple(symbols))
-        return 1
-    c = cell % n
-    if c == 0:
-        row_used = 0
-    free = ~(row_used | col_used[c]) & (((1 << (n + 1)) - 1) & ~1)
-    total = 0
-    while free:
-        sb = free & -free
-        free ^= sb
-        if not budget.spend():
-            break
-        col_used[c] |= sb
-        if sink is not None:
-            symbols.append(sb.bit_length() - 1)
-        total += _latin_dfs(n, cell + 1, col_used, row_used | sb, budget, sink, symbols)
-        if sink is not None:
-            symbols.pop()
-        col_used[c] &= ~sb
-    return total
-
-
-def _latin_prefixes(n, depth, budget):
-    out = []
-    col_used = [0] * n
-
-    def rec(cell, row_used):
-        if cell == depth or cell == n * n:
-            out.append((tuple(col_used), row_used, cell))
-            return
-        c = cell % n
-        if c == 0:
-            row_used = 0
-        free = ~(row_used | col_used[c]) & (((1 << (n + 1)) - 1) & ~1)
-        while free:
-            sb = free & -free
-            free ^= sb
-            if not budget.spend():
-                return
-            col_used[c] |= sb
-            rec(cell + 1, row_used | sb)
-            col_used[c] &= ~sb
-
-    rec(0, 0)
-    return out
-
-
-def _latin_worker(args):
-    n, col_used, row_used, cell = args
-    budget = _Budget(None)
-    count = _latin_dfs(n, cell, list(col_used), row_used, budget, None, None)
-    return count, budget.nodes
+        return CountResult("1f", n, 0, labeled=labeled)
+    result = _count("1f", n, config or SearchConfig())
+    count = result.count
+    if labeled and result.complete:  # a partial unordered total must not be scaled
+        count *= math.factorial(n - 1)
+    return replace(result, count=count, labeled=labeled)
 
 
 def count_latin_squares(n: int, config: SearchConfig | None = None) -> CountResult:
     """Exact number of Latin squares of order n (row-major cell search)."""
     if n < 1:
         raise DesignError(f"n must be >= 1, got {n}")
-    cfg = config or SearchConfig()
-    t0 = time.perf_counter()
-
-    if cfg.jobs <= 1 or cfg.node_budget is not None:
-        budget = _Budget(cfg.node_budget)
-        count = _latin_dfs(n, 0, [0] * n, 0, budget, None, None)
-        return CountResult("latin", n, count, complete=not budget.exhausted,
-                           nodes=budget.nodes, seconds=time.perf_counter() - t0)
-
-    depth = cfg.split_depth if cfg.split_depth is not None else n
-    budget = _Budget(None)
-    tasks = [(n,) + p for p in _latin_prefixes(n, depth, budget)]
-    nodes = budget.nodes
-    count = 0
-    workers = worker_count(cfg.jobs, len(tasks))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for c, nd in pool.map(_latin_worker, tasks,
-                              chunksize=max(1, len(tasks) // (4 * workers))):
-            count += c
-            nodes += nd
-    return CountResult("latin", n, count, nodes=nodes,
-                       seconds=time.perf_counter() - t0)
+    return _count("latin", n, config or SearchConfig())
 
 
 # ---------------------------------------------------------------------------
@@ -452,41 +309,28 @@ def enumerate_pool(kind: str, n: int, config: SearchConfig | None = None) -> Poo
         raise PoolTooLargeError(f"{kind} pool gated at n <= {POOL_GATES[kind]}, got {n}")
 
     if kind == "sts":
-        expected = count_triple_systems(n, SearchConfig(jobs=1)).count
-        if expected > cfg.max_pool:
-            raise PoolTooLargeError(f"predicted {expected} objects > bound {cfg.max_pool}")
-        if not sts_feasible(n):
-            return Pool(kind, n, (), complete=True)
-        if n < 3:
-            return Pool(kind, n, (validate_triple_system(n, []),), complete=True)
-        sink: list = []
-        _sts_dfs(n, [0] * (n + 1), _Budget(None), sink, [])
-        items = tuple(validate_triple_system(n, triples) for triples in sink)
+        expected = count_triple_systems(n).count
     elif kind == "1f-labeled":
-        unordered = count_one_factorizations(n, labeled=False, config=SearchConfig(jobs=1))
-        expected = unordered.count * math.factorial(n - 1)
-        if expected > cfg.max_pool:
-            raise PoolTooLargeError(f"predicted {expected} objects > bound {cfg.max_pool}")
-        if not one_factorization_feasible(n):
-            return Pool(kind, n, (), complete=True)
-        edges = _onef_edges(n, 1)
-        sink = []
-        _onef_dfs(n, edges, 0, _onef_start_state(n, fix_star=False), _Budget(None), sink, [])
-        items = tuple(
-            validate_edge_coloring(n, dict(zip(edges, colors))) for colors in sink
-        )
-        if len(items) != expected:
-            raise DesignError(
-                f"labeled pool size {len(items)} != unordered count x (n-1)! = {expected}")
-    else:  # latin
-        expected = count_latin_squares(n, SearchConfig(jobs=1)).count
-        if expected > cfg.max_pool:
-            raise PoolTooLargeError(f"predicted {expected} objects > bound {cfg.max_pool}")
-        sink = []
-        _latin_dfs(n, 0, [0] * n, 0, _Budget(None), sink, [])
+        expected = count_one_factorizations(n, labeled=True).count
+    else:
+        expected = count_latin_squares(n).count
+    if expected > cfg.max_pool:
+        raise PoolTooLargeError(f"predicted {expected} objects > bound {cfg.max_pool}")
+    if expected == 0:  # infeasible n
+        return Pool(kind, n, (), complete=True)
+
+    kernel, args, state, full_depth = _start(kind, n)
+    paths: list = []
+    kernel(*args, state, 0, full_depth, _Budget(None), paths, [])
+    if kind == "sts":
+        items = tuple(validate_triple_system(n, triples) for triples in paths)
+    elif kind == "1f-labeled":
+        edges = list(combinations(range(1, n + 1), 2))
+        items = tuple(validate_edge_coloring(n, dict(zip(edges, colors))) for colors in paths)
+    else:
         items = tuple(
             LatinSquare(n=n, rows=tuple(tuple(sym[r * n:(r + 1) * n]) for r in range(n)))
-            for sym in sink
+            for sym in paths
         )
 
     if len({dumps(obj) for obj in items}) != len(items) or len(items) != expected:

@@ -20,6 +20,7 @@ from designcount.bounds import (
     vdw_latin_lower_log,
     wilson_bounds,
 )
+from designcount.entropylab.rates import finite_sum_rate
 from designcount.enumeration import (
     count_latin_squares,
     count_one_factorizations,
@@ -117,6 +118,14 @@ class TestPeel:
     def test_odd_n(self):
         with pytest.raises(OddNError):
             peel_bound_log(5)
+
+
+class TestSummation:
+    def test_pinned_digits(self):
+        # the last digit moves if the summation order or precision changes
+        assert repr(peel_bound_log(8).value) == "20.041042463755947"
+        assert repr(kahn_lovasz_log([15] * 16).value) == "14.879611404715142"
+        assert repr(finite_sum_rate("sts", 1000).value) == "5.91060519786385"
 
 
 class TestVdwLatinLower:

@@ -101,6 +101,12 @@ class TestVerify:
                            "--n", "12", "--mode", "exact")
         assert code == 1 and "exact mode gated" in err
 
+    def test_n_law_reports_its_gate(self, capsys):
+        code, out, err = run(capsys, "verify", "--lemma", "n-law", "--variant", "sts",
+                             "--n", "9", "--mode", "exact")
+        assert code == 1 and out == ""
+        assert err == "error: exact mode gated at star size <= 7, got 8\n"
+
     def test_mc_csv_has_plain_floats(self, capsys):
         code, out, _ = run(capsys, "verify", "--lemma", "dist-p-2", "--variant", "sts",
                            "--n", "7", "--mode", "mc", "--samples", "5000")

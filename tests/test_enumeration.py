@@ -1,5 +1,6 @@
 """Exact counters against independent naive oracles, and pool behavior."""
 
+import hashlib
 import math
 
 import pytest
@@ -120,6 +121,20 @@ class TestDeterminismUnderParallelism:
             assert len({r.nodes for r in results}) == 1
 
 
+class TestNodeBudget:
+    @pytest.mark.parametrize("count, partial", [
+        (lambda cfg: count_latin_squares(5, cfg), 31),
+        (lambda cfg: count_one_factorizations(8, labeled=False, config=cfg), 48),
+        # a partial unordered total is not scaled by 7!
+        (lambda cfg: count_one_factorizations(8, labeled=True, config=cfg), 48),
+    ], ids=["latin5", "1f8", "1f8-labeled"])
+    def test_partial_for_every_family(self, count, partial):
+        r = count(SearchConfig(node_budget=500))
+        assert not r.complete
+        assert r.nodes == 500
+        assert r.count == partial
+
+
 class TestWorkerClamp:
     def test_worker_count(self, recording_executor):
         recording_executor(enumeration)             # os.cpu_count() reads 4
@@ -166,6 +181,17 @@ class TestPools:
     def test_memory_bound(self):
         with pytest.raises(PoolTooLargeError):
             enumerate_pool("sts", 9, SearchConfig(max_pool=100))
+
+    @pytest.mark.parametrize("kind, n, digest", [
+        ("sts", 9, "f706972b28adadc05a75d84c9423bd8c313ab08dbc013e72c38f576f13438445"),
+        ("1f-labeled", 6, "8e0d34425c2c1d8b2a89783e490fd115485f863b29229d78bf95b9e16f22fdae"),
+        ("latin", 4, "6eb0f7edd259a4bf71d16f0c55d1c320f9c05d8706986860cc73267dce2d0ace"),
+    ])
+    def test_pool_order_is_pinned(self, kind, n, digest):
+        # Monte Carlo draws designs by pool index, so a reordered pool would
+        # silently change every fixed-seed estimate
+        text = pool_to_jsonl(enumerate_pool(kind, n))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_jsonl_round_trip(self):
         p = enumerate_pool("1f-labeled", 4)
