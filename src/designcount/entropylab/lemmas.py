@@ -3,7 +3,10 @@
 Each verifier compares a closed-form conditional law against a full
 enumeration (exact mode: arbitrary-precision rationals, zero tolerance)
 or against sampled frequencies (mc mode: estimate with a standard
-error, pass within 5 standard errors).
+error, pass within 5 standard errors).  Both modes run the same code:
+exact mode feeds every order through it, mc mode seeded uniform draws,
+and the M and N of a pair are read from the reveal kernel
+`rates.reveal_steps` (`reveal.py` stays the literal oracle).
 
 The laws checked, with the conditioning event in brackets:
 
@@ -28,6 +31,7 @@ The laws checked, with the conditioning event in brackets:
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import itertools
 import json
@@ -39,6 +43,7 @@ import numpy as np
 
 from ..core import DesignError, EdgeColoring, TripleSystem
 from ..enumeration import enumerate_pool
+from .rates import CHUNK, reveal_steps
 from .reveal import EmptyConditionError, TooLargeError, sample_reveal_order
 
 MAX_EXACT_N = 7     # vertex orders enumerable in exact mode
@@ -97,38 +102,95 @@ def verdicts_to_json(verdicts) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Cached position arrays for full vertex-order enumeration
+# Orders, reveal values and reducers shared by every law and both modes
 # ---------------------------------------------------------------------------
 
-_POS_CACHE: dict[int, np.ndarray] = {}
+@functools.cache   # read-only; exact checks ask for the same m! orders per pair
+def _all_orders(m: int) -> np.ndarray:
+    perms = np.array(list(itertools.permutations(range(m))), dtype=np.int64)
+    perms.flags.writeable = False
+    return perms
 
 
-def _all_positions(n: int) -> np.ndarray:
-    """(n!, n) int8 array: row r, column v-1 = position of vertex v."""
-    if n not in _POS_CACHE:
-        if n > MAX_EXACT_N:
-            raise TooLargeError(f"exact mode gated at n <= {MAX_EXACT_N}, got {n}")
-        perms = np.array(list(itertools.permutations(range(n))), dtype=np.int8)
-        pos = np.empty_like(perms)
-        rows = np.arange(perms.shape[0])[:, None]
-        pos[rows, perms] = np.arange(n, dtype=np.int8)[None, :]
-        _POS_CACHE[n] = pos
-    return _POS_CACHE[n]
+def _orders(m: int, mode: str, samples: int, seed: int):
+    """Batches of permutations of 0..m-1, one order per row.
+
+    Exact mode yields all m! orders in one batch (callers gate m); mc
+    mode yields ``samples`` uniform orders drawn from ``seed``, CHUNK
+    rows at a time, which are the orders and the stream state that one
+    ``rng.permutation(m)`` per sample gives.
+    """
+    if mode == "exact":
+        yield _all_orders(m)
+        return
+    if samples < 2:
+        raise DesignError(f"mc mode needs at least 2 samples, got {samples}")
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    for start in range(0, samples, CHUNK):
+        size = min(CHUNK, samples - start)
+        yield rng.permuted(np.tile(np.arange(m), (size, 1)), axis=1)
 
 
-def _binomial_pass(est: float, target: float, se: float) -> bool:
-    return abs(est - target) <= MC_SIGMAS * se + 1e-12
+def _gate(mode: str, size: int, limit: int, what: str) -> None:
+    if mode == "exact" and size > limit:
+        raise TooLargeError(f"exact mode gated at {what} <= {limit}, got {size}")
+
+
+def _pair_values(variant: str, X, vo: np.ndarray, p: int, j: int, keys=None):
+    """M and N of the pair (vo[b, p], j) in each reveal b of design X.
+
+    j must follow position p in every vertex order; ``keys`` order the
+    stars as in `reveal_steps` (by default in some fixed order, which
+    leaves M unchanged).
+    """
+    if keys is None:
+        keys = np.zeros(vo.shape + vo.shape[1:])
+    steps = reveal_steps(variant, np.array([X.table]), np.zeros(len(vo), np.intp), vo, keys)
+    _, star, m_avail, n_avail = next(itertools.islice(steps, p, None))
+    slot = star == j
+    return m_avail[slot], n_avail[slot]
+
+
+def _share(count: int, total: int, exact: bool):
+    """Frequency count/total: a Fraction, or an estimate and its binomial SE."""
+    if exact:
+        return Fraction(count, total), None
+    est = count / total
+    return est, math.sqrt(max(est * (1 - est), 1e-300) / total)
+
+
+def _mean(batches, exact: bool, cond: dict):
+    """Mean of a stream of integer arrays, with the number of values.
+
+    Exact mode gives a Fraction; mc mode a float and its standard error.
+    Both come from the integer moments (count, sum, sum of squares), so
+    the MC sum of squared deviations is exact before it is rounded.
+    """
+    count = total = squares = 0
+    for x in batches:
+        x = x.astype(np.int64)
+        count += len(x)
+        total += int(x.sum())
+        squares += int((x * x).sum())
+    if count == 0:
+        where = ", ".join(f"{k}={v}" for k, v in sorted(cond.items()))
+        raise EmptyConditionError(f"no {'' if exact else 'sampled '}order satisfies {where}")
+    if exact:
+        return Fraction(total, count), None, count
+    m2 = Fraction(count * squares - total * total, count)
+    se = math.sqrt(m2 / (count - 1) / count) if count > 1 else math.inf
+    return total / count, se, count
+
+
+def _passed(observed, formula: Fraction, se: float | None) -> bool:
+    if se is None:
+        return observed == formula
+    return abs(observed - float(formula)) <= MC_SIGMAS * se + 1e-12
 
 
 # ---------------------------------------------------------------------------
 # Position laws
 # ---------------------------------------------------------------------------
-
-def _position_formula(variant: str, n: int, p: int) -> Fraction:
-    if variant == "1f":
-        return Fraction(2 * (n - p), n * (n - 1))
-    return Fraction(3 * (n - p) * (n - p - 1), n * (n - 1) * (n - 2))
-
 
 def verify_position_law(variant: str, n: int, mode: str = "exact",
                         samples: int = 100_000, seed: int = 0,
@@ -143,144 +205,57 @@ def verify_position_law(variant: str, n: int, mode: str = "exact",
     n is read as the star size m.
     """
     if law == "q":
-        return _verify_q_law(variant, n, mode, samples, seed)
+        if variant != "sts":
+            raise DesignError("the star position law applies to the sts variant")
+        _gate(mode, n, MAX_EXACT_STAR, "m")
+        return _position_verdicts("q-law", variant, n, "q", 2, False, mode, samples, seed)
     if variant not in ("1f", "sts"):
         raise DesignError(f"unknown variant {variant!r}")
-    lemma = "dist-p" if variant == "1f" else "dist-p-2"
-    p_max = n - 1 if variant == "1f" else n - 2
+    _gate(mode, n, MAX_EXACT_N, "n")
+    lemma, size = ("dist-p", 2) if variant == "1f" else ("dist-p-2", 3)
+    return _position_verdicts(lemma, variant, n, "p", size, True, mode, samples, seed)
 
-    if mode == "exact":
-        pos = _all_positions(n)
-        nperm = pos.shape[0]
-        agg = np.zeros(n, dtype=np.int64)
-        total = 0
-        uniform = True
-        reference: np.ndarray | None = None
-        anchors = (itertools.permutations(range(n), 2) if variant == "1f"
-                   else itertools.permutations(range(n), 3))
-        for tup in anchors:
-            i = tup[0]
-            cond = np.ones(nperm, dtype=bool)
-            for other in tup[1:]:
-                cond &= pos[:, i] < pos[:, other]
-            hist = np.bincount(pos[cond, i], minlength=n)
-            if reference is None:
-                reference = hist
-            elif not np.array_equal(hist, reference):
-                uniform = False
-            agg += hist
-            total += int(cond.sum())
-        out = []
-        for p in range(1, p_max + 1):
-            obs = Fraction(int(agg[p - 1]), total)
-            formula = _position_formula(variant, n, p)
-            out.append(LemmaVerdict(
-                lemma, variant, n, {"p": p}, formula, obs, None,
-                passed=uniform and obs == formula, samples=nperm,
-                note="all anchor tuples checked"))
-        return out
 
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    anchor = (0, 1) if variant == "1f" else (0, 1, 2)
-    counts = np.zeros(n, dtype=np.int64)
-    total = 0
-    for _ in range(samples):
-        perm = rng.permutation(n)
-        pos = np.empty(n, dtype=np.int64)
-        pos[perm] = np.arange(n)
-        if all(pos[anchor[0]] < pos[o] for o in anchor[1:]):
-            counts[pos[anchor[0]]] += 1
-            total += 1
+def _position_verdicts(lemma, variant, n, key, size, all_tuples, mode, samples, seed):
+    """Position of item a among n ordered items, given that a precedes
+    the other items of its anchor tuple (a, ...) of ``size`` items; the
+    law is Pr(position p) = C(n-p, size-1) / C(n, size).
+
+    The tuple is (0, 1, ...); with ``all_tuples`` exact mode pools every
+    ordered tuple, and each tuple's histogram must equal the first one.
+    """
+    if n < size:
+        raise EmptyConditionError(f"size {n} leaves no position {key} to check")
+    exact = mode == "exact"
+    anchors, note = [tuple(range(size))], ""
+    if exact and all_tuples:
+        anchors, note = list(itertools.permutations(range(n), size)), "all anchor tuples checked"
+    hist = np.zeros((len(anchors), n), dtype=np.int64)
+    orders = 0
+    for perms in _orders(n, mode, samples, seed):
+        pos = np.argsort(perms, axis=1)   # pos[r, a]: position of item a
+        orders += len(perms)
+        for t, (a, *others) in enumerate(anchors):
+            first = np.all(pos[:, [a]] < pos[:, others], axis=1)
+            hist[t] += np.bincount(pos[first, a], minlength=n)
+    total = int(hist.sum())
+    if total == 0:
+        raise EmptyConditionError(f"no sampled order puts item 0 first among {size}")
+    uniform = bool((hist == hist[0]).all())
+    counts = hist.sum(axis=0)
     out = []
-    for p in range(1, p_max + 1):
-        est = float(counts[p - 1] / total)
-        se = math.sqrt(max(est * (1 - est), 1e-300) / total)
-        formula = _position_formula(variant, n, p)
-        out.append(LemmaVerdict(lemma, variant, n, {"p": p}, formula, est, se,
-                                passed=_binomial_pass(est, float(formula), se),
-                                samples=total))
-    return out
-
-
-def _verify_q_law(variant: str, m: int, mode: str, samples: int,
-                  seed: int) -> list[LemmaVerdict]:
-    if variant != "sts":
-        raise DesignError("the star position law applies to the sts variant")
-    if m < 2:
-        raise EmptyConditionError(f"star size {m} leaves no position to check")
-    if mode == "exact":
-        if m > MAX_EXACT_STAR:
-            raise TooLargeError(f"exact mode gated at m <= {MAX_EXACT_STAR}, got {m}")
-        counts = [0] * (m + 1)
-        total = 0
-        for perm in itertools.permutations(range(m)):
-            rj, rk = perm.index(0), perm.index(1)   # item 0 = {i,j}, item 1 = {i,k}
-            if rj < rk:
-                counts[rj + 1] += 1
-                total += 1
-        out = []
-        for q in range(1, m):
-            obs = Fraction(counts[q], total)
-            formula = Fraction(2 * (m - q), m * (m - 1))
-            out.append(LemmaVerdict("q-law", variant, m, {"q": q}, formula, obs,
-                                    None, passed=obs == formula,
-                                    samples=math.factorial(m)))
-        return out
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    counts = [0] * (m + 1)
-    total = 0
-    for _ in range(samples):
-        perm = rng.permutation(m)
-        rj = int(np.nonzero(perm == 0)[0][0])
-        rk = int(np.nonzero(perm == 1)[0][0])
-        if rj < rk:
-            counts[rj + 1] += 1
-            total += 1
-    out = []
-    for q in range(1, m):
-        est = counts[q] / total
-        se = math.sqrt(max(est * (1 - est), 1e-300) / total)
-        formula = Fraction(2 * (m - q), m * (m - 1))
-        out.append(LemmaVerdict("q-law", variant, m, {"q": q}, formula, est, se,
-                                passed=_binomial_pass(est, float(formula), se),
-                                samples=total))
+    for p in range(1, n - size + 2):
+        observed, se = _share(int(counts[p - 1]), total, exact)
+        formula = Fraction(math.comb(n - p, size - 1), math.comb(n, size))
+        out.append(LemmaVerdict(lemma, variant, n, {key: p}, formula, observed, se,
+                                passed=uniform and _passed(observed, formula, se),
+                                samples=orders if exact else total, note=note))
     return out
 
 
 # ---------------------------------------------------------------------------
 # Expected M given the anchor position
 # ---------------------------------------------------------------------------
-
-def _m_values_1f(X: EdgeColoring, i: int, j: int, pos: np.ndarray) -> np.ndarray:
-    """M per enumerated order: 1 + #{colors whose two carrier edges at i
-    and j both lead to vertices after i}."""
-    n = X.n
-    s = X.table[i][j]
-    at_i = {X.table[i][u]: u for u in range(1, n + 1) if u != i}
-    at_j = {X.table[j][u]: u for u in range(1, n + 1) if u != j}
-    pi = pos[:, i - 1]
-    m = np.ones(pos.shape[0], dtype=np.int64)
-    for c in range(1, n):
-        if c == s:
-            continue
-        a, b = at_i[c], at_j[c]
-        m += ((pos[:, a - 1] > pi) & (pos[:, b - 1] > pi)).astype(np.int64)
-    return m
-
-
-def _m_values_sts(X: TripleSystem, i: int, j: int, pos: np.ndarray) -> np.ndarray:
-    n = X.n
-    k = X.table[i][j]
-    pi = pos[:, i - 1]
-    m = np.ones(pos.shape[0], dtype=np.int64)
-    for t in range(1, n + 1):
-        if t in (i, j, k):
-            continue
-        a, b = X.table[i][t], X.table[j][t]
-        m += ((pos[:, t - 1] > pi) & (pos[:, a - 1] > pi)
-              & (pos[:, b - 1] > pi)).astype(np.int64)
-    return m
-
 
 def verify_M_expectation(variant: str, X: EdgeColoring | TripleSystem,
                          i: int, j: int, p: int, mode: str = "exact",
@@ -310,58 +285,28 @@ def verify_M_expectation(variant: str, X: EdgeColoring | TripleSystem,
         printed = None
     else:
         raise DesignError(f"unknown variant {variant!r}")
+    _gate(mode, n, MAX_EXACT_N, "n")
+
+    def m_values():
+        # the raw M of (i, j) in every order that puts i at p before the anchors
+        for perms in _orders(n, mode, samples, seed):
+            pos = np.argsort(perms, axis=1)
+            keep = pos[:, i - 1] == p - 1
+            for other in anchors[1:]:
+                keep &= pos[:, other - 1] > p - 1
+            if keep.any():
+                yield _pair_values(variant, X, perms[keep] + 1, p - 1, j)[0]
 
     cond_keys = {"p": p, "i": i, "j": j}
-    if mode == "exact":
-        pos = _all_positions(n)
-        cond = pos[:, i - 1] == p - 1
-        for other in anchors[1:]:
-            cond &= pos[:, i - 1] < pos[:, other - 1]
-        count = int(cond.sum())
-        if count == 0:
-            raise EmptyConditionError(f"no order puts {i} at {p} before {anchors[1:]}")
-        mv = _m_values_1f(X, i, j, pos) if variant == "1f" else _m_values_sts(X, i, j, pos)
-        observed = Fraction(int(mv[cond].sum()), count)
-        out = [LemmaVerdict("exp-m" if variant == "1f" else "exp-m-2", variant, n,
-                            cond_keys, formula, observed, None,
-                            passed=observed == formula, samples=count)]
-        if printed is not None:
-            out.append(LemmaVerdict(
-                "exp-m[printed]", variant, n, cond_keys, printed, observed, None,
-                passed=observed == printed, samples=count, informational=True,
-                note="printed denominator n-1; measured form uses n-3"))
-        return out
-
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    acc_n, acc_mean, acc_m2 = 0, 0.0, 0.0
-    for _ in range(samples):
-        perm = rng.permutation(n)
-        pos1 = np.empty(n, dtype=np.int64)
-        pos1[perm] = np.arange(n)
-        if pos1[i - 1] != p - 1:
-            continue
-        if any(pos1[i - 1] >= pos1[o - 1] for o in anchors[1:]):
-            continue
-        mv = _m_values_1f(X, i, j, pos1[None, :]) if variant == "1f" \
-            else _m_values_sts(X, i, j, pos1[None, :])
-        x = float(mv[0])
-        acc_n += 1
-        delta = x - acc_mean
-        acc_mean += delta / acc_n
-        acc_m2 += delta * (x - acc_mean)
-    if acc_n == 0:
-        raise EmptyConditionError("no sampled order satisfied the conditioning")
-    se = math.sqrt(acc_m2 / (acc_n - 1) / acc_n) if acc_n > 1 else float("inf")
+    observed, se, count = _mean(m_values(), mode == "exact", cond_keys)
     out = [LemmaVerdict("exp-m" if variant == "1f" else "exp-m-2", variant, n,
-                        cond_keys, formula, acc_mean, se,
-                        passed=_binomial_pass(acc_mean, float(formula), se),
-                        samples=acc_n)]
+                        cond_keys, formula, observed, se,
+                        passed=_passed(observed, formula, se), samples=count)]
     if printed is not None:
-        out.append(LemmaVerdict("exp-m[printed]", variant, n, cond_keys, printed,
-                                acc_mean, se,
-                                passed=_binomial_pass(acc_mean, float(printed), se),
-                                samples=acc_n, informational=True,
-                                note="printed denominator n-1; measured form uses n-3"))
+        out.append(LemmaVerdict(
+            "exp-m[printed]", variant, n, cond_keys, printed, observed, se,
+            passed=_passed(observed, printed, se), samples=count, informational=True,
+            note="printed denominator n-1; measured form uses n-3"))
     return out
 
 
@@ -381,144 +326,78 @@ def verify_N_law(variant: str, X: EdgeColoring | TripleSystem,
     {i,j} at star position q before {i,k},
     E[N] = 1 + (l-1)(m-q-1)(m-q-2)/((m-2)(m-3)); single verdict.
     """
-    n = X.n
     vo = tuple(vertex_order)
-    pos = {v: idx for idx, v in enumerate(vo)}
-    if pos[i] >= pos[j]:
+    if vo.index(i) >= vo.index(j):
         raise EmptyConditionError(f"{i} must precede {j} in the vertex order")
-    star = tuple(u for u in vo[pos[i] + 1:])
-    m = len(star)
-    if mode == "exact" and m > MAX_EXACT_STAR:
-        raise TooLargeError(f"exact mode gated at star size <= {MAX_EXACT_STAR}, got {m}")
+    _gate(mode, len(vo) - 1 - vo.index(i), MAX_EXACT_STAR, "star size")
 
     if variant == "1f":
-        return _verify_n_uniform_1f(X, vo, star, i, j, mode, samples, seed)
+        return _verify_n_uniform_1f(X, vo, i, j, mode, samples, seed)
     if variant == "sts":
         if q is None:
             raise DesignError("triple-system N law needs the star position q")
-        return _verify_n_expectation_sts(X, vo, star, i, j, q, mode, samples, seed)
+        return _verify_n_expectation_sts(X, vo, i, j, q, mode, samples, seed)
     raise DesignError(f"unknown variant {variant!r}")
 
 
-def _mset_1f(X: EdgeColoring, vo, i: int, j: int) -> set[int]:
-    pos = {v: idx for idx, v in enumerate(vo)}
-    ruled = set()
-    for t in vo[:pos[i]]:
-        ruled.add(X.table[t][i])
-        ruled.add(X.table[t][j])
-    return set(range(1, X.n)) - ruled
+def _star_n_values(variant, X, vo, i, j, mode, samples, seed, keep=None):
+    """N of (i, j) over the orders of i's forward star, vo fixed.
+
+    Yields one array per batch of star orders, restricted to the orders
+    whose star (row b: i's forward neighbors in reveal order) ``keep``
+    accepts.
+    """
+    n, p = len(vo), vo.index(i)
+    forward = np.array(vo[p + 1:])
+    for perms in _orders(len(forward), mode, samples, seed):
+        if keep is not None:
+            perms = perms[keep(forward[perms])]
+        if len(perms):
+            keys = np.zeros((len(perms), n, n))
+            keys[:, p, p + 1:] = np.argsort(perms, axis=1)   # rank of each star slot
+            yield _pair_values(variant, X, np.tile(vo, (len(perms), 1)), p, j, keys)[1]
 
 
-def _verify_n_uniform_1f(X, vo, star, i, j, mode, samples, seed):
-    mset = _mset_1f(X, vo, i, j)
-    M = len(mset)
-
-    def n_of(perm) -> int:
-        ruled = {X.table[i][u] for u in perm[:perm.index(j)]}
-        return len(mset - ruled)
-
-    counts = [0] * (M + 2)
-    stray = 0
-    total = 0
-    if mode == "exact":
-        for perm in itertools.permutations(star):
-            v = n_of(perm)
-            total += 1
-            if 1 <= v <= M:
-                counts[v] += 1
-            else:
-                stray += 1
-        out = []
-        for v in range(1, M + 1):
-            obs = Fraction(counts[v], total)
-            out.append(LemmaVerdict(
-                "n-law", "1f", X.n, {"i": i, "j": j, "v": v, "M": M},
-                Fraction(1, M), obs, None,
-                passed=stray == 0 and obs == Fraction(1, M), samples=total))
-        return out
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    arr = list(star)
-    for _ in range(samples):
-        perm = tuple(arr[t] for t in rng.permutation(len(arr)))
-        v = n_of(perm)
-        total += 1
-        if 1 <= v <= M:
-            counts[v] += 1
-        else:
-            stray += 1
+def _verify_n_uniform_1f(X, vo, i, j, mode, samples, seed):
+    M = int(_pair_values("1f", X, np.array([vo]), vo.index(i), j)[0][0])
+    counts = np.zeros(X.n + 1, dtype=np.int64)
+    for n_avail in _star_n_values("1f", X, vo, i, j, mode, samples, seed):
+        counts += np.bincount(n_avail, minlength=X.n + 1)
+    total = int(counts.sum())
+    stray = total - int(counts[1:M + 1].sum())
     out = []
     for v in range(1, M + 1):
-        est = counts[v] / total
-        se = math.sqrt(max(est * (1 - est), 1e-300) / total)
+        observed, se = _share(int(counts[v]), total, mode == "exact")
         out.append(LemmaVerdict(
             "n-law", "1f", X.n, {"i": i, "j": j, "v": v, "M": M},
-            Fraction(1, M), est, se,
-            passed=stray == 0 and _binomial_pass(est, 1.0 / M, se), samples=total))
+            Fraction(1, M), observed, se,
+            passed=stray == 0 and _passed(observed, Fraction(1, M), se), samples=total))
     return out
 
 
-def _verify_n_expectation_sts(X, vo, star, i, j, q, mode, samples, seed):
+def _verify_n_expectation_sts(X, vo, i, j, q, mode, samples, seed):
     n = X.n
-    pos = {v: idx for idx, v in enumerate(vo)}
     k = X.table[i][j]
-    if pos[k] <= pos[i]:
+    if vo.index(k) <= vo.index(i):
         raise EmptyConditionError(f"the third point {k} must follow {i}")
-    m = len(star)
+    m = n - 1 - vo.index(i)
     if not 1 <= q <= m - 1:
         raise EmptyConditionError(f"position q={q} cannot precede the companion edge")
-    others = set(range(1, n + 1)) - {i, j}
-    # X[j][t] equals i exactly when t is the true third point; "before i"
-    # must stay strict, so compare with >= rather than >.
-    mset = {t for t in others
-            if pos[t] > pos[i] and pos[X.table[i][t]] >= pos[i]
-            and pos[X.table[j][t]] >= pos[i]}
-    l = len(mset)
+    l = int(_pair_values("sts", X, np.array([vo]), vo.index(i), j)[0][0])
     if l > 1 and m < 4:
         raise DesignError(f"the expectation law needs star size >= 4 when l > 1, got m={m}")
     formula = Fraction(1) if l == 1 else \
         1 + Fraction((m - q - 1) * (m - q - 2), (m - 2) * (m - 3)) * (l - 1)
 
-    def n_of(perm: tuple[int, ...]) -> int:
-        rank = {u: r for r, u in enumerate(perm)}
-        rj = rank[j]
-        ruled = {t for t in mset if rank[t] < rj or rank[X.table[i][t]] < rj}
-        return l - len(ruled)
+    def keep(star):
+        # {i,j} at position q and {i,k} after it
+        return (star[:, q - 1] == j) & (np.argmax(star == k, axis=1) > q - 1)
 
     cond = {"i": i, "j": j, "q": q, "l": l, "m": m}
-    if mode == "exact":
-        total = 0
-        acc = 0
-        for perm in itertools.permutations(star):
-            if perm[q - 1] != j:
-                continue
-            rank_k = perm.index(k)
-            if rank_k < q - 1:
-                continue
-            total += 1
-            acc += n_of(perm)
-        if total == 0:
-            raise EmptyConditionError("no star order satisfies the conditioning")
-        obs = Fraction(acc, total)
-        return [LemmaVerdict("n-law", "sts", n, cond, formula, obs, None,
-                             passed=obs == formula, samples=total)]
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    arr = list(star)
-    acc_n, acc_mean, acc_m2 = 0, 0.0, 0.0
-    for _ in range(samples):
-        perm = tuple(arr[t] for t in rng.permutation(m))
-        if perm[q - 1] != j or perm.index(k) < q - 1:
-            continue
-        x = float(n_of(perm))
-        acc_n += 1
-        delta = x - acc_mean
-        acc_mean += delta / acc_n
-        acc_m2 += delta * (x - acc_mean)
-    if acc_n == 0:
-        raise EmptyConditionError("no sampled star order satisfied the conditioning")
-    se = math.sqrt(acc_m2 / (acc_n - 1) / acc_n) if acc_n > 1 else float("inf")
-    return [LemmaVerdict("n-law", "sts", n, cond, formula, acc_mean, se,
-                         passed=_binomial_pass(acc_mean, float(formula), se),
-                         samples=acc_n)]
+    observed, se, count = _mean(_star_n_values("sts", X, vo, i, j, mode, samples, seed, keep),
+                                mode == "exact", cond)
+    return [LemmaVerdict("n-law", "sts", n, cond, formula, observed, se,
+                         passed=_passed(observed, formula, se), samples=count)]
 
 
 # ---------------------------------------------------------------------------
@@ -552,51 +431,39 @@ def verify_suite(lemma: str, variant: str, n: int, mode: str = "exact",
         return verify_position_law("sts", n, mode, samples, seed, law="q")
 
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    out = []
     if lemma in ("exp-m", "exp-m-2"):
         want = "1f" if lemma == "exp-m" else "sts"
         if variant != want:
             raise DesignError(f"{lemma} applies to the {want} variant")
         X = _default_design(variant, n)
         pairs = [(1, 2)]
-        while len(pairs) < 3:
+        while len(pairs) < min(3, n * (n - 1)):
             i, j = (int(v) + 1 for v in rng.choice(n, size=2, replace=False))
             if (i, j) not in pairs:
                 pairs.append((i, j))
         p_max = n - 1 if variant == "1f" else n - 2
-        out = []
         for (i, j) in pairs:
             for p in range(1, p_max + 1):
                 out.extend(verify_M_expectation(variant, X, i, j, p, mode,
                                                 samples, seed))
-        return out
-
-    if lemma == "n-law":
+    elif lemma == "n-law":
         X = _default_design(variant, n)
-        out = []
         for case in range(2):
-            order = sample_reveal_order(n, rng=rng)
-            vo = order.vertex_order
-            if variant == "1f":
-                i = vo[0]
-                for j in vo[1:]:
+            vo = sample_reveal_order(n, rng=rng).vertex_order
+            i = vo[0]
+            for j in vo[1:]:
+                if variant == "1f":
                     out.extend(verify_N_law("1f", X, vo, i, j, mode=mode,
                                             samples=samples, seed=seed + case))
-            else:
-                i = vo[0]
-                for j in vo[1:]:
-                    k = X.table[i][j]
-                    if vo.index(k) <= vo.index(i):
-                        continue
-                    m = n - 1 - vo.index(i)
-                    for q in range(1, m):
-                        try:
-                            out.extend(verify_N_law("sts", X, vo, i, j, q=q,
-                                                    mode=mode, samples=samples,
-                                                    seed=seed + case))
-                        except EmptyConditionError:
-                            continue
-        if not out:
-            raise EmptyConditionError("no checkable case for the n law")
-        return out
-
-    raise DesignError(f"unknown lemma {lemma!r}")
+                    continue
+                if vo.index(X.table[i][j]) <= vo.index(i):
+                    continue
+                for q in range(1, n - 1 - vo.index(i)):
+                    out.extend(verify_N_law("sts", X, vo, i, j, q=q, mode=mode,
+                                            samples=samples, seed=seed + case))
+    else:
+        raise DesignError(f"unknown lemma {lemma!r}")
+    if not out:
+        raise EmptyConditionError(f"no checkable case for {lemma} at n={n}")
+    return out

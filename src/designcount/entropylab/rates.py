@@ -6,13 +6,14 @@ upper-bounds the log of the number of designs.  `entropy_upper_estimate`
 evaluates that sum exactly (full enumeration, tiny instances) or by
 Monte Carlo with a standard error.
 
-Both modes run one numpy kernel over batches of reveals: per vertex
-position it sorts every forward star by its keys, takes the prefix OR
-of the exposed values and counts N with a popcount.  Monte Carlo
-sampling is organized in fixed-size blocks, each with its own substream
-spawned from (seed, block-index) and drawn CHUNK reveals at a time, and
-block accumulators are merged in index order; the result is therefore
-byte-identical for any worker count, not just any schedule.
+Both modes run one numpy kernel, `reveal_steps`, over batches of
+reveals: per vertex position it sorts every forward star by its keys,
+takes the prefix OR of the exposed values and counts M and N with a
+popcount; the lemma checks read M and N from the same kernel.  Monte
+Carlo sampling is organized in fixed-size blocks, each with its own
+substream spawned from (seed, block-index) and drawn CHUNK reveals at a
+time, and block accumulators are merged in index order; the result is
+therefore byte-identical for any worker count, not just any schedule.
 
 `finite_sum_rate` evaluates the closed finite sums that the per-pair
 expectations produce and compares them against their limit log n - 1.
@@ -72,22 +73,23 @@ def _exclusive_or_scan(bits):
     return out
 
 
-def _reveal_sums(variant: str, tables, d, vo, keys):
-    """Sum of log N over the non-trivial ordered pairs of a batch of reveals.
+def reveal_steps(variant: str, tables, d, vo, keys):
+    """Scan a batch of reveals, yielding ``(i, star, M, N)`` per vertex position.
 
     Reveal b scans design ``tables[d[b]]`` in the vertex order ``vo[b]``
-    (vertices 1..n); the star of the vertex at position p is its forward
-    neighbors ``vo[b, p+1:]`` sorted by ``keys[b, p, p+1:]``.  A trivial
-    reveal has N = 1 and adds log 1 = 0.
+    (vertices 1..n); the star of the vertex ``i[b]`` at position p is its
+    forward neighbors ``vo[b, p+1:]`` sorted by ``keys[b, p, p+1:]``, given
+    in ``star[b]``.  ``M[b, s]`` and ``N[b, s]`` are the sizes of Mset and
+    Nset of the pair (i[b], star[b, s]) as ``reveal.py`` defines them;
+    N is 1 on trivial reveals, while M is left unmasked, so it is the
+    oracle's M only on informative pairs.  Both are uint8 popcounts.
     """
     batch, n = vo.shape
-    logs = np.log(np.maximum(np.arange(n + 1), 1))
     full = (1 << (n if variant == "1f" else n + 1)) - 2   # colors 1..n-1 or points 1..n
     # 1f: seen[v] holds the colors exposed at v by earlier vertices;
     # sts: seen[v] the t whose pair with v was closed by an earlier vertex.
     seen = np.zeros((batch, n + 1), np.int64)
     earlier = np.zeros((batch, 1), np.int64)   # sts: vertices already scanned
-    total = np.zeros(batch)
     for p in range(n - 1):
         i = vo[:, p:p + 1]
         row = tables[d, i[:, 0]]                # value of {i, v} for every v
@@ -96,6 +98,7 @@ def _reveal_sums(variant: str, tables, d, vo, keys):
         value = np.take_along_axis(row, star, axis=1)
         closed = np.take_along_axis(seen, i, axis=1) | np.take_along_axis(seen, star, axis=1)
         if variant == "1f":
+            m_avail = np.bitwise_count(full & ~closed)
             closed |= _exclusive_or_scan(1 << value)
             n_avail = np.bitwise_count(full & ~closed)
         else:
@@ -104,14 +107,26 @@ def _reveal_sums(variant: str, tables, d, vo, keys):
             rank = np.full((batch, n + 1), -1)
             np.put_along_axis(rank, star, slots, axis=1)
             informative = np.take_along_axis(rank, value, axis=1) > slots
-            closed |= (earlier | (1 << i) | (1 << star)
-                       | _exclusive_or_scan((1 << star) | (1 << value)))
+            closed |= earlier | (1 << i) | (1 << star)
+            m_avail = np.bitwise_count(full & ~closed)
+            closed |= _exclusive_or_scan((1 << star) | (1 << value))
             n_avail = np.where(informative, np.bitwise_count(full & ~closed), 1)
             earlier |= 1 << i
-        total += logs[n_avail].sum(axis=1)   # popcounts are uint8: index, don't compute
+        yield i[:, 0], star, m_avail, n_avail
         # every v may be updated: scanned vertices are never read again and
         # row[i] = 0 only sets bit 0, which lies outside full
         seen |= 1 << row
+
+
+def _reveal_sums(variant: str, tables, d, vo, keys):
+    """Sum of log N over the ordered pairs of each reveal in a batch.
+
+    A trivial reveal has N = 1 and adds log 1 = 0.
+    """
+    logs = np.log(np.maximum(np.arange(vo.shape[1] + 1), 1))
+    total = np.zeros(len(vo))
+    for _, _, _, n_avail in reveal_steps(variant, tables, d, vo, keys):
+        total += logs[n_avail].sum(axis=1)   # popcounts are uint8: index, don't compute
     return total
 
 

@@ -229,6 +229,8 @@ def _subtree(task):
 
 def _count(kind: str, n: int, cfg: SearchConfig) -> CountResult:
     """Count one search, in this process or split into subtrees over workers."""
+    if cfg.node_budget is not None and cfg.node_budget < 1:
+        raise DesignError(f"node budget must be >= 1, got {cfg.node_budget}")
     t0 = time.perf_counter()
     kernel, args, state, full_depth = _start(kind, n)
     if cfg.jobs <= 1 or cfg.node_budget is not None or full_depth == 0:

@@ -37,6 +37,13 @@ class TestCount:
         assert code == 2
         assert json.loads(out)["complete"] is False
 
+    def test_nonpositive_budget_exit_1(self, capsys):
+        for budget in ("0", "-3"):
+            code, out, err = run(capsys, "count", "--object", "latin", "--n", "5",
+                                 "--node-budget", budget)
+            assert code == 1 and out == ""
+            assert err == f"error: node budget must be >= 1, got {budget}\n"
+
     def test_bad_flag_exit_1(self, capsys):
         code, _, err = run(capsys, "count", "--object", "cube", "--n", "3")
         assert code == 1 and "error" in err
@@ -106,6 +113,30 @@ class TestVerify:
                              "--n", "9", "--mode", "exact")
         assert code == 1 and out == ""
         assert err == "error: exact mode gated at star size <= 7, got 8\n"
+
+    def test_mc_too_few_samples_exit_1(self, capsys):
+        for samples in ("0", "1"):
+            code, out, err = run(capsys, "verify", "--lemma", "dist-p", "--variant", "1f",
+                                 "--n", "6", "--mode", "mc", "--samples", samples)
+            assert code == 1 and out == ""
+            assert err == f"error: mc mode needs at least 2 samples, got {samples}\n"
+
+    def test_no_verdict_exit_1(self, capsys):
+        for lemma, variant, n in (("dist-p", "1f", "1"), ("dist-p-2", "sts", "2"),
+                                  ("exp-m-2", "sts", "1")):
+            code, out, err = run(capsys, "verify", "--lemma", lemma, "--variant", variant,
+                                 "--n", n, "--mode", "exact")
+            assert code == 1 and out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_n_law_mc_names_an_unsampled_case(self, capsys):
+        # two star orders rarely put {i,j} at q before {i,k}; the case is
+        # reported, not skipped
+        code, out, err = run(capsys, "verify", "--lemma", "n-law", "--variant", "sts",
+                             "--n", "9", "--mode", "mc", "--samples", "2")
+        assert code == 1 and out == ""
+        assert err.startswith("error: no sampled order satisfies i=") and err.count("\n") == 1
+        assert all(f"{key}=" in err for key in ("i", "j", "q"))
 
     def test_mc_csv_has_plain_floats(self, capsys):
         code, out, _ = run(capsys, "verify", "--lemma", "dist-p-2", "--variant", "sts",

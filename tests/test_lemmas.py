@@ -1,5 +1,6 @@
 """Conditional-law verdicts: exact rational equalities and MC tolerances."""
 
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -246,6 +247,12 @@ class TestSuitesAndSerialization:
         assert all(v.passed for v in verify_suite("n-law", "1f", 6, "exact"))
         assert all(v.passed for v in verify_suite("n-law", "sts", 7, "exact"))
 
+    def test_exp_m_with_two_ordered_pairs(self):
+        # n=2 has only (1,2) and (2,1); the pair selection must not wait for a third
+        verdicts = verify_suite("exp-m", "1f", 2, "exact")
+        assert [v.conditioning["i"] for v in verdicts] == [1, 1, 2, 2]
+        assert all(v.passed for v in verdicts if not v.informational)
+
     def test_variant_mismatch(self):
         with pytest.raises(DesignError):
             verify_suite("dist-p", "sts", 7, "exact")
@@ -266,3 +273,34 @@ class TestSuitesAndSerialization:
         verdicts = verify_position_law("sts", 7, "exact")
         docs = json.loads(verdicts_to_json(verdicts))
         assert docs[4]["formula"] == [1, 35] and docs[4]["observed"] == [1, 35]
+
+
+class TestPinnedOutput:
+    # sha256 of verdicts_to_json, recorded before the laws read M and N
+    # from the batched reveal kernel (seed 0)
+    @pytest.mark.parametrize("lemma,variant,n,digest", [
+        ("dist-p", "1f", 6, "c6b981e93c14b7986f53225f6d25f13a9e67450fdaee5ec60de577f38fdd81a8"),
+        ("exp-m", "1f", 6, "71400a18c1eb341f769848a5ced63a4dbb7f59e886ba5a7cffa65e16b7570d9d"),
+        ("n-law", "1f", 6, "ce01647b75fffd62c81afb84b61e2641c415043e50c157922fc2ddb842a6c173"),
+        ("dist-p-2", "sts", 7, "31fa6968bdf96153d0ae497d0f5c7f87d7ff236f2feef1f6370bc5209fa41b27"),
+        ("exp-m-2", "sts", 7, "60344a4bcd822a7300779a71c37854fff1e6eeb657fb8a39f2b001b7902a76dc"),
+        ("q-law", "sts", 7, "79b8a40489371eb22036e4e440367fa92d43c51c872d1a01b47cde8a1e133b5d"),
+        ("n-law", "sts", 7, "9ab5b250ff01618fce3f7ba926a185d6ef31d73b3c8d8984a18c3fb6728084be"),
+    ])
+    def test_exact_suites(self, lemma, variant, n, digest):
+        out = verdicts_to_json(verify_suite(lemma, variant, n, "exact"))
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_mc_frequencies_byte_identical(self):
+        out = verdicts_to_json(verify_suite("q-law", "sts", 7, "mc", samples=20_000))
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "512190ae85253d452b28d9c857ae403a9856a8bfac4eb6de86f96fd96efa6ddf")
+
+    def test_mc_draws_unchanged(self):
+        # batched draws accept the same orders as one permutation per sample
+        gate = [v for v in verify_suite("exp-m", "1f", 6, "mc", samples=8000)
+                if not v.informational]
+        assert [v.samples for v in gate] == [1363, 1067, 780, 503, 267, 1305, 1062, 811,
+                                             582, 239, 1318, 1096, 758, 537, 250]
+        assert all(v.passed for v in gate)
+

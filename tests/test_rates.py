@@ -29,7 +29,8 @@ class TestBatchedKernel:
         ("1f", "1f-labeled", 4), ("1f", "1f-labeled", 6)])
     def test_matches_reveal_oracle(self, variant, kind, n):
         # the same seeded reveals through the batched kernel and through
-        # the literal per-pair sets of reveal.py
+        # the literal per-pair sets of reveal.py: the sum of log N, and the
+        # M (informative pairs) and N (every pair) of each forward pair
         pool = enumerate_pool(kind, n)
         tables = np.array([x.table for x in pool.items])
         rng = np.random.default_rng(n)
@@ -38,6 +39,11 @@ class TestBatchedKernel:
         vo = rng.permuted(np.tile(np.arange(1, n + 1), (reveals, 1)), axis=1)
         keys = rng.random((reveals, n, n))
         sums = rates._reveal_sums(variant, tables, d, vo, keys)
+        kernel = [{} for _ in range(reveals)]
+        for i, star, m_avail, n_avail in rates.reveal_steps(variant, tables, d, vo, keys):
+            for b in range(reveals):
+                for s, j in enumerate(star[b]):
+                    kernel[b][int(i[b]), int(j)] = int(m_avail[b, s]), int(n_avail[b, s])
         reveal_sets = reveal_sets_1f if variant == "1f" else reveal_sets_sts
         pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
         for b in range(reveals):
@@ -45,8 +51,13 @@ class TestBatchedKernel:
                      for p in range(n)}
             order = make_reveal_order(n, vo[b].tolist(), stars)
             X = pool.items[d[b]]
-            expected = sum(math.log(reveal_sets(X, order, i, j).N) for i, j in pairs)
+            sets = {pair: reveal_sets(X, order, *pair) for pair in pairs}
+            expected = sum(math.log(rs.N) for rs in sets.values())
             assert abs(sums[b] - expected) <= 1e-12
+            assert len(kernel[b]) == len(pairs) // 2
+            for pair, (m_avail, n_avail) in kernel[b].items():
+                assert n_avail == sets[pair].N
+                assert sets[pair].trivial or m_avail == sets[pair].M
 
 
 class TestExactEvaluation:
