@@ -263,13 +263,8 @@ def is_latin(rows: Sequence[Sequence[int]]) -> bool:
     if n == 0 or any(len(r) != n for r in rows):
         return False
     want = set(range(1, n + 1))
-    for r in rows:
-        if set(r) != want:
-            return False
-    for j in range(n):
-        if {rows[i][j] for i in range(n)} != want:
-            return False
-    return True
+    return (all(map(want.__eq__, map(set, rows)))
+            and all(map(want.__eq__, map(set, zip(*rows)))))
 
 
 def to_latin_cube(obj: TripleSystem | EdgeColoring) -> LatinSquare:
@@ -315,23 +310,29 @@ def to_json_dict(obj: TripleSystem | EdgeColoring | LatinSquare) -> dict:
 
 
 def from_json_dict(d: Mapping) -> TripleSystem | EdgeColoring | LatinSquare:
-    kind = d.get("kind")
-    n = d.get("n")
+    try:
+        kind, n = d.get("kind"), d.get("n")
+    except AttributeError:
+        raise DesignError(f"a design is a JSON object, got {type(d).__name__}") from None
     if kind == "sts":
         return validate_triple_system(n, d["triples"])
     if kind == "1f":
         colors = {(i, j): c for i, j, c in d["colors"]}
         return validate_edge_coloring(n, colors)
     if kind == "latin":
-        rows = tuple(tuple(r) for r in d["rows"])
+        rows = tuple(map(tuple, d["rows"]))
         if len(rows) != n:
             raise DesignError(f"declared n={n} but got {len(rows)} rows")
         return LatinSquare(n=n, rows=rows)
     raise DesignError(f"unknown kind {kind!r}")
 
 
+# json.dumps with options builds a new encoder per call; one is enough
+_ENCODER = json.JSONEncoder(separators=(",", ":"), sort_keys=True)
+
+
 def dumps(obj: TripleSystem | EdgeColoring | LatinSquare) -> str:
-    return json.dumps(to_json_dict(obj), separators=(",", ":"), sort_keys=True)
+    return _ENCODER.encode(to_json_dict(obj))
 
 
 def loads(text: str) -> TripleSystem | EdgeColoring | LatinSquare:

@@ -136,6 +136,26 @@ def _gate(mode: str, size: int, limit: int, what: str) -> None:
         raise TooLargeError(f"exact mode gated at {what} <= {limit}, got {size}")
 
 
+@functools.lru_cache(maxsize=4)   # exact checks ask for every pair and p of one design
+def _exact_m_table(variant: str, X):
+    """Positions and raw M of every forward pair over all n! vertex orders.
+
+    ``pos[b, a]`` is the position of vertex a+1 in order b, and
+    ``m[b, p, j]`` the M of the pair (vertex at position p, j) in that
+    reveal, for each j after position p.  M does not depend on the
+    star orders, so one kernel pass serves every pair and position.
+    """
+    perms = _all_orders(X.n)
+    m = np.zeros((len(perms), X.n - 1, X.n + 1), np.uint8)
+    steps = reveal_steps(variant, np.array([X.table]), np.zeros(len(perms), np.intp),
+                         perms + 1, np.zeros(perms.shape + perms.shape[1:]))
+    for p, (_, star, m_avail, _) in enumerate(steps):
+        np.put_along_axis(m[:, p], star, m_avail, axis=1)
+    pos = np.argsort(perms, axis=1)
+    pos.flags.writeable = m.flags.writeable = False
+    return pos, m
+
+
 def _pair_values(variant: str, X, vo: np.ndarray, p: int, j: int, keys=None):
     """M and N of the pair (vo[b, p], j) in each reveal b of design X.
 
@@ -269,6 +289,8 @@ def verify_M_expectation(variant: str, X: EdgeColoring | TripleSystem,
     1 + (n-p-2)(n-p-3)(n-p-4)/((n-4)(n-5)).
     """
     n = X.n
+    if not (1 <= i <= n and 1 <= j <= n):
+        raise DesignError(f"pair ({i}, {j}) outside 1..{n}")
     if variant == "1f":
         if not isinstance(X, EdgeColoring):
             raise DesignError("1f variant needs an EdgeColoring")
@@ -287,13 +309,23 @@ def verify_M_expectation(variant: str, X: EdgeColoring | TripleSystem,
         raise DesignError(f"unknown variant {variant!r}")
     _gate(mode, n, MAX_EXACT_N, "n")
 
+    def anchored(pos):
+        # the orders that put i at p before the other anchors
+        keep = pos[:, i - 1] == p - 1
+        for other in anchors[1:]:
+            keep &= pos[:, other - 1] > p - 1
+        return keep
+
     def m_values():
-        # the raw M of (i, j) in every order that puts i at p before the anchors
+        # the raw M of (i, j) in every anchored order
+        if mode == "exact":
+            pos, m = _exact_m_table(variant, X)
+            keep = anchored(pos)
+            if keep.any():
+                yield m[keep, p - 1, j]
+            return
         for perms in _orders(n, mode, samples, seed):
-            pos = np.argsort(perms, axis=1)
-            keep = pos[:, i - 1] == p - 1
-            for other in anchors[1:]:
-                keep &= pos[:, other - 1] > p - 1
+            keep = anchored(np.argsort(perms, axis=1))
             if keep.any():
                 yield _pair_values(variant, X, perms[keep] + 1, p - 1, j)[0]
 

@@ -42,7 +42,9 @@ import numpy as np
 from .core import (
     CountResult,
     DesignError,
+    EdgeColoring,
     LatinSquare,
+    TripleSystem,
     dumps,
     loads,
     one_factorization_feasible,
@@ -63,6 +65,7 @@ class EmptyPoolError(DesignError):
 
 # Memory gates for full enumeration (largest n whose pool we materialize).
 POOL_GATES = {"sts": 9, "1f-labeled": 6, "latin": 5}
+_POOL_TYPES = {"sts": TripleSystem, "1f-labeled": EdgeColoring, "latin": LatinSquare}
 
 
 @dataclass(frozen=True)
@@ -335,9 +338,21 @@ def enumerate_pool(kind: str, n: int, config: SearchConfig | None = None) -> Poo
             for sym in paths
         )
 
-    if len({dumps(obj) for obj in items}) != len(items) or len(items) != expected:
+    if _has_duplicates(items) or len(items) != expected:
         raise DesignError(f"pool incomplete or duplicated: {len(items)} != {expected}")
     return Pool(kind, n, items, complete=True)
+
+
+def _has_duplicates(items) -> bool:
+    """True iff two of the validated designs are equal.
+
+    Designs compare by value, which for designs with int entries is the
+    same as comparing their dumps.  Sorted hashes take 8 bytes a design where a
+    set takes about 50, so only equal hashes build the set.
+    """
+    hashes = np.fromiter(map(hash, items), np.int64, len(items))
+    hashes.sort()
+    return bool((hashes[1:] == hashes[:-1]).any()) and len(set(items)) != len(items)
 
 
 def sample_uniform(pool: Pool, seed: int, count: int) -> list:
@@ -357,9 +372,30 @@ def pool_to_jsonl(pool: Pool) -> str:
 
 
 def pool_from_jsonl(kind: str, n: int, text: str) -> Pool:
-    items = tuple(loads(line) for line in text.splitlines() if line.strip())
-    for obj in items:
-        want = {"sts": "sts", "1f-labeled": "1f", "latin": "latin"}[kind]
-        if to_json_dict(obj)["kind"] != want:
-            raise DesignError(f"pool line of kind {to_json_dict(obj)['kind']!r}, wanted {want!r}")
-    return Pool(kind, n, items, complete=True)
+    """Load a pool written by `pool_to_jsonl`, validating every line.
+
+    Each non-blank line must be a JSON object holding a valid design of
+    the pool's kind and n, and no design may appear twice.
+    """
+    if kind not in _POOL_TYPES:
+        raise DesignError(f"unknown pool kind {kind!r}")
+    want = _POOL_TYPES[kind]
+    items = []
+    for number, line in enumerate(text.splitlines(), 1):
+        if not line.strip():
+            continue
+        try:
+            obj = loads(line)
+        except ValueError as e:   # a design error or undecodable JSON
+            raise DesignError(f"pool line {number}: {e}") from None
+        if type(obj) is not want or obj.n != n:
+            raise DesignError(f"pool line {number} holds {to_json_dict(obj)['kind']} "
+                              f"n={obj.n}, wanted {kind} n={n}")
+        items.append(obj)
+    if _has_duplicates(items):
+        numbers = (k for k, line in enumerate(text.splitlines(), 1) if line.strip())
+        first_line: dict = {}
+        for number, obj in zip(numbers, items):
+            if first_line.setdefault(obj, number) != number:
+                raise DesignError(f"pool line {number} repeats line {first_line[obj]}")
+    return Pool(kind, n, tuple(items), complete=True)

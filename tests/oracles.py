@@ -162,6 +162,21 @@ def latin_is_valid(rows):
             and all({rows[i][j] for i in range(n)} == want for j in range(n)))
 
 
+def oracle_is_latin(rows):
+    """Literal definition: square, and every row and column is a permutation of 1..n."""
+    n = len(rows)
+    if n == 0 or any(len(r) != n for r in rows):
+        return False
+    want = set(range(1, n + 1))
+    for r in rows:
+        if set(r) != want:
+            return False
+    for j in range(n):
+        if {rows[i][j] for i in range(n)} != want:
+            return False
+    return True
+
+
 def oracle_count_latin_bruteforce(n):
     """All n^(n^2) grids, filtered (n <= 3)."""
     count = 0

@@ -1,6 +1,7 @@
 """Validation, conversions, and interchange format of the core types."""
 
 import json
+import random
 
 import pytest
 
@@ -8,6 +9,7 @@ from designcount.core import (
     BadColorError,
     BadVertexError,
     ColorClashError,
+    DesignError,
     DuplicatePairError,
     MissingEdgeError,
     SameVertexError,
@@ -26,7 +28,7 @@ from designcount.core import (
 )
 from designcount.enumeration import enumerate_pool
 
-from oracles import FANO, K4_COLORING, all_pairs
+from oracles import FANO, K4_COLORING, all_pairs, oracle_is_latin
 
 
 def circle_coloring(n):
@@ -187,6 +189,65 @@ class TestIsLatin:
     def test_rejects_shape(self):
         assert not is_latin([[1, 2, 3], [2, 3, 1]])
 
+    def test_matches_literal_definition_on_latin_4_pool(self):
+        pool = enumerate_pool("latin", 4).items
+        assert len(pool) == 576
+        for sq in pool:
+            assert is_latin(sq.rows) and oracle_is_latin(sq.rows)
+
+    def test_matches_literal_definition_on_random_matrices(self):
+        rnd = random.Random(20261018)
+        shapes = {"latin": 0, "near": 0, "random": 0, "ragged": 0, "oblong": 0, "empty": 0}
+        accepted = 0
+        for _ in range(24_000):
+            shape = rnd.choice(list(shapes))
+            shapes[shape] += 1
+            n = rnd.randint(1, 6)
+            if shape in ("latin", "near"):
+                rows = _random_latin(rnd, n)
+                if shape == "near":
+                    _perturb(rnd, rows, n)
+            elif shape == "random":
+                rows = [[rnd.randint(0, n + 1) for _ in range(n)] for _ in range(n)]
+            elif shape == "ragged":
+                rows = [[rnd.randint(1, n) for _ in range(rnd.randint(0, n + 1))]
+                        for _ in range(n)]
+            elif shape == "oblong":
+                rows = [list(range(1, n + 2)) for _ in range(n)]
+                if rnd.random() < 0.5:
+                    rows = [list(range(1, n + 1)) for _ in range(n + 1)]
+            else:
+                rows = []
+            if rnd.random() < 0.5:
+                rows = tuple(map(tuple, rows))
+            got = is_latin(rows)
+            assert got == oracle_is_latin(rows), rows
+            accepted += got
+        assert min(shapes.values()) > 3000
+        assert 3000 < accepted < 20_000   # both answers are exercised
+
+
+def _random_latin(rnd, n):
+    """A cyclic square under random row, column and symbol permutations."""
+    perm = [rnd.sample(range(n), n) for _ in range(3)]
+    return [[perm[2][(perm[0][r] + perm[1][c]) % n] + 1 for c in range(n)]
+            for r in range(n)]
+
+
+def _perturb(rnd, rows, n):
+    """One local change that may or may not break the Latin property."""
+    r, c = rnd.randrange(n), rnd.randrange(n)
+    move = rnd.randrange(4)
+    if move == 0:          # any symbol, including out of range
+        rows[r][c] = rnd.randint(0, n + 1)
+    elif move == 1:        # swap two cells of a row
+        c2 = rnd.randrange(n)
+        rows[r][c], rows[r][c2] = rows[r][c2], rows[r][c]
+    elif move == 2:        # repeat a row
+        rows[r] = list(rows[rnd.randrange(n)])
+    else:                  # transpose, which keeps it Latin
+        rows[:] = [list(col) for col in zip(*rows)]
+
 
 class TestFeasibility:
     def test_sts_constructive(self):
@@ -238,3 +299,8 @@ class TestJsonInterchange:
     def test_rejects_unknown_kind(self):
         with pytest.raises(Exception):
             from_json_dict({"kind": "graph", "n": 3})
+
+    def test_rejects_a_value_that_is_not_an_object(self):
+        for text in ("[1,2]", "3", '"latin"', "null"):
+            with pytest.raises(DesignError, match="JSON object"):
+                loads(text)

@@ -6,7 +6,7 @@ import math
 import pytest
 
 from designcount import enumeration
-from designcount.core import dumps, validate_triple_system
+from designcount.core import DesignError, dumps, loads, validate_triple_system
 from designcount.enumeration import (
     EmptyPoolError,
     Pool,
@@ -199,6 +199,46 @@ class TestPools:
         assert len(text.splitlines()) == 6
         again = pool_from_jsonl("1f-labeled", 4, text)
         assert [dumps(x) for x in again.items] == [dumps(x) for x in p.items]
+
+    @pytest.mark.parametrize("kind, n", [("sts", 9), ("1f-labeled", 6), ("latin", 4)])
+    def test_value_and_dumps_dedupe_agree(self, kind, n):
+        # enumerate_pool dedupes by value; the wire format is the reference
+        items = enumerate_pool(kind, n).items
+        for pool in (items, items + (loads(dumps(items[len(items) // 2])),)):
+            by_dumps = len({dumps(x) for x in pool})
+            assert len(set(pool)) == by_dumps
+            assert enumeration._has_duplicates(pool) == (by_dumps != len(pool))
+        assert len(set(items)) == len(items)
+
+    def test_equal_hashes_alone_are_not_duplicates(self):
+        class Clash(int):
+            __hash__ = lambda self: 7
+        assert not enumeration._has_duplicates([Clash(1), Clash(2), Clash(3)])
+        assert enumeration._has_duplicates([Clash(1), Clash(2), Clash(1)])
+
+    def test_jsonl_rejects_designs_of_another_n(self):
+        text = pool_to_jsonl(enumerate_pool("latin", 4))
+        with pytest.raises(DesignError, match="line 1 holds latin n=4, wanted latin n=5"):
+            pool_from_jsonl("latin", 5, text)
+
+    def test_jsonl_rejects_designs_of_another_kind(self):
+        text = pool_to_jsonl(enumerate_pool("sts", 7))
+        with pytest.raises(DesignError, match="line 1 holds sts n=7, wanted latin n=7"):
+            pool_from_jsonl("latin", 7, text)
+
+    def test_jsonl_rejects_duplicates(self):
+        line = pool_to_jsonl(enumerate_pool("sts", 3))
+        with pytest.raises(DesignError, match="line 2 repeats line 1"):
+            pool_from_jsonl("sts", 3, line * 3)
+
+    @pytest.mark.parametrize("line, message", [
+        ("[1,2]", "a design is a JSON object, got list"),
+        ('{"kind": "1f"', "Expecting"),
+    ])
+    def test_jsonl_rejects_a_line_that_is_not_an_object(self, line, message):
+        text = pool_to_jsonl(enumerate_pool("1f-labeled", 4)) + "\n" + line + "\n"
+        with pytest.raises(DesignError, match=f"line 8: {message}"):
+            pool_from_jsonl("1f-labeled", 4, text)
 
 
 class TestSampling:

@@ -5,6 +5,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from designcount.core import DesignError, validate_triple_system
@@ -17,6 +18,7 @@ from designcount.entropylab import (
     verify_position_law,
     verify_suite,
 )
+from designcount.entropylab import lemmas
 from designcount.entropylab.lemmas import verdicts_to_csv, verdicts_to_json
 
 from oracles import FANO
@@ -96,6 +98,13 @@ class TestMExpectation1f:
         with pytest.raises(EmptyConditionError):
             verify_M_expectation("1f", X, 1, 2, 6, "exact")   # no room for j
 
+    def test_pair_outside_the_vertices(self):
+        X = enumerate_pool("1f-labeled", 6).items[0]
+        for i, j in ((0, 2), (1, 0), (1, 7), (7, 1)):
+            for mode in ("exact", "mc"):
+                with pytest.raises(DesignError, match="outside 1..6"):
+                    verify_M_expectation("1f", X, i, j, 2, mode, samples=10)
+
     def test_mc_agrees(self):
         X = enumerate_pool("1f-labeled", 6).items[0]
         # p=2 leaves no randomness in M (one earlier vertex always rules
@@ -121,6 +130,22 @@ class TestMExpectationSts:
             for p in range(1, 6):
                 v = verify_M_expectation("sts", FANO_TS, i, j, p, "exact")[0]
                 assert v.passed, (i, j, p)
+
+
+@pytest.mark.parametrize("variant", ["sts", "1f"])
+def test_exact_m_table_matches_the_kernel_per_pair(variant):
+    # exact mode reads M from one table per design; every entry must equal
+    # the kernel run on just the orders that put i at p before j
+    X = FANO_TS if variant == "sts" else enumerate_pool("1f-labeled", 6).items[100]
+    orders = lemmas._all_orders(X.n)
+    pos, table = lemmas._exact_m_table(variant, X)
+    assert (pos == np.argsort(orders, axis=1)).all()
+    for i, j in itertools.permutations(range(1, X.n + 1), 2):
+        for p in range(1, X.n):
+            keep = (pos[:, i - 1] == p - 1) & (pos[:, j - 1] > p - 1)
+            want = lemmas._pair_values(variant, X, orders[keep] + 1, p - 1, j)[0]
+            assert len(want) == keep.sum() > 0
+            assert (table[keep, p - 1, j] == want).all(), (i, j, p)
 
 
 class TestNLaw1f:
