@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 
@@ -145,8 +146,13 @@ class LatinSquare:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        if len(self.rows) != self.n:
+            raise DesignError(f"declared n={self.n} but got {len(self.rows)} rows")
         if not is_latin(self.rows):
             raise DesignError("matrix is not a Latin square")
+        # is_latin compares sets, where 1.0 and True equal 1; dumps would not
+        if set(map(type, chain.from_iterable(self.rows))) != {int}:
+            raise DesignError("Latin square entries must be ints")
 
 
 @dataclass(frozen=True)
@@ -314,17 +320,20 @@ def from_json_dict(d: Mapping) -> TripleSystem | EdgeColoring | LatinSquare:
         kind, n = d.get("kind"), d.get("n")
     except AttributeError:
         raise DesignError(f"a design is a JSON object, got {type(d).__name__}") from None
-    if kind == "sts":
-        return validate_triple_system(n, d["triples"])
-    if kind == "1f":
-        colors = {(i, j): c for i, j, c in d["colors"]}
-        return validate_edge_coloring(n, colors)
-    if kind == "latin":
-        rows = tuple(map(tuple, d["rows"]))
-        if len(rows) != n:
-            raise DesignError(f"declared n={n} but got {len(rows)} rows")
-        return LatinSquare(n=n, rows=rows)
-    raise DesignError(f"unknown kind {kind!r}")
+    if kind not in ("sts", "1f", "latin"):
+        raise DesignError(f"unknown kind {kind!r}")
+    if type(n) is not int:
+        raise DesignError(f"{kind} design: n must be an int, got {n!r}")
+    try:
+        if kind == "sts":
+            return validate_triple_system(n, d["triples"])
+        if kind == "1f":
+            return validate_edge_coloring(n, {(i, j): c for i, j, c in d["colors"]})
+        return LatinSquare(n=n, rows=tuple(map(tuple, d["rows"])))
+    except DesignError:
+        raise
+    except (KeyError, TypeError, ValueError) as e:   # a missing or ill-typed field
+        raise DesignError(f"malformed {kind} design: {e!r}") from None
 
 
 # json.dumps with options builds a new encoder per call; one is enough

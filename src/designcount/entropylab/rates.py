@@ -49,6 +49,7 @@ class EntropyEstimate:
     estimate: float
     se: float
     exact: bool
+    designs: int          # size of the pool the designs were drawn from
 
 
 @dataclass(frozen=True)
@@ -209,7 +210,8 @@ def entropy_upper_estimate(variant: str, n: int, samples: int,
 
     if samples == 0:
         value = _exact_enumeration(variant, tables, n)
-        return EntropyEstimate(variant, n, 0, seed, value, 0.0, exact=True)
+        return EntropyEstimate(variant, n, 0, seed, value, 0.0, exact=True,
+                               designs=len(pool))
 
     if samples < 2:
         raise DesignError("need at least 2 samples for a standard error")
@@ -226,7 +228,8 @@ def entropy_upper_estimate(variant: str, n: int, samples: int,
         acc = _merge(acc, r)
     count, mean, m2 = acc
     se = math.sqrt(m2 / (count - 1) / count)
-    return EntropyEstimate(variant, n, count, seed, mean, se, exact=False)
+    return EntropyEstimate(variant, n, count, seed, mean, se, exact=False,
+                          designs=len(pool))
 
 
 # ---------------------------------------------------------------------------

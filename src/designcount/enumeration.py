@@ -56,7 +56,7 @@ from .core import (
 
 
 class PoolTooLargeError(DesignError):
-    """Requested pool would exceed the configured memory bound."""
+    """Requested pool lies above its memory gate in ``POOL_GATES``."""
 
 
 class EmptyPoolError(DesignError):
@@ -74,12 +74,11 @@ class SearchConfig:
 
     ``jobs`` is the worker budget; ``node_budget`` caps the number of
     branch attempts (a budgeted run executes sequentially so the partial
-    count stays deterministic); ``max_pool`` bounds collect mode.
+    count stays deterministic).
     """
 
     jobs: int = 1
     node_budget: int | None = None
-    max_pool: int = 200_000
 
 
 def worker_count(jobs: int, tasks: int) -> int:
@@ -262,11 +261,22 @@ def _count(kind: str, n: int, cfg: SearchConfig) -> CountResult:
 # Counts
 # ---------------------------------------------------------------------------
 
+def _feasible(kind: str, n: int) -> bool:
+    """Whether designs of kind "sts", "1f" or "latin" exist at n.
+
+    An n below the family's least order is an error, not an empty family.
+    """
+    least = 2 if kind == "1f" else 1
+    if n < least:
+        raise DesignError(f"n must be >= {least}, got {n}")
+    if kind == "sts":
+        return sts_feasible(n)
+    return kind == "latin" or one_factorization_feasible(n)
+
+
 def count_triple_systems(n: int, config: SearchConfig | None = None) -> CountResult:
     """Exact number of labeled Steiner triple systems on points 1..n."""
-    if n < 1:
-        raise DesignError(f"n must be >= 1, got {n}")
-    if not sts_feasible(n):
+    if not _feasible("sts", n):
         return CountResult("sts", n, 0)
     return _count("sts", n, config or SearchConfig())
 
@@ -279,9 +289,7 @@ def count_one_factorizations(n: int, labeled: bool = False,
     counts unordered partitions into perfect matchings.  The two differ
     by exactly (n-1)!.
     """
-    if n < 2:
-        raise DesignError(f"n must be >= 2, got {n}")
-    if not one_factorization_feasible(n):
+    if not _feasible("1f", n):
         return CountResult("1f", n, 0, labeled=labeled)
     result = _count("1f", n, config or SearchConfig())
     count = result.count
@@ -292,8 +300,7 @@ def count_one_factorizations(n: int, labeled: bool = False,
 
 def count_latin_squares(n: int, config: SearchConfig | None = None) -> CountResult:
     """Exact number of Latin squares of order n (row-major cell search)."""
-    if n < 1:
-        raise DesignError(f"n must be >= 1, got {n}")
+    _feasible("latin", n)
     return _count("latin", n, config or SearchConfig())
 
 
@@ -301,28 +308,20 @@ def count_latin_squares(n: int, config: SearchConfig | None = None) -> CountResu
 # Pools and sampling
 # ---------------------------------------------------------------------------
 
-def enumerate_pool(kind: str, n: int, config: SearchConfig | None = None) -> Pool:
+def enumerate_pool(kind: str, n: int) -> Pool:
     """Materialize the complete pool of designs of one kind.
 
-    kind is "sts", "1f-labeled", or "latin".  Every element passes the
-    core validators; the pool size always equals the count-only result.
+    kind is "sts", "1f-labeled", or "latin".  The pool is one collect
+    pass of the counting search, which appends each leaf where the count
+    adds it, so its size is the count.  Every element passes the core
+    validators.
     """
-    cfg = config or SearchConfig()
     if kind not in POOL_GATES:
         raise DesignError(f"unknown pool kind {kind!r}")
     if n > POOL_GATES[kind]:
         raise PoolTooLargeError(f"{kind} pool gated at n <= {POOL_GATES[kind]}, got {n}")
-
-    if kind == "sts":
-        expected = count_triple_systems(n).count
-    elif kind == "1f-labeled":
-        expected = count_one_factorizations(n, labeled=True).count
-    else:
-        expected = count_latin_squares(n).count
-    if expected > cfg.max_pool:
-        raise PoolTooLargeError(f"predicted {expected} objects > bound {cfg.max_pool}")
-    if expected == 0:  # infeasible n
-        return Pool(kind, n, (), complete=True)
+    if not _feasible("1f" if kind == "1f-labeled" else kind, n):
+        return Pool(kind, n, ())
 
     kernel, args, state, full_depth = _start(kind, n)
     paths: list = []
@@ -337,10 +336,9 @@ def enumerate_pool(kind: str, n: int, config: SearchConfig | None = None) -> Poo
             LatinSquare(n=n, rows=tuple(tuple(sym[r * n:(r + 1) * n]) for r in range(n)))
             for sym in paths
         )
-
-    if _has_duplicates(items) or len(items) != expected:
-        raise DesignError(f"pool incomplete or duplicated: {len(items)} != {expected}")
-    return Pool(kind, n, items, complete=True)
+    if _has_duplicates(items):
+        raise DesignError(f"{kind} n={n} pool lists a design twice")
+    return Pool(kind, n, items)
 
 
 def _has_duplicates(items) -> bool:

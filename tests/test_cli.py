@@ -1,7 +1,11 @@
 """Command-line surface: flags, formats, exit codes, cache discipline."""
 
+import hashlib
 import json
 
+import pytest
+
+from designcount import cli
 from designcount.cli import main
 
 
@@ -76,6 +80,14 @@ class TestBounds:
     def test_unknown_bound(self, capsys):
         code, _, err = run(capsys, "bounds", "--n", "6", "--list", "minc")
         assert code == 1 and "unknown bound" in err
+
+    def test_cameron_counts_no_base_for_a_refused_n(self, capsys, monkeypatch):
+        def no_count(*args, **kwargs):
+            raise AssertionError("counted a base for a bound that cannot be evaluated")
+        monkeypatch.setattr(cli, "count_latin_squares", no_count)
+        monkeypatch.setattr(cli, "count_one_factorizations", no_count)
+        code, out, err = run(capsys, "bounds", "--n", "10", "--list", "cameron-lower")
+        assert (code, out, err) == (1, "", "error: recursive bound needs 4 | n, got 10\n")
 
     def test_csv_header(self, capsys):
         code, out, _ = run(capsys, "bounds", "--n", "8",
@@ -180,6 +192,27 @@ class TestEntropy:
                 code, out, _ = run(capsys, "entropy", "--variant", variant, "--n", n,
                                    "--samples", "1000", "--seed", str(seed))
                 assert code == 0 and json.loads(out)["verdict"] == "PASS"
+
+    @pytest.mark.parametrize("without_counts", [False, True])
+    @pytest.mark.parametrize("variant, n, samples, digest", [
+        ("sts", "7", "2000", "c3d68bc31ef988350ff849d325d449ce81a21b2a6fbd763d0d09b9d2c1892d53"),
+        ("sts", "9", "2000", "43049eacf3790fbd50c1f831a19bac921c77e7b760889d59e93915f20378fae4"),
+        ("1f", "4", "0", "dea997b9bc2516fcfbaac7db5b859d9543facf93647d5ac24ba0b513822977f0"),
+        ("1f", "6", "2000", "d4d938aabb41639d47dc9fe99ee781c57c4197dcf3b420920cca1222bad48652"),
+    ])
+    def test_log_count_comes_from_the_pool(self, capsys, monkeypatch, variant, n, samples,
+                                           digest, without_counts):
+        # the verdict's log-count is the size of the sampled pool; no search reruns
+        if without_counts:
+            def no_count(*args, **kwargs):
+                raise AssertionError("entropy ran a counting search")
+            for name in ("count_triple_systems", "count_one_factorizations",
+                         "count_latin_squares"):
+                monkeypatch.setattr(cli, name, no_count)
+        code, out, _ = run(capsys, "entropy", "--variant", variant, "--n", n,
+                           "--samples", samples, "--seed", "11")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_empty_pool_exit_1(self, capsys):
         code, _, err = run(capsys, "entropy", "--variant", "sts", "--n", "5",

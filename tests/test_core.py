@@ -11,6 +11,7 @@ from designcount.core import (
     ColorClashError,
     DesignError,
     DuplicatePairError,
+    LatinSquare,
     MissingEdgeError,
     SameVertexError,
     UncoveredPairError,
@@ -304,3 +305,14 @@ class TestJsonInterchange:
         for text in ("[1,2]", "3", '"latin"', "null"):
             with pytest.raises(DesignError, match="JSON object"):
                 loads(text)
+
+    def test_latin_rejects_entries_that_are_not_ints(self):
+        # 1.0 and True pass a set comparison with 1 but would dump as themselves
+        with pytest.raises(DesignError, match="entries must be ints"):
+            loads('{"kind":"latin","n":2,"rows":[[1.0,2],[2,true]]}')
+        with pytest.raises(DesignError, match="entries must be ints"):
+            LatinSquare(n=2, rows=((1, 2), (2, True)))
+
+    def test_latin_rejects_a_row_count_other_than_n(self):
+        with pytest.raises(DesignError, match="declared n=7 but got 2 rows"):
+            LatinSquare(n=7, rows=((1, 2), (2, 1)))

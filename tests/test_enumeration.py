@@ -178,9 +178,47 @@ class TestPools:
         with pytest.raises(PoolTooLargeError):
             enumerate_pool("latin", 6)
 
-    def test_memory_bound(self):
-        with pytest.raises(PoolTooLargeError):
-            enumerate_pool("sts", 9, SearchConfig(max_pool=100))
+    def test_memory_bound(self, monkeypatch):
+        # the gates are the only bound on a pool, and they fire before any search
+        def no_search(*args):
+            raise AssertionError("a gated pool started a search")
+        monkeypatch.setattr(enumeration, "_start", no_search)
+        for kind, gate in enumeration.POOL_GATES.items():
+            with pytest.raises(PoolTooLargeError, match=f"gated at n <= {gate}, got {gate + 1}"):
+                enumerate_pool(kind, gate + 1)
+
+    @pytest.mark.parametrize("kind, n, digest", [
+        ("sts", 7, "4f626ff2280ece339a8d6a719c58f4e72e8a3d17d1afd17626e0d5d3a1a0d19b"),
+        ("1f-labeled", 4, "74c859d1394293a8426471441ae778df39f588da312c41c4e983f8caf908188c"),
+        ("latin", 4, "6eb0f7edd259a4bf71d16f0c55d1c320f9c05d8706986860cc73267dce2d0ace"),
+    ])
+    def test_pool_is_one_collect_pass(self, monkeypatch, kind, n, digest):
+        # the collect pass counts each leaf where it appends it; no count runs first
+        def no_count(*args):
+            raise AssertionError("enumerate_pool ran a counting search")
+        monkeypatch.setattr(enumeration, "_count", no_count)
+        text = pool_to_jsonl(enumerate_pool(kind, n))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("kind, n, outcome", [
+        ("sts", 0, "n must be >= 1, got 0"),
+        ("sts", 2, []),
+        ("sts", 5, []),
+        ("1f-labeled", 1, "n must be >= 2, got 1"),
+        ("1f-labeled", 2, ['{"colors":[[1,2,1]],"kind":"1f","n":2}']),
+        ("1f-labeled", 5, []),
+        ("latin", 0, "n must be >= 1, got 0"),
+        ("latin", 1, ['{"kind":"latin","n":1,"rows":[[1]]}']),
+    ])
+    def test_n_range_errors_and_smallest_pools(self, kind, n, outcome):
+        if isinstance(outcome, str):
+            with pytest.raises(DesignError) as info:
+                enumerate_pool(kind, n)
+            assert type(info.value) is DesignError and str(info.value) == outcome
+        else:
+            pool = enumerate_pool(kind, n)
+            assert (pool.kind, pool.n, pool.complete) == (kind, n, True)
+            assert [dumps(x) for x in pool.items] == outcome
 
     @pytest.mark.parametrize("kind, n, digest", [
         ("sts", 9, "f706972b28adadc05a75d84c9423bd8c313ab08dbc013e72c38f576f13438445"),
@@ -234,6 +272,10 @@ class TestPools:
     @pytest.mark.parametrize("line, message", [
         ("[1,2]", "a design is a JSON object, got list"),
         ('{"kind": "1f"', "Expecting"),
+        ('{"kind":"latin","n":2}', "malformed latin design: KeyError"),
+        ('{"kind":"sts","n":7,"triples":5}', "malformed sts design: TypeError"),
+        ('{"kind":"sts","n":"7","triples":[]}', "sts design: n must be an int, got '7'"),
+        ('{"kind":"1f","n":4,"colors":[[1,2]]}', "malformed 1f design: ValueError"),
     ])
     def test_jsonl_rejects_a_line_that_is_not_an_object(self, line, message):
         text = pool_to_jsonl(enumerate_pool("1f-labeled", 4)) + "\n" + line + "\n"
