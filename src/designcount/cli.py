@@ -23,7 +23,7 @@ import time
 from datetime import datetime, timezone
 
 from . import __version__
-from .bounds import UnknownBoundError, bound_report
+from .bounds import bound_report
 from .core import DesignError
 from .enumeration import (
     SearchConfig,
@@ -304,10 +304,7 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         return args.func(args)
-    except (DesignError, UnknownBoundError) as e:
-        sys.stderr.write(f"error: {e}\n")
-        return 1
-    except OSError as e:
+    except (DesignError, OSError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 1
 

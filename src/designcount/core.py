@@ -89,6 +89,12 @@ def _check_vertex(v: int, n: int) -> None:
         raise BadVertexError(f"vertex label {v!r} outside 1..{n}")
 
 
+def _check_n(kind: str, n) -> None:
+    # a bool or float n equals an int but dumps as true or 4.0
+    if type(n) is not int:
+        raise DesignError(f"{kind} design: n must be an int, got {n!r}")
+
+
 # ---------------------------------------------------------------------------
 # Types
 # ---------------------------------------------------------------------------
@@ -146,6 +152,7 @@ class LatinSquare:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        _check_n("latin", self.n)
         if len(self.rows) != self.n:
             raise DesignError(f"declared n={self.n} but got {len(self.rows)} rows")
         if not is_latin(self.rows):
@@ -184,6 +191,7 @@ def validate_triple_system(n: int, triples: Iterable[Sequence[int]]) -> TripleSy
     Raises BadVertexError, DuplicatePairError, or UncoveredPairError if
     any pair of distinct points is covered other than exactly once.
     """
+    _check_n("sts", n)
     if n < 1:
         raise BadVertexError(f"n must be >= 1, got {n}")
     table = [[0] * (n + 1) for _ in range(n + 1)]
@@ -220,6 +228,7 @@ def validate_edge_coloring(n: int, colors: Mapping[tuple[int, int], int]) -> Edg
     two edges at a vertex may share a color (so each color class is a
     perfect matching).
     """
+    _check_n("1f", n)
     if not one_factorization_feasible(n):
         raise DesignError(f"K_{n} has no 1-factorization (n must be even, >= 2)")
     table = [[0] * (n + 1) for _ in range(n + 1)]
@@ -322,8 +331,7 @@ def from_json_dict(d: Mapping) -> TripleSystem | EdgeColoring | LatinSquare:
         raise DesignError(f"a design is a JSON object, got {type(d).__name__}") from None
     if kind not in ("sts", "1f", "latin"):
         raise DesignError(f"unknown kind {kind!r}")
-    if type(n) is not int:
-        raise DesignError(f"{kind} design: n must be an int, got {n!r}")
+    _check_n(kind, n)
     try:
         if kind == "sts":
             return validate_triple_system(n, d["triples"])

@@ -3,10 +3,13 @@
 Each verifier compares a closed-form conditional law against a full
 enumeration (exact mode: arbitrary-precision rationals, zero tolerance)
 or against sampled frequencies (mc mode: estimate with a standard
-error, pass within 5 standard errors).  Both modes run the same code:
-exact mode feeds every order through it, mc mode seeded uniform draws,
+error, pass within 5 standard errors).  Both modes run the same code,
 and the M and N of a pair are read from the reveal kernel
-`rates.reveal_steps` (`reveal.py` stays the literal oracle).
+`rates.reveal_steps` (`reveal.py` stays the literal oracle).  mc mode
+feeds it seeded uniform draws, exact mode every order; M and N depend
+only on the vertices before the anchor and the star elements before
+the pair, so for them exact mode feeds one order per such set,
+weighted by the number of orders it stands for.
 
 The laws checked, with the conditioning event in brackets:
 
@@ -31,7 +34,6 @@ The laws checked, with the conditioning event in brackets:
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import itertools
 import json
@@ -46,8 +48,8 @@ from ..enumeration import enumerate_pool
 from .rates import CHUNK, reveal_steps
 from .reveal import EmptyConditionError, TooLargeError, sample_reveal_order
 
-MAX_EXACT_N = 7     # vertex orders enumerable in exact mode
-MAX_EXACT_STAR = 7  # star orders enumerable in exact mode
+MAX_EXACT_N = 7        # items whose orders the exact position laws enumerate
+MAX_EXACT_SETS = 5040  # sets one exact exp-m or n-law call enumerates
 MC_SIGMAS = 5.0
 
 
@@ -105,13 +107,6 @@ def verdicts_to_json(verdicts) -> str:
 # Orders, reveal values and reducers shared by every law and both modes
 # ---------------------------------------------------------------------------
 
-@functools.cache   # read-only; exact checks ask for the same m! orders per pair
-def _all_orders(m: int) -> np.ndarray:
-    perms = np.array(list(itertools.permutations(range(m))), dtype=np.int64)
-    perms.flags.writeable = False
-    return perms
-
-
 def _orders(m: int, mode: str, samples: int, seed: int):
     """Batches of permutations of 0..m-1, one order per row.
 
@@ -121,7 +116,7 @@ def _orders(m: int, mode: str, samples: int, seed: int):
     ``rng.permutation(m)`` per sample gives.
     """
     if mode == "exact":
-        yield _all_orders(m)
+        yield np.array(list(itertools.permutations(range(m))), dtype=np.int64)
         return
     if samples < 2:
         raise DesignError(f"mc mode needs at least 2 samples, got {samples}")
@@ -131,29 +126,25 @@ def _orders(m: int, mode: str, samples: int, seed: int):
         yield rng.permuted(np.tile(np.arange(m), (size, 1)), axis=1)
 
 
+def _set_orders(m: int, head: int, sizes, avoid=()):
+    """(orders, weight) batches of 0..m-1, one batch per size s in ``sizes``.
+
+    Each s-subset S of the items other than head and ``avoid`` gets the
+    order S, head, rest (each ascending), which stands for the s!(m-1-s)!
+    orders that put exactly S before head.
+    """
+    others = [x for x in range(m) if x != head and x not in avoid]
+    sizes = [s for s in sizes if 0 <= s <= len(others)]
+    _gate("exact", sum(math.comb(len(others), s) for s in sizes), MAX_EXACT_SETS, "sets")
+    for s in sizes:
+        rows = [[*S, head, *(x for x in range(m) if x != head and x not in S)]
+                for S in itertools.combinations(others, s)]
+        yield np.array(rows, np.int64), math.factorial(s) * math.factorial(m - 1 - s)
+
+
 def _gate(mode: str, size: int, limit: int, what: str) -> None:
     if mode == "exact" and size > limit:
         raise TooLargeError(f"exact mode gated at {what} <= {limit}, got {size}")
-
-
-@functools.lru_cache(maxsize=4)   # exact checks ask for every pair and p of one design
-def _exact_m_table(variant: str, X):
-    """Positions and raw M of every forward pair over all n! vertex orders.
-
-    ``pos[b, a]`` is the position of vertex a+1 in order b, and
-    ``m[b, p, j]`` the M of the pair (vertex at position p, j) in that
-    reveal, for each j after position p.  M does not depend on the
-    star orders, so one kernel pass serves every pair and position.
-    """
-    perms = _all_orders(X.n)
-    m = np.zeros((len(perms), X.n - 1, X.n + 1), np.uint8)
-    steps = reveal_steps(variant, np.array([X.table]), np.zeros(len(perms), np.intp),
-                         perms + 1, np.zeros(perms.shape + perms.shape[1:]))
-    for p, (_, star, m_avail, _) in enumerate(steps):
-        np.put_along_axis(m[:, p], star, m_avail, axis=1)
-    pos = np.argsort(perms, axis=1)
-    pos.flags.writeable = m.flags.writeable = False
-    return pos, m
 
 
 def _pair_values(variant: str, X, vo: np.ndarray, p: int, j: int, keys=None):
@@ -180,18 +171,19 @@ def _share(count: int, total: int, exact: bool):
 
 
 def _mean(batches, exact: bool, cond: dict):
-    """Mean of a stream of integer arrays, with the number of values.
+    """Mean of a stream of (integer array, orders) batches, with the
+    number of orders; each value stands for ``orders`` orders (1 if drawn).
 
     Exact mode gives a Fraction; mc mode a float and its standard error.
     Both come from the integer moments (count, sum, sum of squares), so
     the MC sum of squared deviations is exact before it is rounded.
     """
     count = total = squares = 0
-    for x in batches:
+    for x, orders in batches:
         x = x.astype(np.int64)
-        count += len(x)
-        total += int(x.sum())
-        squares += int((x * x).sum())
+        count += orders * len(x)
+        total += orders * int(x.sum())
+        squares += orders * int((x * x).sum())
     if count == 0:
         where = ", ".join(f"{k}={v}" for k, v in sorted(cond.items()))
         raise EmptyConditionError(f"no {'' if exact else 'sampled '}order satisfies {where}")
@@ -227,7 +219,7 @@ def verify_position_law(variant: str, n: int, mode: str = "exact",
     if law == "q":
         if variant != "sts":
             raise DesignError("the star position law applies to the sts variant")
-        _gate(mode, n, MAX_EXACT_STAR, "m")
+        _gate(mode, n, MAX_EXACT_N, "m")
         return _position_verdicts("q-law", variant, n, "q", 2, False, mode, samples, seed)
     if variant not in ("1f", "sts"):
         raise DesignError(f"unknown variant {variant!r}")
@@ -307,30 +299,24 @@ def verify_M_expectation(variant: str, X: EdgeColoring | TripleSystem,
         printed = None
     else:
         raise DesignError(f"unknown variant {variant!r}")
-    _gate(mode, n, MAX_EXACT_N, "n")
 
-    def anchored(pos):
-        # the orders that put i at p before the other anchors
-        keep = pos[:, i - 1] == p - 1
-        for other in anchors[1:]:
-            keep &= pos[:, other - 1] > p - 1
-        return keep
-
-    def m_values():
-        # the raw M of (i, j) in every anchored order
+    def anchored():
+        # (orders, weight) batches of the orders that put i at p before the
+        # other anchors; M is a function of the p-1 vertices before i
         if mode == "exact":
-            pos, m = _exact_m_table(variant, X)
-            keep = anchored(pos)
-            if keep.any():
-                yield m[keep, p - 1, j]
+            yield from _set_orders(n, i - 1, [p - 1], [a - 1 for a in anchors[1:]])
             return
         for perms in _orders(n, mode, samples, seed):
-            keep = anchored(np.argsort(perms, axis=1))
-            if keep.any():
-                yield _pair_values(variant, X, perms[keep] + 1, p - 1, j)[0]
+            pos = np.argsort(perms, axis=1)
+            keep = pos[:, i - 1] == p - 1
+            for other in anchors[1:]:
+                keep &= pos[:, other - 1] > p - 1
+            yield perms[keep], 1
 
+    m_values = ((_pair_values(variant, X, perms + 1, p - 1, j)[0], orders)
+                for perms, orders in anchored() if len(perms))
     cond_keys = {"p": p, "i": i, "j": j}
-    observed, se, count = _mean(m_values(), mode == "exact", cond_keys)
+    observed, se, count = _mean(m_values, mode == "exact", cond_keys)
     out = [LemmaVerdict("exp-m" if variant == "1f" else "exp-m-2", variant, n,
                         cond_keys, formula, observed, se,
                         passed=_passed(observed, formula, se), samples=count)]
@@ -361,7 +347,6 @@ def verify_N_law(variant: str, X: EdgeColoring | TripleSystem,
     vo = tuple(vertex_order)
     if vo.index(i) >= vo.index(j):
         raise EmptyConditionError(f"{i} must precede {j} in the vertex order")
-    _gate(mode, len(vo) - 1 - vo.index(i), MAX_EXACT_STAR, "star size")
 
     if variant == "1f":
         return _verify_n_uniform_1f(X, vo, i, j, mode, samples, seed)
@@ -375,26 +360,29 @@ def verify_N_law(variant: str, X: EdgeColoring | TripleSystem,
 def _star_n_values(variant, X, vo, i, j, mode, samples, seed, keep=None):
     """N of (i, j) over the orders of i's forward star, vo fixed.
 
-    Yields one array per batch of star orders, restricted to the orders
-    whose star (row b: i's forward neighbors in reveal order) ``keep``
-    accepts.
+    Yields (values, orders) per batch of star orders, restricted to the
+    orders whose star (row b: i's forward neighbors in reveal order)
+    ``keep`` accepts.  N is a function of the star elements before j, so
+    exact mode takes one star order per such set.
     """
     n, p = len(vo), vo.index(i)
-    forward = np.array(vo[p + 1:])
-    for perms in _orders(len(forward), mode, samples, seed):
+    forward, m = np.array(vo[p + 1:]), n - 1 - p
+    batches = (_set_orders(m, vo.index(j) - p - 1, range(m)) if mode == "exact"
+               else ((perms, 1) for perms in _orders(m, mode, samples, seed)))
+    for perms, orders in batches:
         if keep is not None:
             perms = perms[keep(forward[perms])]
         if len(perms):
             keys = np.zeros((len(perms), n, n))
             keys[:, p, p + 1:] = np.argsort(perms, axis=1)   # rank of each star slot
-            yield _pair_values(variant, X, np.tile(vo, (len(perms), 1)), p, j, keys)[1]
+            yield _pair_values(variant, X, np.tile(vo, (len(perms), 1)), p, j, keys)[1], orders
 
 
 def _verify_n_uniform_1f(X, vo, i, j, mode, samples, seed):
     M = int(_pair_values("1f", X, np.array([vo]), vo.index(i), j)[0][0])
     counts = np.zeros(X.n + 1, dtype=np.int64)
-    for n_avail in _star_n_values("1f", X, vo, i, j, mode, samples, seed):
-        counts += np.bincount(n_avail, minlength=X.n + 1)
+    for n_avail, orders in _star_n_values("1f", X, vo, i, j, mode, samples, seed):
+        counts += orders * np.bincount(n_avail, minlength=X.n + 1)
     total = int(counts.sum())
     stray = total - int(counts[1:M + 1].sum())
     out = []
@@ -451,16 +439,13 @@ def verify_suite(lemma: str, variant: str, n: int, mode: str = "exact",
     seeded selection of pairs/orders; seeding makes every run
     reproducible.
     """
-    if lemma == "dist-p":
-        if variant != "1f":
-            raise DesignError("dist-p is the 1f position law")
-        return verify_position_law("1f", n, mode, samples, seed)
-    if lemma == "dist-p-2":
-        if variant != "sts":
-            raise DesignError("dist-p-2 is the sts position law")
-        return verify_position_law("sts", n, mode, samples, seed)
+    if lemma in ("dist-p", "dist-p-2"):
+        want = "1f" if lemma == "dist-p" else "sts"
+        if variant != want:
+            raise DesignError(f"{lemma} is the {want} position law")
+        return verify_position_law(want, n, mode, samples, seed)
     if lemma == "q-law":
-        return verify_position_law("sts", n, mode, samples, seed, law="q")
+        return verify_position_law(variant, n, mode, samples, seed, law="q")
 
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     out = []

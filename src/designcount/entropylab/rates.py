@@ -202,8 +202,11 @@ def entropy_upper_estimate(variant: str, n: int, samples: int,
     """
     if variant not in ("1f", "sts"):
         raise DesignError(f"unknown variant {variant!r}")
+    kind = "sts" if variant == "sts" else "1f-labeled"
     if pool is None:
-        pool = enumerate_pool("sts" if variant == "sts" else "1f-labeled", n)
+        pool = enumerate_pool(kind, n)
+    elif (pool.kind, pool.n) != (kind, n):
+        raise DesignError(f"pool holds {pool.kind} n={pool.n}, wanted {kind} n={n}")
     if len(pool) == 0:
         raise EmptyPoolError(f"no designs to sample at n={n}")
     tables = np.array([x.table for x in pool.items])

@@ -34,7 +34,6 @@ class EmptyConditionError(DesignError):
 
 
 MAX_ENUM_VERTICES = 8   # n! vertex orders
-MAX_ENUM_STAR = 7       # m! orderings of one star
 
 
 @dataclass(frozen=True)

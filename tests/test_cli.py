@@ -122,9 +122,23 @@ class TestVerify:
 
     def test_n_law_reports_its_gate(self, capsys):
         code, out, err = run(capsys, "verify", "--lemma", "n-law", "--variant", "sts",
-                             "--n", "9", "--mode", "exact")
+                             "--n", "13", "--mode", "exact")
         assert code == 1 and out == ""
-        assert err == "error: exact mode gated at star size <= 7, got 8\n"
+        assert err == "error: sts pool gated at n <= 9, got 13\n"
+
+    @pytest.mark.parametrize("lemma,verdicts", [("n-law", 112), ("exp-m-2", 21)])
+    def test_sts9_exact_passes(self, capsys, lemma, verdicts):
+        code, out, err = run(capsys, "verify", "--lemma", lemma, "--variant", "sts",
+                             "--n", "9", "--mode", "exact", "--format", "json")
+        docs = json.loads(out)
+        assert code == 0 and err == ""
+        assert len(docs) == verdicts and all(d["pass"] for d in docs)
+
+    def test_q_law_rejects_the_1f_variant(self, capsys):
+        code, out, err = run(capsys, "verify", "--lemma", "q-law", "--variant", "1f",
+                             "--n", "7", "--mode", "exact")
+        assert code == 1 and out == ""
+        assert err == "error: the star position law applies to the sts variant\n"
 
     def test_mc_too_few_samples_exit_1(self, capsys):
         for samples in ("0", "1"):

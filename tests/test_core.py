@@ -76,6 +76,12 @@ class TestTripleSystemValidation:
         with pytest.raises(Exception):
             validate_triple_system(3, [(1, 2, 2)])
 
+    def test_n_must_be_an_int(self):
+        # True equals 1, so it built an empty system that dumped "n":true
+        for n in (True, 3.0, "3"):
+            with pytest.raises(DesignError, match=f"sts design: n must be an int, got {n!r}"):
+                validate_triple_system(n, [] if n is True else [(1, 2, 3)])
+
 
 class TestEdgeColoringValidation:
     def test_k4(self):
@@ -100,6 +106,11 @@ class TestEdgeColoringValidation:
         bad[(1, 2)] = 5
         with pytest.raises(BadColorError):
             validate_edge_coloring(4, bad)
+
+    def test_n_must_be_an_int(self):
+        for n in (4.0, True, None):
+            with pytest.raises(DesignError, match=f"1f design: n must be an int, got {n!r}"):
+                validate_edge_coloring(n, K4_COLORING)
 
     def test_all_labeled_colorings_validate_n6(self):
         pool = enumerate_pool("1f-labeled", 6)
@@ -312,6 +323,11 @@ class TestJsonInterchange:
             loads('{"kind":"latin","n":2,"rows":[[1.0,2],[2,true]]}')
         with pytest.raises(DesignError, match="entries must be ints"):
             LatinSquare(n=2, rows=((1, 2), (2, True)))
+
+    def test_latin_rejects_an_n_that_is_not_an_int(self):
+        for n in (True, 1.0):
+            with pytest.raises(DesignError, match=f"latin design: n must be an int, got {n!r}"):
+                LatinSquare(n=n, rows=((1,),))
 
     def test_latin_rejects_a_row_count_other_than_n(self):
         with pytest.raises(DesignError, match="declared n=7 but got 2 rows"):

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -132,20 +133,95 @@ class TestMExpectationSts:
                 assert v.passed, (i, j, p)
 
 
+def _all_orders(n):
+    return np.array(list(itertools.permutations(range(n))))
+
+
 @pytest.mark.parametrize("variant", ["sts", "1f"])
-def test_exact_m_table_matches_the_kernel_per_pair(variant):
-    # exact mode reads M from one table per design; every entry must equal
-    # the kernel run on just the orders that put i at p before j
+def test_exact_m_matches_order_enumeration(variant):
+    # exact mode takes one order per set of vertices before i; averaging the
+    # kernel's M over every order that puts i at p before j (and k) must give
+    # the same rational over the same number of orders
     X = FANO_TS if variant == "sts" else enumerate_pool("1f-labeled", 6).items[100]
-    orders = lemmas._all_orders(X.n)
-    pos, table = lemmas._exact_m_table(variant, X)
-    assert (pos == np.argsort(orders, axis=1)).all()
+    orders = _all_orders(X.n)
+    pos = np.argsort(orders, axis=1)
     for i, j in itertools.permutations(range(1, X.n + 1), 2):
-        for p in range(1, X.n):
-            keep = (pos[:, i - 1] == p - 1) & (pos[:, j - 1] > p - 1)
+        anchors = (j, X.table[i][j]) if variant == "sts" else (j,)
+        for p in range(1, X.n + 1):
+            keep = pos[:, i - 1] == p - 1
+            for a in anchors:
+                keep &= pos[:, a - 1] > p - 1
+            if not keep.any():
+                with pytest.raises(EmptyConditionError):
+                    verify_M_expectation(variant, X, i, j, p, "exact")
+                continue
             want = lemmas._pair_values(variant, X, orders[keep] + 1, p - 1, j)[0]
-            assert len(want) == keep.sum() > 0
-            assert (table[keep, p - 1, j] == want).all(), (i, j, p)
+            v = verify_M_expectation(variant, X, i, j, p, "exact")[0]
+            assert v.observed == Fraction(int(want.sum()), len(want)), (i, j, p)
+            assert v.samples == len(want)
+
+
+@pytest.mark.parametrize("variant,vertex_orders", [
+    ("1f", [(1, 2, 3, 4, 5, 6), (4, 2, 6, 1, 5, 3)]),
+    ("sts", [(1, 2, 3, 4, 5, 6, 7), (5, 3, 7, 1, 6, 2, 4)]),
+])
+def test_exact_n_law_matches_star_order_enumeration(variant, vertex_orders):
+    # exact mode takes one star order per set of star elements before j;
+    # every star order of i's forward star must give the same law
+    X = FANO_TS if variant == "sts" else enumerate_pool("1f-labeled", 6).items[100]
+    n = X.n
+    for vo in vertex_orders:
+        for p in (0, 1):                       # i first, then i second
+            i, forward = vo[p], np.array(vo[p + 1:])
+            perms = _all_orders(len(forward))
+            keys = np.zeros((len(perms), n, n))
+            keys[:, p, p + 1:] = np.argsort(perms, axis=1)
+            star = forward[perms]
+            for j in forward:
+                j = int(j)
+                got = lemmas._pair_values(variant, X, np.tile(vo, (len(perms), 1)), p, j, keys)[1]
+                if variant == "1f":
+                    verdicts = verify_N_law("1f", X, vo, i, j)
+                    for v in verdicts:
+                        assert v.observed == Fraction(int((got == v.conditioning["v"]).sum()),
+                                                      len(perms))
+                        assert v.samples == len(perms)
+                    continue
+                k = X.table[i][j]
+                if vo.index(k) < p:
+                    continue
+                for q in range(1, len(forward)):
+                    keep = (star[:, q - 1] == j) & (np.argmax(star == k, axis=1) > q - 1)
+                    v = verify_N_law("sts", X, vo, i, j, q=q)[0]
+                    assert v.observed == Fraction(int(got[keep].sum()), int(keep.sum()))
+                    assert v.samples == keep.sum()
+
+
+def test_exact_m_position_outside_the_order():
+    X = enumerate_pool("1f-labeled", 6).items[0]
+    for variant, design in (("sts", FANO_TS), ("1f", X)):
+        for p in (0, design.n + 1):
+            with pytest.raises(EmptyConditionError, match=f"p={p}"):
+                verify_M_expectation(variant, design, 1, 2, p, "exact")
+
+
+# PG(3,2): the points are the nonzero vectors of GF(2)^4, the lines {a, b, a^b}
+PG32 = validate_triple_system(15, {tuple(sorted((a, b, a ^ b)))
+                                   for a in range(1, 16) for b in range(a + 1, 16)})
+
+
+def test_exact_n_law_bounds_its_sets():
+    # i first leaves a 14-element star: 2^13 sets before j, above the 5040 bound
+    first = tuple(range(1, 16))
+    with pytest.raises(TooLargeError, match="gated at sets <= 5040, got 8192"):
+        verify_N_law("sts", PG32, first, 1, 2, q=1)
+    # i third leaves 12: 2^11 sets
+    third = (14, 15, 1, 2) + tuple(range(3, 14))
+    assert PG32.table[1][2] == 3
+    for q in (1, 5, 10):
+        v = verify_N_law("sts", PG32, third, 1, 2, q=q)[0]
+        assert v.conditioning["m"] == 12 and v.passed
+        assert v.samples == (12 - q) * math.factorial(10)   # j at q, k after it
 
 
 class TestNLaw1f:

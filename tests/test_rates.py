@@ -102,6 +102,13 @@ class TestMonteCarloEstimates:
         b = entropy_upper_estimate("sts", 7, samples=500, seed=1)
         assert a.estimate == b.estimate and a.se == b.se
 
+    def test_rejects_a_pool_of_another_kind_or_n(self):
+        pool = enumerate_pool("sts", 7)
+        with pytest.raises(DesignError, match="^pool holds sts n=7, wanted 1f-labeled n=7$"):
+            entropy_upper_estimate("1f", 7, 100, pool=pool)
+        with pytest.raises(DesignError, match="^pool holds sts n=7, wanted sts n=9$"):
+            entropy_upper_estimate("sts", 9, 100, pool=pool)
+
 
 class TestReproducibility:
     def test_identical_across_repeats(self):
