@@ -45,7 +45,7 @@ import numpy as np
 
 from ..core import DesignError, EdgeColoring, TripleSystem
 from ..enumeration import enumerate_pool
-from .rates import CHUNK, reveal_steps
+from .rates import CHUNK, reveal_steps, set_orders
 from .reveal import EmptyConditionError, TooLargeError, sample_reveal_order
 
 MAX_EXACT_N = 7        # items whose orders the exact position laws enumerate
@@ -126,20 +126,22 @@ def _orders(m: int, mode: str, samples: int, seed: int):
         yield rng.permuted(np.tile(np.arange(m), (size, 1)), axis=1)
 
 
-def _set_orders(m: int, head: int, sizes, avoid=()):
-    """(orders, weight) batches of 0..m-1, one batch per size s in ``sizes``.
-
-    Each s-subset S of the items other than head and ``avoid`` gets the
-    order S, head, rest (each ascending), which stands for the s!(m-1-s)!
-    orders that put exactly S before head.
-    """
-    others = [x for x in range(m) if x != head and x not in avoid]
-    sizes = [s for s in sizes if 0 <= s <= len(others)]
-    _gate("exact", sum(math.comb(len(others), s) for s in sizes), MAX_EXACT_SETS, "sets")
-    for s in sizes:
-        rows = [[*S, head, *(x for x in range(m) if x != head and x not in S)]
-                for S in itertools.combinations(others, s)]
-        yield np.array(rows, np.int64), math.factorial(s) * math.factorial(m - 1 - s)
+def _anchored(m: int, head: int, at, avoid, mode: str, samples: int, seed: int):
+    """(orders, weight) batches of the orders of 0..m-1 that put ``head`` at
+    position ``at`` (any if None) before every item in ``avoid``: exact mode
+    one per set before head (`set_orders`), mc mode the draws that do."""
+    if mode == "exact":
+        free = sum(x != head and x not in avoid for x in range(m))
+        sizes = range(free + 1) if at is None else range(max(at, 0), at + 1)
+        _gate(mode, sum(math.comb(free, s) for s in sizes), MAX_EXACT_SETS, "sets")
+        yield from set_orders(m, (head,), sizes, avoid)
+        return
+    for perms in _orders(m, mode, samples, seed):
+        pos = np.argsort(perms, axis=1)
+        keep = (pos[:, avoid] > pos[:, [head]]).all(axis=1)
+        if at is not None:
+            keep &= pos[:, head] == at
+        yield perms[keep], 1
 
 
 def _gate(mode: str, size: int, limit: int, what: str) -> None:
@@ -300,21 +302,10 @@ def verify_M_expectation(variant: str, X: EdgeColoring | TripleSystem,
     else:
         raise DesignError(f"unknown variant {variant!r}")
 
-    def anchored():
-        # (orders, weight) batches of the orders that put i at p before the
-        # other anchors; M is a function of the p-1 vertices before i
-        if mode == "exact":
-            yield from _set_orders(n, i - 1, [p - 1], [a - 1 for a in anchors[1:]])
-            return
-        for perms in _orders(n, mode, samples, seed):
-            pos = np.argsort(perms, axis=1)
-            keep = pos[:, i - 1] == p - 1
-            for other in anchors[1:]:
-                keep &= pos[:, other - 1] > p - 1
-            yield perms[keep], 1
-
+    # M is a function of the p-1 vertices before i
+    batches = _anchored(n, i - 1, p - 1, [a - 1 for a in anchors[1:]], mode, samples, seed)
     m_values = ((_pair_values(variant, X, perms + 1, p - 1, j)[0], orders)
-                for perms, orders in anchored() if len(perms))
+                for perms, orders in batches if len(perms))
     cond_keys = {"p": p, "i": i, "j": j}
     observed, se, count = _mean(m_values, mode == "exact", cond_keys)
     out = [LemmaVerdict("exp-m" if variant == "1f" else "exp-m-2", variant, n,
@@ -357,21 +348,17 @@ def verify_N_law(variant: str, X: EdgeColoring | TripleSystem,
     raise DesignError(f"unknown variant {variant!r}")
 
 
-def _star_n_values(variant, X, vo, i, j, mode, samples, seed, keep=None):
+def _star_n_values(variant, X, vo, i, j, mode, samples, seed, q=None):
     """N of (i, j) over the orders of i's forward star, vo fixed.
 
-    Yields (values, orders) per batch of star orders, restricted to the
-    orders whose star (row b: i's forward neighbors in reveal order)
-    ``keep`` accepts.  N is a function of the star elements before j, so
-    exact mode takes one star order per such set.
+    Yields (values, orders) per batch of star orders; given ``q`` (sts),
+    only of those with j at star position q and the third point k after
+    it.  Exact mode takes one star order per set of elements before j.
     """
     n, p = len(vo), vo.index(i)
-    forward, m = np.array(vo[p + 1:]), n - 1 - p
-    batches = (_set_orders(m, vo.index(j) - p - 1, range(m)) if mode == "exact"
-               else ((perms, 1) for perms in _orders(m, mode, samples, seed)))
-    for perms, orders in batches:
-        if keep is not None:
-            perms = perms[keep(forward[perms])]
+    at, avoid = (None, []) if q is None else (q - 1, [vo.index(X.table[i][j]) - p - 1])
+    for perms, orders in _anchored(n - 1 - p, vo.index(j) - p - 1, at, avoid,
+                                   mode, samples, seed):
         if len(perms):
             keys = np.zeros((len(perms), n, n))
             keys[:, p, p + 1:] = np.argsort(perms, axis=1)   # rank of each star slot
@@ -409,12 +396,8 @@ def _verify_n_expectation_sts(X, vo, i, j, q, mode, samples, seed):
     formula = Fraction(1) if l == 1 else \
         1 + Fraction((m - q - 1) * (m - q - 2), (m - 2) * (m - 3)) * (l - 1)
 
-    def keep(star):
-        # {i,j} at position q and {i,k} after it
-        return (star[:, q - 1] == j) & (np.argmax(star == k, axis=1) > q - 1)
-
     cond = {"i": i, "j": j, "q": q, "l": l, "m": m}
-    observed, se, count = _mean(_star_n_values("sts", X, vo, i, j, mode, samples, seed, keep),
+    observed, se, count = _mean(_star_n_values("sts", X, vo, i, j, mode, samples, seed, q),
                                 mode == "exact", cond)
     return [LemmaVerdict("n-law", "sts", n, cond, formula, observed, se,
                          passed=_passed(observed, formula, se), samples=count)]

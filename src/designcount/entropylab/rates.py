@@ -3,17 +3,18 @@
 For a uniformly random design and a random reveal order, the sum of
 log N over all ordered pairs (trivial reveals contribute log 1 = 0)
 upper-bounds the log of the number of designs.  `entropy_upper_estimate`
-evaluates that sum exactly (full enumeration, tiny instances) or by
-Monte Carlo with a standard error.
+evaluates that sum exactly (small instances) or by Monte Carlo with a
+standard error.
 
 Both modes run one numpy kernel, `reveal_steps`, over batches of
 reveals: per vertex position it sorts every forward star by its keys,
 takes the prefix OR of the exposed values and counts M and N with a
-popcount; the lemma checks read M and N from the same kernel.  Monte
-Carlo sampling is organized in fixed-size blocks, each with its own
-substream spawned from (seed, block-index) and drawn CHUNK reveals at a
-time, and block accumulators are merged in index order; the result is
-therefore byte-identical for any worker count, not just any schedule.
+popcount; the lemma checks read M and N from the same kernel.  Exact
+mode sums over sets, not orders (`_set_histogram`).  Monte Carlo
+sampling is organized in fixed-size blocks, each with its own substream
+spawned from (seed, block-index) and drawn CHUNK reveals at a time, and
+block accumulators are merged in index order; the result is therefore
+byte-identical for any worker count, not just any schedule.
 
 `finite_sum_rate` evaluates the closed finite sums that the per-pair
 expectations produce and compares them against their limit log n - 1.
@@ -34,8 +35,8 @@ from .reveal import TooLargeError
 
 BLOCK_SIZE = 4096
 CHUNK = 512             # reveals drawn and evaluated together; bounds memory
-STREAM = 2              # version of the Monte-Carlo draws, part of cache keys
-EXACT_CAP = 2_000_000   # pool x vertex orders x star orders
+STREAM = 3              # version of the estimator's output, part of cache keys
+EXACT_CAP = 2_000_000   # pool x ordered pairs x sets (E, P): 3^(n-2) per pair
 
 
 @dataclass(frozen=True)
@@ -79,11 +80,11 @@ def reveal_steps(variant: str, tables, d, vo, keys):
 
     Reveal b scans design ``tables[d[b]]`` in the vertex order ``vo[b]``
     (vertices 1..n); the star of the vertex ``i[b]`` at position p is its
-    forward neighbors ``vo[b, p+1:]`` sorted by ``keys[b, p, p+1:]``, given
-    in ``star[b]``.  ``M[b, s]`` and ``N[b, s]`` are the sizes of Mset and
-    Nset of the pair (i[b], star[b, s]) as ``reveal.py`` defines them;
-    N is 1 on trivial reveals, while M is left unmasked, so it is the
-    oracle's M only on informative pairs.  Both are uint8 popcounts.
+    forward neighbors ``vo[b, p+1:]`` sorted by ``keys[b, p, p+1:]`` (in
+    vertex order if keys is None), in ``star[b]``.  ``M[b, s]`` and ``N[b, s]``
+    are the sizes of Mset and Nset of the pair (i[b], star[b, s]) as
+    ``reveal.py`` defines them; N is 1 on trivial reveals, while M is left
+    unmasked, so it is the oracle's M only on informative pairs (uint8).
     """
     batch, n = vo.shape
     full = (1 << (n if variant == "1f" else n + 1)) - 2   # colors 1..n-1 or points 1..n
@@ -94,7 +95,7 @@ def reveal_steps(variant: str, tables, d, vo, keys):
     for p in range(n - 1):
         i = vo[:, p:p + 1]
         row = tables[d, i[:, 0]]                # value of {i, v} for every v
-        star = np.take_along_axis(
+        star = vo[:, p + 1:] if keys is None else np.take_along_axis(
             vo[:, p + 1:], np.argsort(keys[:, p, p + 1:], axis=1), axis=1)
         value = np.take_along_axis(row, star, axis=1)
         closed = np.take_along_axis(seen, i, axis=1) | np.take_along_axis(seen, star, axis=1)
@@ -131,30 +132,20 @@ def _reveal_sums(variant: str, tables, d, vo, keys):
     return total
 
 
-def _accumulate(variant, tables, batches):
-    """Count, mean and sum of squared deviations of the reveal sums."""
-    acc = (0, 0.0, 0.0)
-    for d, vo, keys in batches:
-        x = _reveal_sums(variant, tables, d, vo, keys)
-        mean = float(x.mean())
-        acc = _merge(acc, (len(x), mean, float(((x - mean) ** 2).sum())))
-    return acc
-
-
-def _draws(rng, pool_size, n, count):
-    """Uniform designs, vertex orders and star keys, CHUNK reveals at a time."""
-    for start in range(0, count, CHUNK):
-        size = min(CHUNK, count - start)
-        yield (rng.integers(pool_size, size=size),
-               rng.permuted(np.tile(np.arange(1, n + 1), (size, 1)), axis=1),
-               rng.random((size, n, n)))
-
-
 def _mc_block(args):
+    """Count, mean and sum of squared deviations of one block's reveal sums."""
     variant, tables, n, seed, block, count = args
     rng = np.random.Generator(np.random.PCG64(
         np.random.SeedSequence(entropy=seed, spawn_key=(block,))))
-    return _accumulate(variant, tables, _draws(rng, len(tables), n, count))
+    acc = (0, 0.0, 0.0)
+    for start in range(0, count, CHUNK):
+        size = min(CHUNK, count - start)
+        x = _reveal_sums(variant, tables, rng.integers(len(tables), size=size),
+                         rng.permuted(np.tile(np.arange(1, n + 1), (size, 1)), axis=1),
+                         rng.random((size, n, n)))
+        mean = float(x.mean())
+        acc = _merge(acc, (len(x), mean, float(((x - mean) ** 2).sum())))
+    return acc
 
 
 def _merge(a, b):
@@ -169,26 +160,46 @@ def _merge(a, b):
     return n, ma + delta * (nb / n), m2a + m2b + delta * delta * (na * nb / n)
 
 
-def _exact_enumeration(variant, tables, n):
-    """Average the reveal sum over every design, vertex order, star order."""
-    star_orderings = math.prod(math.factorial(m) for m in range(n))
-    work = len(tables) * math.factorial(n) * star_orderings
-    if work > EXACT_CAP:
-        raise TooLargeError(
-            f"exact evaluation needs {work} reveals, above the cap {EXACT_CAP}")
-    vertex_orders = np.array(list(itertools.permutations(range(1, n + 1))))
-    # star_keys[c, p, p+1+s]: rank of forward slot s in star combination c
-    star_keys = np.zeros((star_orderings, n, n))
-    combos = itertools.product(*(itertools.permutations(range(n - 1 - p))
-                                 for p in range(n)))
-    for c, combo in enumerate(combos):
-        for p, perm in enumerate(combo):
-            star_keys[c, p, [p + 1 + s for s in perm]] = range(len(perm))
-    shape = (len(tables), len(vertex_orders), star_orderings)
-    chunks = (np.unravel_index(np.arange(start, min(start + CHUNK, work)), shape)
-              for start in range(0, work, CHUNK))
-    batches = ((d, vertex_orders[v], star_keys[c]) for d, v, c in chunks)
-    return _accumulate(variant, tables, batches)[1]
+def set_orders(m: int, anchors, sizes=None, avoid=()):
+    """(orders, weight) batches of 0..m-1, one batch per tuple of gap sizes.
+
+    Each deal of the items other than ``anchors`` into the gaps around
+    them is the order gap, anchor, ..., anchor, gap (gaps ascending); it
+    stands for the product of |gap|! orders that deal alike.  ``sizes``
+    restricts the size of the first gap and ``avoid`` keeps items out of it.
+    """
+    free = [x for x in range(m) if x not in anchors and x not in avoid]
+    batches = {}
+    for s in (range(len(free) + 1) if sizes is None else sizes):
+        for first in itertools.combinations(free, s):
+            left = [x for x in range(m) if x not in anchors and x not in first]
+            for labels in itertools.product(range(len(anchors)), repeat=len(left)):
+                gaps = [first, *([x for x, g in zip(left, labels) if g == t]
+                                 for t in range(len(anchors)))]
+                row = [x for gap, a in zip(gaps, anchors) for x in (*gap, a)] + gaps[-1]
+                batches.setdefault(tuple(map(len, gaps)), []).append(row)
+    for shape, rows in batches.items():
+        yield np.array(rows, np.int64), math.prod(map(math.factorial, shape))
+
+
+def _set_histogram(variant: str, tables, pairs):
+    """Count each N over every design and every (E, P) of each pair (i, j).
+
+    N depends only on E, the vertices before i, and P, the elements of i's
+    star before j.  The order E, i, P, j, R (`set_orders`), every star in
+    vertex order, counts for the |E|!|P|!|R|! vertex orders with that E and
+    P, which draw (E, P) with its reveal law: n!/2 per pair and design.
+    """
+    n = tables.shape[1] - 1
+    hist = np.zeros(n + 1, np.int64)
+    for i, j in pairs:
+        for orders, w in set_orders(n, (i - 1, j - 1)):
+            e, f = (list(orders[0]).index(v - 1) for v in (i, j))   # alike in a batch
+            steps = reveal_steps(variant, tables, np.repeat(np.arange(len(tables)), len(orders)),
+                                 np.tile(orders + 1, (len(tables), 1)), None)
+            _, _, _, n_avail = next(itertools.islice(steps, e, None))
+            hist += w * np.bincount(n_avail[:, f - e - 1], minlength=n + 1)
+    return hist
 
 
 def entropy_upper_estimate(variant: str, n: int, samples: int,
@@ -196,7 +207,8 @@ def entropy_upper_estimate(variant: str, n: int, samples: int,
                            pool: Pool | None = None) -> EntropyEstimate:
     """Estimate the reveal-sum upper bound on a log-count.
 
-    samples=0 switches to exact full enumeration (guarded by size).
+    samples=0 switches to the exact mean over sets (`_set_histogram`),
+    refused above EXACT_CAP terms (1f n=6 and sts n=7 run, sts n=9 not).
     Designs are drawn uniformly from the complete pool; pass ``pool``
     to reuse one already enumerated.
     """
@@ -212,7 +224,12 @@ def entropy_upper_estimate(variant: str, n: int, samples: int,
     tables = np.array([x.table for x in pool.items])
 
     if samples == 0:
-        value = _exact_enumeration(variant, tables, n)
+        terms = len(pool) * n * (n - 1) * 3 ** (n - 2)
+        if terms > EXACT_CAP:
+            raise TooLargeError(f"exact evaluation needs {terms} terms, above the cap {EXACT_CAP}")
+        hist = _set_histogram(variant, tables, itertools.permutations(range(1, n + 1), 2))
+        value = (math.fsum(int(c) * math.log(v) for v, c in enumerate(hist) if c)
+                 / (len(tables) * math.factorial(n)))
         return EntropyEstimate(variant, n, 0, seed, value, 0.0, exact=True,
                                designs=len(pool))
 

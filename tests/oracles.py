@@ -5,13 +5,20 @@ the production counters: triple systems by literal pair-cover recursion
 over rescanned pair lists, 1-factorizations as sets/sequences of
 precomputed perfect matchings, Latin squares by brute force, by reduced
 squares times n!(n-1)!, and by a permanent-expansion (Ryser) of the
-last two rows.
+last two rows.  The one exception is the order-enumeration entropy
+oracle, which feeds every reveal order through the reveal kernel (itself
+checked against the literal sets of reveal.py) and averages.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
+
+import numpy as np
+
+from designcount.entropylab import rates
 
 FANO = [(1, 2, 3), (1, 4, 5), (1, 6, 7), (2, 4, 6), (2, 5, 7), (3, 4, 7), (3, 5, 6)]
 
@@ -320,3 +327,23 @@ def exact_position_distribution(n, condition, position_of):
         v = position_of(order)
         counts[v] = counts.get(v, 0) + 1
     return {v: Fraction(c, total) for v, c in sorted(counts.items())}
+
+
+def oracle_entropy_over_orders(variant, tables, n):
+    """Mean reveal sum over every design, vertex order and star order.
+
+    The exact estimate by order enumeration: designs x n! vertex orders x
+    prod m! star orders, so only tiny n (1f n=4: 1,728 reveals).
+    """
+    vertex_orders = np.array(list(itertools.permutations(range(1, n + 1))))
+    combos = list(itertools.product(*(itertools.permutations(range(n - 1 - p))
+                                      for p in range(n))))
+    # star_keys[c, p, p+1+s]: rank of forward slot s in star combination c
+    star_keys = np.zeros((len(combos), n, n))
+    for c, combo in enumerate(combos):
+        for p, perm in enumerate(combo):
+            star_keys[c, p, [p + 1 + s for s in perm]] = range(len(perm))
+    d, v, c = (a.ravel() for a in np.meshgrid(range(len(tables)), range(len(vertex_orders)),
+                                             range(len(combos)), indexing="ij"))
+    sums = rates._reveal_sums(variant, tables, d, vertex_orders[v], star_keys[c])
+    return math.fsum(sums) / len(sums)

@@ -2,9 +2,15 @@
 
 import hashlib
 import json
+import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import designcount
 from designcount import cli
 from designcount.cli import main
 
@@ -211,7 +217,7 @@ class TestEntropy:
     @pytest.mark.parametrize("variant, n, samples, digest", [
         ("sts", "7", "2000", "c3d68bc31ef988350ff849d325d449ce81a21b2a6fbd763d0d09b9d2c1892d53"),
         ("sts", "9", "2000", "43049eacf3790fbd50c1f831a19bac921c77e7b760889d59e93915f20378fae4"),
-        ("1f", "4", "0", "dea997b9bc2516fcfbaac7db5b859d9543facf93647d5ac24ba0b513822977f0"),
+        ("1f", "4", "0", "e4ef000fe86165385753236262256acd7ca9d543f577de6cc0d56a9663d62987"),
         ("1f", "6", "2000", "d4d938aabb41639d47dc9fe99ee781c57c4197dcf3b420920cca1222bad48652"),
     ])
     def test_log_count_comes_from_the_pool(self, capsys, monkeypatch, variant, n, samples,
@@ -232,6 +238,24 @@ class TestEntropy:
         code, _, err = run(capsys, "entropy", "--variant", "sts", "--n", "5",
                            "--samples", "100")
         assert code == 1 and "error" in err
+
+    def test_exact_above_the_cap_exit_1(self, capsys):
+        code, out, err = run(capsys, "entropy", "--variant", "sts", "--n", "9",
+                             "--samples", "0")
+        assert code == 1 and out == ""
+        assert err == "error: exact evaluation needs 132269760 terms, above the cap 2000000\n"
+
+    def test_python_m_entry_point(self):
+        # `python -m designcount` runs __main__.py in a fresh interpreter
+        src = str(pathlib.Path(designcount.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "designcount", "entropy", "--variant", "sts", "--n", "7",
+             "--samples", "0"], capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(proc.stdout)
+        assert doc["verdict"] == "PASS" and doc["exact"] is True
 
 
 class TestCache:
@@ -282,7 +306,23 @@ class TestCache:
         assert code == 0
         lines = [json.loads(s) for s in cache.read_text().splitlines()]
         assert len(lines) == 2 and lines[0] == old
-        assert lines[1]["stream"] == 2 and lines[1]["estimate"] != 1.0
+        assert lines[1]["stream"] == 3 and lines[1]["estimate"] != 1.0
+
+    def test_exact_entries_of_the_order_enumeration_do_not_clash(self, capsys, tmp_path):
+        # written by the order-enumerating estimator (stream 2), one ulp below log 6;
+        # the set sums give log 6 itself under stream 3
+        cache = tmp_path / "cache.jsonl"
+        old = ('{"kind":"entropy","variant":"1f","n":4,"samples":0,"seed":0,"stream":2,'
+               '"estimate":1.7917594692280547,"se":0.0,"version":"0.1.0",'
+               '"timestamp":"2026-10-18T11:01:30+00:00","runtime_seconds":0.002317}')
+        cache.write_text(old + "\n")
+        code, _, err = run(capsys, "entropy", "--variant", "1f", "--n", "4",
+                           "--samples", "0", "--cache", str(cache))
+        assert code == 0 and err == ""
+        lines = cache.read_text().splitlines()
+        assert len(lines) == 2 and lines[0] == old
+        assert json.loads(lines[1])["stream"] == 3
+        assert json.loads(lines[1])["estimate"] == math.log(6)
 
     def test_corrupt_line_exit_1(self, capsys, tmp_path):
         cache = tmp_path / "cache.jsonl"

@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from designcount.core import DesignError, validate_triple_system
+from designcount.core import DesignError, validate_edge_coloring, validate_triple_system
 from designcount.enumeration import enumerate_pool
 from designcount.entropylab import (
     EmptyConditionError,
@@ -210,12 +210,25 @@ PG32 = validate_triple_system(15, {tuple(sorted((a, b, a ^ b)))
                                    for a in range(1, 16) for b in range(a + 1, 16)})
 
 
+# the round-robin 1-factorization of K_16: color c + 1 joins c to infinity (16)
+# and c - t to c + t (mod 15), with residue r as vertex r + 1
+K16 = validate_edge_coloring(16, {
+    tuple(sorted(((c - t) % 15 + 1, (c + t) % 15 + 1))) if t else (c + 1, 16): c + 1
+    for c in range(15) for t in range(8)})
+
+
 def test_exact_n_law_bounds_its_sets():
-    # i first leaves a 14-element star: 2^13 sets before j, above the 5040 bound
+    # i first leaves a 14-element star; the sts law builds only the sets with
+    # j at q and k after it, C(12, q-1) <= 924 of them
     first = tuple(range(1, 16))
-    with pytest.raises(TooLargeError, match="gated at sets <= 5040, got 8192"):
-        verify_N_law("sts", PG32, first, 1, 2, q=1)
-    # i third leaves 12: 2^11 sets
+    for q in (1, 7, 13):
+        v = verify_N_law("sts", PG32, first, 1, 2, q=q)[0]
+        assert v.conditioning["m"] == 14 and v.passed
+        assert v.samples == (14 - q) * math.factorial(12)
+    # the 1f law reads every set before j: 2^14 with i first in K_16, above the bound
+    with pytest.raises(TooLargeError, match="gated at sets <= 5040, got 16384"):
+        verify_N_law("1f", K16, tuple(range(1, 17)), 1, 2)
+    # i third leaves a 12-element star
     third = (14, 15, 1, 2) + tuple(range(3, 14))
     assert PG32.table[1][2] == 3
     for q in (1, 5, 10):

@@ -1,5 +1,6 @@
 """Chain-rule estimates against exact log-counts; finite-sum convergence."""
 
+import itertools
 import math
 
 import numpy as np
@@ -21,6 +22,8 @@ from designcount.entropylab import (
     reveal_sets_sts,
 )
 from designcount.entropylab import rates
+
+from oracles import oracle_entropy_over_orders
 
 
 class TestBatchedKernel:
@@ -70,10 +73,57 @@ class TestExactEvaluation:
         assert abs(est.estimate - math.log(6)) < 1e-9
 
     def test_too_large_guard(self):
-        with pytest.raises(TooLargeError):
-            entropy_upper_estimate("sts", 7, samples=0)
-        with pytest.raises(TooLargeError):
-            entropy_upper_estimate("1f", 6, samples=0)
+        with pytest.raises(TooLargeError,
+                           match="^exact evaluation needs 132269760 terms, above the cap 2000000$"):
+            entropy_upper_estimate("sts", 9, samples=0)
+
+    def test_1f_n4_matches_order_enumeration(self):
+        pool = enumerate_pool("1f-labeled", 4)
+        oracle = oracle_entropy_over_orders("1f", np.array([x.table for x in pool.items]), 4)
+        assert abs(entropy_upper_estimate("1f", 4, samples=0).estimate - oracle) <= 1e-12
+
+    def test_sts7_equals_log30(self):
+        # every reveal of an STS(7) multiplies out to the count
+        est = entropy_upper_estimate("sts", 7, samples=0)
+        assert est.exact and abs(est.estimate - math.log(30)) <= 1e-12
+
+    def test_1f6_within_3se_of_monte_carlo(self):
+        pool = enumerate_pool("1f-labeled", 6)
+        exact = entropy_upper_estimate("1f", 6, samples=0, pool=pool)
+        mc = entropy_upper_estimate("1f", 6, samples=20_000, seed=1, pool=pool)
+        assert exact.exact and abs(exact.estimate - mc.estimate) <= 3 * mc.se
+        assert exact.estimate >= math.log(len(pool))
+
+    @pytest.mark.parametrize("variant,kind,n,pairs", [
+        ("1f", "1f-labeled", 6, [(1, 2), (2, 1), (3, 6), (6, 4), (5, 1)]),
+        ("sts", "sts", 7, [(1, 2), (2, 1), (3, 6), (7, 4)])])
+    def test_pair_sets_match_order_enumeration(self, variant, kind, n, pairs):
+        # the set-weighted mean of log N of one pair equals its mean over every
+        # vertex order with i before j and every order of i's star
+        X = enumerate_pool(kind, n).items[3]
+        tables = np.array([X.table])
+        vos = np.array(list(itertools.permutations(range(1, n + 1))))
+        pos = np.argsort(vos, axis=1)
+        for i, j in pairs:
+            hist = rates._set_histogram(variant, tables, [(i, j)])
+            assert hist.sum() == math.factorial(n) // 2
+            by_sets = math.fsum(int(c) * math.log(v) for v, c in enumerate(hist) if c) / hist.sum()
+            sums = []
+            for p in range(n - 1):
+                vo = vos[(pos[:, i - 1] == p) & (pos[:, j - 1] > p)]
+                stars = np.array(list(itertools.permutations(range(n - 1 - p))))
+                keys = np.zeros((len(stars), n, n))
+                keys[:, p, p + 1:] = np.argsort(stars, axis=1)
+                per = max(1, 2 ** 14 // len(stars))
+                for start in range(0, len(vo), per):
+                    block = vo[start:start + per]
+                    rows = np.repeat(block, len(stars), axis=0)
+                    steps = rates.reveal_steps(variant, tables, np.zeros(len(rows), np.intp),
+                                               rows, np.tile(keys, (len(block), 1, 1)))
+                    _, star, _, n_avail = next(itertools.islice(steps, p, None))
+                    sums.append(np.log(n_avail[star == j].astype(np.float64)).sum() / len(stars))
+            by_orders = math.fsum(sums) / (math.factorial(n) // 2)
+            assert abs(by_sets - by_orders) <= 1e-12, (i, j)
 
 
 class TestMonteCarloEstimates:
