@@ -87,6 +87,8 @@ def _utc_now() -> str:
 # ---------------------------------------------------------------------------
 
 def _cmd_count(args) -> int:
+    if args.labeled and args.object != "1f":
+        raise DesignError(f"--labeled applies to --object 1f only, got {args.object}")
     cfg = SearchConfig(jobs=args.jobs, node_budget=args.node_budget)
     if args.object == "sts":
         result = count_triple_systems(args.n, cfg)

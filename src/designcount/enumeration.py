@@ -12,20 +12,31 @@ node total) is identical no matter how the work is split:
   order: cell (r, c) is row slot r with column slot n+c, and the values
   are the symbols.  A 1-factorization colors the edges in lexicographic
   order: edge {i, j} is vertex slots i and j, and the values are the
-  colors.  Unordered partitions are counted directly by pinning the
-  colors of vertex 1's star (color of {1,v} is v-1), which selects
-  exactly one coloring per partition; the labeled count is that total
-  times (n-1)!.
+  colors.
+
+Every count searches from a pinned start state and multiplies a
+complete total by the labeled designs each pinned leaf stands for:
+
+* triple systems fix point 1's star to {1,2,3}, {1,4,5}, ...,
+  {1,n-1,n}: STS(n) = pinned x (n-2)!!;
+* Latin squares fix the first row and column to 1..n (reduced squares)
+  and search the (n-1)^2 inner cells: L(n) = R(n) x n!(n-1)!;
+* 1-factorizations fix the color of {1,v} to v-1, one coloring per
+  unordered partition: labeled = unordered x (n-1)!.
+
+A partial count (node budget hit) is the pinned leaves found, unscaled.
+Pools collect every labeled design from the full start state
+(``pinned=False``), which ``_count`` can also run as a reference.
 
 Both kernels stop at a depth ``cut``, where they append the choice path
 to ``sink`` (if given) and count 1.  At the full depth that counts or
 collects designs; at a smaller depth the same DFS lists the frontier of
-subtrees.  ``_count`` runs every count: a parallel run cuts at a fixed
-depth, farms the subtrees to worker processes (each replays its path
-onto the start state and searches below it), and sums the (exact
-integer) subtree counts in task order, so totals are schedule
-independent.  Counts are Python ints throughout; nothing here
-overflows.
+subtrees.  ``_count`` runs every count: a parallel run cuts a fixed
+number of levels below the start state, farms the subtrees to worker
+processes (each replays its path onto the start state and searches
+below it), and sums the (exact integer) subtree counts in task order,
+so totals are schedule independent.  Counts are Python ints
+throughout; nothing here overflows.
 """
 
 from __future__ import annotations
@@ -188,73 +199,110 @@ def _pair_dfs(pairs, full, used, d, cut, budget, sink, path):
     return total
 
 
-def _start(kind: str, n: int):
-    """The kernel of one search, its fixed arguments, start state and full depth.
+def _cover(covered, i, j, k):
+    """Mark the three pairs of triple {i, j, k} covered."""
+    covered[i] |= (1 << j) | (1 << k)
+    covered[j] |= (1 << i) | (1 << k)
+    covered[k] |= (1 << i) | (1 << j)
 
-    kind is "sts", "latin", "1f" (vertex 1's star pinned) or
-    "1f-labeled"; n must be feasible for the family.
+
+def _start(kind: str, n: int, pinned: bool):
+    """One search: its kernel, fixed arguments, start state, start and full
+    depth, and the number of labeled designs each leaf stands for.
+
+    kind is "sts", "latin", "1f-labeled" or "1f" (unordered partitions,
+    whose start is always pinned); n must be feasible for the family.  A
+    pinned start fixes one part of every design, and relabeling maps the
+    designs through any one such part onto those through any other, so
+    the pinned leaves times the multiplier is the labeled count.  The
+    full start (pinned=False, multiplier 1) is the one pools collect from.
     """
     if kind == "sts":
         above = [((1 << (n + 1)) - 1) & ~((1 << (v + 1)) - 1) for v in range(n + 1)]
-        return _sts_dfs, (n, above), [0] * (n + 1), n * (n - 1) // 6
+        covered, depth, multiplier = [0] * (n + 1), 0, 1
+        if pinned:
+            # point 1's star {1,2,3}, {1,4,5}, ..., {1,n-1,n}: one of the
+            # (n-2)!! perfect matchings of points 2..n
+            for j in range(2, n, 2):
+                _cover(covered, 1, j, j + 1)
+            depth, multiplier = (n - 1) // 2, math.prod(range(n - 2, 0, -2))
+        return _sts_dfs, (n, above), covered, depth, n * (n - 1) // 6, multiplier
     if kind == "latin":
-        cells = [(r, n + c) for r in range(n) for c in range(n)]
-        return _pair_dfs, (cells, ((1 << (n + 1)) - 1) & ~1), [0] * (2 * n), n * n
+        symbols = ((1 << (n + 1)) - 1) & ~1
+        used, first, multiplier = [0] * (2 * n), 0, 1
+        if pinned:
+            # reduced squares: the first row and column read 1..n; permuting
+            # the columns and then the other rows gives n!(n-1)! squares each
+            for r in range(1, n):
+                used[r] = used[n + r] = 1 << (r + 1)
+            used[0] = used[n] = symbols
+            first, multiplier = 1, math.factorial(n) * math.factorial(n - 1)
+        cells = [(r, n + c) for r in range(first, n) for c in range(first, n)]
+        return _pair_dfs, (cells, symbols), used, 0, len(cells), multiplier
     colors = ((1 << n) - 1) & ~1  # color bits 1..n-1
-    used = [0] * (n + 1)
-    if kind == "1f":
-        # color of {1,v} pinned to v-1: one canonical coloring per partition
+    used, first, multiplier = [0] * (n + 1), 1, 1
+    if pinned or kind == "1f":
+        # color of {1,v} pinned to v-1: one canonical coloring per partition,
+        # which stands for the (n-1)! colorings that permute its colors
         used[1] = colors
         for v in range(2, n + 1):
             used[v] = 1 << (v - 1)
-    edges = list(combinations(range(2 if kind == "1f" else 1, n + 1), 2))
-    return _pair_dfs, (edges, colors), used, len(edges)
+        first = 2
+        if kind == "1f-labeled":
+            multiplier = math.factorial(n - 1)
+    edges = list(combinations(range(first, n + 1), 2))
+    return _pair_dfs, (edges, colors), used, 0, len(edges), multiplier
 
 
 def _subtree(task):
     """Count one frontier subtree: replay its path, then search below it."""
-    kind, n, path = task
-    kernel, args, state, full_depth = _start(kind, n)
-    if kind == "sts":
-        for i, j, k in path:
-            state[i] |= (1 << j) | (1 << k)
-            state[j] |= (1 << i) | (1 << k)
-            state[k] |= (1 << i) | (1 << j)
+    kind, n, pinned, path = task
+    kernel, args, state, depth, full_depth, _ = _start(kind, n, pinned)
+    if kernel is _sts_dfs:
+        for triple in path:
+            _cover(state, *triple)
     else:
-        for (a, b), v in zip(args[0], path):
+        for (a, b), v in zip(args[0], path):   # pair searches start at depth 0
             state[a] |= 1 << v
             state[b] |= 1 << v
     budget = _Budget(None)
-    count = kernel(*args, state, len(path), full_depth, budget, None, None)
+    count = kernel(*args, state, depth + len(path), full_depth, budget, None, None)
     return count, budget.nodes
 
 
-def _count(kind: str, n: int, cfg: SearchConfig) -> CountResult:
-    """Count one search, in this process or split into subtrees over workers."""
+def _count(kind: str, n: int, cfg: SearchConfig, pinned: bool = True) -> CountResult:
+    """Count one search, in this process or split into subtrees over workers.
+
+    A complete count is the leaves times the start's multiplier; a
+    partial one (node budget hit) is the leaves found, never scaled.
+    """
     if cfg.node_budget is not None and cfg.node_budget < 1:
         raise DesignError(f"node budget must be >= 1, got {cfg.node_budget}")
     t0 = time.perf_counter()
-    kernel, args, state, full_depth = _start(kind, n)
-    if cfg.jobs <= 1 or cfg.node_budget is not None or full_depth == 0:
+    kernel, args, state, depth, full_depth, multiplier = _start(kind, n, pinned)
+    if cfg.jobs <= 1 or cfg.node_budget is not None or depth == full_depth:
         budget = _Budget(cfg.node_budget)
-        count = kernel(*args, state, 0, full_depth, budget, None, None)
-        return CountResult(kind, n, count, complete=not budget.exhausted,
-                           nodes=budget.nodes, seconds=time.perf_counter() - t0)
-
-    budget = _Budget(None)
-    frontier: list = []
-    split_depth = {"sts": (n - 1) // 2, "1f": n - 2, "latin": n}[kind]
-    cut = min(split_depth, full_depth)
-    kernel(*args, state, 0, cut, budget, frontier, [])
-    tasks = [(kind, n, path) for path in frontier]
-    count, nodes = 0, budget.nodes
-    workers = worker_count(cfg.jobs, len(tasks))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for c, nd in pool.map(_subtree, tasks,
-                              chunksize=max(1, len(tasks) // (4 * workers))):
-            count += c
-            nodes += nd
-    return CountResult(kind, n, count, nodes=nodes, seconds=time.perf_counter() - t0)
+        leaves = kernel(*args, state, depth, full_depth, budget, None, None)
+        nodes = budget.nodes
+    else:
+        budget = _Budget(None)
+        frontier: list = []
+        # split below the start: the rest of point 2's star, the next two
+        # rows of cells, or vertex 2's edges
+        split = {"sts": (n - 3) // 2, "latin": 2 * (n - 1)}.get(kind, n - 2)
+        cut = min(depth + split, full_depth)
+        kernel(*args, state, depth, cut, budget, frontier, [])
+        tasks = [(kind, n, pinned, path) for path in frontier]
+        leaves, nodes = 0, budget.nodes
+        workers = worker_count(cfg.jobs, len(tasks))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            for c, nd in pool.map(_subtree, tasks,
+                                  chunksize=max(1, len(tasks) // (4 * workers))):
+                leaves += c
+                nodes += nd
+    complete = not budget.exhausted
+    return CountResult(kind, n, leaves * multiplier if complete else leaves,
+                       complete=complete, nodes=nodes, seconds=time.perf_counter() - t0)
 
 
 # ---------------------------------------------------------------------------
@@ -286,20 +334,23 @@ def count_one_factorizations(n: int, labeled: bool = False,
     """Exact number of 1-factorizations of K_n.
 
     labeled=True counts proper (n-1)-edge-colorings; labeled=False
-    counts unordered partitions into perfect matchings.  The two differ
-    by exactly (n-1)!.
+    counts unordered partitions into perfect matchings.  Both run the
+    search with vertex 1's star pinned; a complete labeled count is that
+    total times (n-1)!.
     """
     if not _feasible("1f", n):
         return CountResult("1f", n, 0, labeled=labeled)
-    result = _count("1f", n, config or SearchConfig())
-    count = result.count
-    if labeled and result.complete:  # a partial unordered total must not be scaled
-        count *= math.factorial(n - 1)
-    return replace(result, count=count, labeled=labeled)
+    result = _count("1f-labeled" if labeled else "1f", n, config or SearchConfig())
+    return replace(result, kind="1f", labeled=labeled)
 
 
 def count_latin_squares(n: int, config: SearchConfig | None = None) -> CountResult:
-    """Exact number of Latin squares of order n (row-major cell search)."""
+    """Exact number of Latin squares of order n.
+
+    The search fills the (n-1)^2 inner cells of a reduced square (first
+    row and column 1..n) in row-major order; a complete count is the R(n)
+    reduced squares times n!(n-1)!.
+    """
     _feasible("latin", n)
     return _count("latin", n, config or SearchConfig())
 
@@ -323,9 +374,9 @@ def enumerate_pool(kind: str, n: int) -> Pool:
     if not _feasible("1f" if kind == "1f-labeled" else kind, n):
         return Pool(kind, n, ())
 
-    kernel, args, state, full_depth = _start(kind, n)
+    kernel, args, state, depth, full_depth, _ = _start(kind, n, pinned=False)
     paths: list = []
-    kernel(*args, state, 0, full_depth, _Budget(None), paths, [])
+    kernel(*args, state, depth, full_depth, _Budget(None), paths, [])
     if kind == "sts":
         items = tuple(validate_triple_system(n, triples) for triples in paths)
     elif kind == "1f-labeled":

@@ -54,6 +54,20 @@ class TestCount:
             assert code == 1 and out == ""
             assert err == f"error: node budget must be >= 1, got {budget}\n"
 
+    def test_labeled_outside_1f_exit_1(self, capsys):
+        for obj in ("sts", "latin"):
+            code, out, err = run(capsys, "count", "--object", obj, "--n", "3",
+                                 "--labeled", "--format", "json")
+            assert code == 1 and out == ""
+            assert err == f"error: --labeled applies to --object 1f only, got {obj}\n"
+
+    def test_latin_6_from_reduced_squares(self, capsys):
+        code, out, _ = run(capsys, "count", "--object", "latin", "--n", "6",
+                           "--format", "json")
+        assert code == 0
+        assert out == ('{"complete":true,"count":"812851200","kind":"latin",'
+                       '"labeled":null,"n":6,"nodes":172914}\n')
+
     def test_bad_flag_exit_1(self, capsys):
         code, _, err = run(capsys, "count", "--object", "cube", "--n", "3")
         assert code == 1 and "error" in err

@@ -121,17 +121,58 @@ class TestDeterminismUnderParallelism:
             assert len({r.nodes for r in results}) == 1
 
 
+class TestPinnedStarts:
+    """Every count runs a pinned start; pools collect from the full one."""
+
+    # kind, n, pinned leaves, nodes from the full start, nodes pinned
+    CASES = [
+        ("sts", 1, 1, 0, 0), ("sts", 3, 1, 1, 0), ("sts", 7, 2, 155, 8),
+        ("sts", 9, 8, 8862, 152),
+        ("latin", 1, 1, 1, 0), ("latin", 2, 1, 8, 1), ("latin", 3, 1, 93, 5),
+        ("latin", 4, 4, 5680, 37), ("latin", 5, 56, 2314165, 848),
+        ("1f-labeled", 2, 1, 1, 0), ("1f-labeled", 4, 1, 33, 3),
+        ("1f-labeled", 6, 6, 10285, 83),
+    ]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("kind, n, leaves, full_nodes, pinned_nodes", CASES)
+    def test_pinned_count_times_multiplier_is_the_full_count(
+            self, kind, n, leaves, full_nodes, pinned_nodes, jobs):
+        cfg = SearchConfig(jobs=jobs)
+        full = enumeration._count(kind, n, cfg, pinned=False)
+        pinned = enumeration._count(kind, n, cfg)
+        multiplier = enumeration._start(kind, n, pinned=True)[-1]
+        assert pinned.count == leaves * multiplier == full.count
+        assert (full.nodes, pinned.nodes) == (full_nodes, pinned_nodes)
+
+    def test_multipliers(self):
+        def multiplier(kind, n):
+            return enumeration._start(kind, n, pinned=True)[-1]
+        # (n-2)!!, n!(n-1)! and (n-1)!; a full start stands for itself
+        assert [multiplier("sts", n) for n in (1, 3, 7, 9, 13)] == [1, 1, 15, 105, 10395]
+        assert [multiplier("latin", n) for n in (1, 2, 5)] == [1, 2, 120 * 24]
+        assert multiplier("1f-labeled", 8) == 5040 and multiplier("1f", 8) == 1
+        assert enumeration._start("latin", 5, pinned=False)[-1] == 1
+
+    def test_latin_6_from_reduced_squares(self):
+        # OEIS A002860 L(6) = 812,851,200 from A000315 R(6) = 9,408
+        r = count_latin_squares(6)
+        assert r.complete and r.count == 812_851_200 == 9408 * math.factorial(6) * 120
+        assert r.nodes == 172_914
+
+
 class TestNodeBudget:
-    @pytest.mark.parametrize("count, partial", [
-        (lambda cfg: count_latin_squares(5, cfg), 31),
-        (lambda cfg: count_one_factorizations(8, labeled=False, config=cfg), 48),
-        # a partial unordered total is not scaled by 7!
-        (lambda cfg: count_one_factorizations(8, labeled=True, config=cfg), 48),
-    ], ids=["latin5", "1f8", "1f8-labeled"])
-    def test_partial_for_every_family(self, count, partial):
-        r = count(SearchConfig(node_budget=500))
+    # a partial count is the pinned leaves found, never scaled by the multiplier
+    @pytest.mark.parametrize("count, budget, partial", [
+        (lambda cfg: count_latin_squares(5, cfg), 500, 32),       # reduced squares
+        (lambda cfg: count_one_factorizations(8, labeled=False, config=cfg), 500, 48),
+        (lambda cfg: count_one_factorizations(8, labeled=True, config=cfg), 500, 48),
+        (lambda cfg: count_triple_systems(13, cfg), 5000, 59),    # not times 11!!
+    ], ids=["latin5", "1f8", "1f8-labeled", "sts13"])
+    def test_partial_for_every_family(self, count, budget, partial):
+        r = count(SearchConfig(node_budget=budget))
         assert not r.complete
-        assert r.nodes == 500
+        assert r.nodes == budget
         assert r.count == partial
 
 
