@@ -14,10 +14,13 @@ validation and safe for concurrent reads.
 
 from __future__ import annotations
 
+import gc
 import json
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 
 # ---------------------------------------------------------------------------
@@ -63,6 +66,19 @@ class BadColorError(DesignError):
 
 class SameVertexError(DesignError):
     """An operation on a pair was called with i == j."""
+
+
+NOT_LATIN = "matrix is not a Latin square"
+
+
+class SquareError(DesignError):
+    """Square ``index`` of an array of squares is not a Latin square or,
+    when ``repeats`` is set, equals the earlier square ``repeats``."""
+
+    def __init__(self, index: int, repeats: int | None = None):
+        self.index, self.repeats = index, repeats
+        super().__init__(f"square {index}: {NOT_LATIN}" if repeats is None
+                         else f"square {index} repeats square {repeats}")
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +172,7 @@ class LatinSquare:
         if len(self.rows) != self.n:
             raise DesignError(f"declared n={self.n} but got {len(self.rows)} rows")
         if not is_latin(self.rows):
-            raise DesignError("matrix is not a Latin square")
+            raise DesignError(NOT_LATIN)
         # is_latin compares sets, where 1.0 and True equal 1; dumps would not
         if set(map(type, chain.from_iterable(self.rows))) != {int}:
             raise DesignError("Latin square entries must be ints")
@@ -282,6 +298,74 @@ def is_latin(rows: Sequence[Sequence[int]]) -> bool:
             and all(map(want.__eq__, map(set, zip(*rows)))))
 
 
+# squares turned into Python objects per step: each step's nested lists
+# are the largest temporary of a bulk build
+BULK_CHUNK = 4096
+
+
+def _runs(flat: np.ndarray):
+    """Stable lexicographic order of the rows of a 2-D array, and whether
+    each sorted row after the first equals the one before it."""
+    order = np.lexsort(flat.T[::-1])
+    ranked = flat[order]
+    return order, (ranked[1:] == ranked[:-1]).all(axis=1)
+
+
+def latin_squares(n: int, cells) -> tuple[LatinSquare, ...]:
+    """Check an (N, n, n) integer array of squares and build them.
+
+    Every row and column must hold 1..n once each, and no square may
+    equal an earlier one; the first square that is not Latin, else the
+    first that repeats an earlier one, raises ``SquareError``.  The
+    squares are then built as ``LatinSquare`` objects without running
+    their checks again, ``BULK_CHUNK`` at a time, and equal rows are one
+    shared tuple.  The cyclic GC is paused meanwhile: the objects hold no
+    cycles, and it would otherwise scan the growing pool again and again.
+    """
+    _check_n("latin", n)
+    cells = np.asarray(cells)
+    if (cells.ndim != 3 or cells.shape[1:] != (n, n)
+            or not np.issubdtype(cells.dtype, np.integer)):
+        raise DesignError(f"expected an (N, {n}, {n}) integer array, "
+                          f"got {cells.dtype} {cells.shape}")
+    if not len(cells):
+        return ()
+    if n < 1:
+        raise SquareError(0)
+    want = np.arange(1, n + 1)
+    latin = ((np.sort(cells, axis=2) == want).all(axis=(1, 2))
+             & (np.sort(cells, axis=1) == want[:, None]).all(axis=(1, 2)))
+    if not latin.all():
+        raise SquareError(int(np.argmin(latin)))
+    order, same = _runs(cells.reshape(len(cells), n * n))
+    if same.any():
+        # the earliest repeat is the second of its run, after the first copy
+        later = np.flatnonzero(same) + 1
+        k = later[np.argmin(order[later])]
+        raise SquareError(int(order[k]), repeats=int(order[k - 1]))
+
+    rows = cells.reshape(-1, n)
+    order, same = _runs(rows)
+    ids = np.empty(len(rows), np.intp)
+    ids[order] = np.cumsum(np.r_[0, ~same])
+    table = tuple(map(tuple, rows[order[np.r_[True, ~same]]].tolist()))
+    ids = ids.reshape(len(cells), n)
+    items, row, new, put = [], table.__getitem__, object.__new__, object.__setattr__
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for start in range(0, len(cells), BULK_CHUNK):
+            for square in ids[start:start + BULK_CHUNK].tolist():
+                x = new(LatinSquare)
+                put(x, "n", n)
+                put(x, "rows", tuple(map(row, square)))
+                items.append(x)
+    finally:
+        if enabled:
+            gc.enable()
+    return tuple(items)
+
+
 def to_latin_cube(obj: TripleSystem | EdgeColoring) -> LatinSquare:
     """Embed a design into its Latin-square matrix form.
 
@@ -346,9 +430,20 @@ def from_json_dict(d: Mapping) -> TripleSystem | EdgeColoring | LatinSquare:
 
 # json.dumps with options builds a new encoder per call; one is enough
 _ENCODER = json.JSONEncoder(separators=(",", ":"), sort_keys=True)
+# per n, the encoder's output for a Latin square with %d for each entry
+_LATIN_FORMATS: dict[int, str] = {}
+
+
+def _latin_format(n: int) -> str:
+    row = "[" + ",".join(["%d"] * n) + "]"
+    return '{"kind":"latin","n":%d,"rows":[%s]}' % (n, ",".join([row] * n))
 
 
 def dumps(obj: TripleSystem | EdgeColoring | LatinSquare) -> str:
+    if isinstance(obj, LatinSquare):
+        # its entries are ints, which %d writes as the encoder does
+        form = _LATIN_FORMATS.get(obj.n) or _LATIN_FORMATS.setdefault(obj.n, _latin_format(obj.n))
+        return form % tuple(chain.from_iterable(obj.rows))
     return _ENCODER.encode(to_json_dict(obj))
 
 

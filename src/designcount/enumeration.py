@@ -25,8 +25,10 @@ complete total by the labeled designs each pinned leaf stands for:
   unordered partition: labeled = unordered x (n-1)!.
 
 A partial count (node budget hit) is the pinned leaves found, unscaled.
-Pools collect every labeled design from the full start state
-(``pinned=False``), which ``_count`` can also run as a reference.
+Triple-system and coloring pools collect every labeled design from the
+full start state (``pinned=False``), which ``_count`` can also run as a
+reference; the Latin pool expands the reduced squares of the pinned
+search by row and column permutations (``_latin_cells``).
 
 Both kernels stop at a depth ``cut``, where they append the choice path
 to ``sink`` (if given) and count 1.  At the full depth that counts or
@@ -41,22 +43,27 @@ throughout; nothing here overflows.
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 
 from .core import (
+    BULK_CHUNK,
+    NOT_LATIN,
     CountResult,
     DesignError,
     EdgeColoring,
     LatinSquare,
+    SquareError,
     TripleSystem,
     dumps,
+    latin_squares,
     loads,
     one_factorization_feasible,
     sts_feasible,
@@ -362,10 +369,12 @@ def count_latin_squares(n: int, config: SearchConfig | None = None) -> CountResu
 def enumerate_pool(kind: str, n: int) -> Pool:
     """Materialize the complete pool of designs of one kind.
 
-    kind is "sts", "1f-labeled", or "latin".  The pool is one collect
-    pass of the counting search, which appends each leaf where the count
-    adds it, so its size is the count.  Every element passes the core
-    validators.
+    kind is "sts", "1f-labeled", or "latin".  Triple systems and
+    colorings are one collect pass of the full labeled search, which
+    appends each leaf where the count adds it, so the pool's size is the
+    count; Latin squares are derived from the reduced ones
+    (``_latin_cells``), in the order the full search would list them.
+    Every element passes the core validators.
     """
     if kind not in POOL_GATES:
         raise DesignError(f"unknown pool kind {kind!r}")
@@ -373,23 +382,43 @@ def enumerate_pool(kind: str, n: int) -> Pool:
         raise PoolTooLargeError(f"{kind} pool gated at n <= {POOL_GATES[kind]}, got {n}")
     if not _feasible("1f" if kind == "1f-labeled" else kind, n):
         return Pool(kind, n, ())
+    if kind == "latin":
+        return Pool(kind, n, latin_squares(n, _latin_cells(n)))
 
     kernel, args, state, depth, full_depth, _ = _start(kind, n, pinned=False)
     paths: list = []
     kernel(*args, state, depth, full_depth, _Budget(None), paths, [])
     if kind == "sts":
         items = tuple(validate_triple_system(n, triples) for triples in paths)
-    elif kind == "1f-labeled":
+    else:
         edges = list(combinations(range(1, n + 1), 2))
         items = tuple(validate_edge_coloring(n, dict(zip(edges, colors))) for colors in paths)
-    else:
-        items = tuple(
-            LatinSquare(n=n, rows=tuple(tuple(sym[r * n:(r + 1) * n]) for r in range(n)))
-            for sym in paths
-        )
     if _has_duplicates(items):
         raise DesignError(f"{kind} n={n} pool lists a design twice")
     return Pool(kind, n, items)
+
+
+def _latin_cells(n: int) -> np.ndarray:
+    """Every Latin square of order n, as one (L(n), n, n) int8 array.
+
+    The pinned search collects the R(n) reduced squares (first row and
+    column 1..n).  Each is expanded by all n! column permutations and
+    all (n-1)! permutations of rows 2..n: a square's first row fixes the
+    column permutation and then its first column the row permutation, so
+    each labeled square arises exactly once.  The full search lists
+    squares in lexicographic order of their row-major cells, and one
+    lexsort restores that order.
+    """
+    kernel, args, state, depth, full_depth, _ = _start("latin", n, pinned=True)
+    inner: list = []
+    kernel(*args, state, depth, full_depth, _Budget(None), inner, [])
+    reduced = np.empty((len(inner), n, n), np.int8)
+    reduced[:, 0, :] = reduced[:, :, 0] = np.arange(1, n + 1)
+    reduced[:, 1:, 1:] = np.array(inner, np.int8).reshape(len(inner), n - 1, n - 1)
+    cols = np.array(list(permutations(range(n))))
+    rows = np.array([(0, *p) for p in permutations(range(1, n))])
+    squares = reduced[:, rows[:, None, :, None], cols[None, :, None, :]].reshape(-1, n * n)
+    return squares[np.lexsort(squares.T[::-1])].reshape(-1, n, n)
 
 
 def _has_duplicates(items) -> bool:
@@ -412,7 +441,8 @@ def sample_uniform(pool: Pool, seed: int, count: int) -> list:
         raise EmptyPoolError(f"pool {pool.kind} n={pool.n} is empty")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     idx = rng.integers(0, len(pool.items), size=count)
-    return [pool.items[k] for k in idx]
+    items = pool.items
+    return [items[k] for k in idx.tolist()]
 
 
 def pool_to_jsonl(pool: Pool) -> str:
@@ -428,23 +458,96 @@ def pool_from_jsonl(kind: str, n: int, text: str) -> Pool:
     """
     if kind not in _POOL_TYPES:
         raise DesignError(f"unknown pool kind {kind!r}")
-    want = _POOL_TYPES[kind]
-    items = []
-    for number, line in enumerate(text.splitlines(), 1):
-        if not line.strip():
-            continue
-        try:
-            obj = loads(line)
-        except ValueError as e:   # a design error or undecodable JSON
-            raise DesignError(f"pool line {number}: {e}") from None
-        if type(obj) is not want or obj.n != n:
-            raise DesignError(f"pool line {number} holds {to_json_dict(obj)['kind']} "
-                              f"n={obj.n}, wanted {kind} n={n}")
-        items.append(obj)
+    lines = text.splitlines()
+    if kind == "latin":
+        return Pool(kind, n, _latin_from_lines(n, lines))
+    items = [_load_line(kind, n, number, line)
+             for number, line in enumerate(lines, 1) if line.strip()]
     if _has_duplicates(items):
-        numbers = (k for k, line in enumerate(text.splitlines(), 1) if line.strip())
         first_line: dict = {}
-        for number, obj in zip(numbers, items):
+        for number, obj in zip(_numbers(lines), items):
             if first_line.setdefault(obj, number) != number:
                 raise DesignError(f"pool line {number} repeats line {first_line[obj]}")
     return Pool(kind, n, tuple(items), complete=True)
+
+
+def _numbers(lines: list) -> list:
+    """The line numbers of the non-blank lines, the ones that hold designs."""
+    return [number for number, line in enumerate(lines, 1) if line.strip()]
+
+
+def _load_line(kind: str, n: int, number: int, line: str):
+    """One line through the per-object loader, its error naming the line."""
+    try:
+        obj = loads(line)
+    except ValueError as e:   # a design error or undecodable JSON
+        raise DesignError(f"pool line {number}: {e}") from None
+    if type(obj) is not _POOL_TYPES[kind] or obj.n != n:
+        raise DesignError(f"pool line {number} holds {to_json_dict(obj)['kind']} "
+                          f"n={obj.n}, wanted {kind} n={n}")
+    return obj
+
+
+def _latin_from_lines(n: int, lines: list) -> tuple:
+    """The squares on the non-blank lines, checked and built in bulk.
+
+    A line that is not a latin object of order n with n rows of n ints
+    goes through the per-object loader, which words its error, so the
+    first such line is reported first; then the first square that is
+    not Latin, then the first that repeats an earlier one.
+    """
+    chunks, flat, numbers = [], [], []
+    for number, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        try:
+            d = json.loads(line)
+        except ValueError:
+            d = None
+        rows = (d.get("rows") if type(d) is dict and d.get("kind") == "latin"
+                and type(d.get("n")) is int and d["n"] == n else None)
+        if not (type(rows) is list and len(rows) == n
+                and all([type(r) is list and len(r) == n for r in rows])):
+            _check_ints(n, flat, numbers, lines)   # earlier lines first
+            rows = _load_line("latin", n, number, line).rows
+        for r in rows:
+            flat += r
+        numbers.append(number)
+        if len(numbers) == BULK_CHUNK:
+            chunks.append(_int_cells(n, flat, numbers, lines))
+            flat, numbers = [], []
+    if numbers:
+        chunks.append(_int_cells(n, flat, numbers, lines))
+    if not chunks:
+        return ()
+    try:
+        return latin_squares(n, np.concatenate(chunks))
+    except SquareError as e:
+        numbers = _numbers(lines)
+        if e.repeats is None:
+            raise DesignError(f"pool line {numbers[e.index]}: {NOT_LATIN}") from None
+        raise DesignError(f"pool line {numbers[e.index]} repeats line "
+                          f"{numbers[e.repeats]}") from None
+
+
+def _check_ints(n: int, flat: list, numbers: list, lines: list) -> None:
+    """Reject the first of the squares on lines ``numbers`` (entries in
+    ``flat``) with an entry that is not an int, through the per-object
+    loader; a bool or a float would pass as one in an int array."""
+    if set(map(type, flat)) - {int}:
+        size = n * n
+        for k, number in enumerate(numbers):
+            if set(map(type, flat[k * size:(k + 1) * size])) - {int}:
+                _load_line("latin", n, number, lines[number - 1])   # raises
+
+
+def _int_cells(n: int, flat: list, numbers: list, lines: list) -> np.ndarray:
+    """The squares on lines ``numbers`` as a (len(numbers), n, n) array of
+    small ints.  When an entry does not fit a byte, every int outside 1..n
+    becomes 0, which no Latin square holds, so the Latin check still fails."""
+    _check_ints(n, flat, numbers, lines)
+    try:
+        cells = np.frombuffer(bytes(flat), np.uint8)
+    except ValueError:   # an int outside 0..255
+        cells = np.array([v if 1 <= v <= n else 0 for v in flat], np.min_scalar_type(n))
+    return cells.reshape(len(numbers), n, n)

@@ -1,11 +1,17 @@
 """Validation, conversions, and interchange format of the core types."""
 
+import gc
 import json
+import pickle
 import random
+import re
 
+import numpy as np
 import pytest
 
+from designcount import core
 from designcount.core import (
+    NOT_LATIN,
     BadColorError,
     BadVertexError,
     ColorClashError,
@@ -14,10 +20,12 @@ from designcount.core import (
     LatinSquare,
     MissingEdgeError,
     SameVertexError,
+    SquareError,
     UncoveredPairError,
     dumps,
     from_json_dict,
     is_latin,
+    latin_squares,
     loads,
     one_factorization_feasible,
     sts_feasible,
@@ -259,6 +267,117 @@ def _perturb(rnd, rows, n):
         rows[r] = list(rows[rnd.randrange(n)])
     else:                  # transpose, which keeps it Latin
         rows[:] = [list(col) for col in zip(*rows)]
+
+
+class TestLatinSquaresInBulk:
+    """``latin_squares`` against ``is_latin`` and the ``LatinSquare`` checks."""
+
+    def test_agrees_with_the_constructor_on_near_latin_arrays(self):
+        rnd = random.Random(20261019)
+        accepted = rejected = 0
+        for n in range(1, 7):
+            for _ in range(400):
+                rows = _random_latin(rnd, n)
+                if rnd.random() < 0.7:
+                    _perturb(rnd, rows, n)
+                try:
+                    want = LatinSquare(n=n, rows=tuple(map(tuple, rows)))
+                except DesignError as e:
+                    assert str(e) == NOT_LATIN and not is_latin(rows)
+                    with pytest.raises(SquareError, match=f"^square 0: {NOT_LATIN}$") as info:
+                        latin_squares(n, np.array([rows], np.int8))
+                    assert (info.value.index, info.value.repeats) == (0, None)
+                    rejected += 1
+                    continue
+                assert is_latin(rows)
+                for dtype in (np.int8, np.uint8, np.int64):
+                    (got,) = latin_squares(n, np.array([rows], dtype))
+                    assert got == want and hash(got) == hash(want)
+                    assert pickle.dumps(got) == pickle.dumps(want)
+                    assert type(got.rows[0][0]) is int
+                accepted += 1
+        assert accepted > 600 and rejected > 600   # both answers are exercised
+
+    def test_names_the_first_square_that_is_not_latin(self):
+        rnd = random.Random(7)
+        for n in (3, 5):
+            squares = [_random_latin(rnd, n) for _ in range(40)]
+            for bad in (0, 17, 39):
+                cells = np.array(squares, np.int64)
+                cells[bad, 0, 0] = n + 1 if bad == 17 else 0
+                cells[39, 1, 1] = -3
+                with pytest.raises(SquareError, match=f"^square {bad}: ") as info:
+                    latin_squares(n, cells)
+                assert info.value.index == bad
+
+    def test_names_the_first_repeat_as_the_line_loader_did(self):
+        # the earliest square equal to an earlier one, and the first of those
+        rnd = random.Random(11)
+        distinct = [_random_latin(rnd, 4) for _ in range(12)]
+        distinct = [s for k, s in enumerate(distinct) if s not in distinct[:k]]
+        for trial in range(200):
+            picks = [rnd.randrange(len(distinct)) for _ in range(rnd.randint(1, 9))]
+            first_seen, want = {}, None
+            for k, p in enumerate(picks):
+                if first_seen.setdefault(p, k) != k:
+                    want = (k, first_seen[p])
+                    break
+            cells = np.array([distinct[p] for p in picks], np.int8)
+            if want is None:
+                assert len(latin_squares(4, cells)) == len(picks)
+                continue
+            with pytest.raises(SquareError, match=f"^square {want[0]} repeats square {want[1]}$"):
+                latin_squares(4, cells)
+
+    def test_built_objects_equal_validated_ones(self):
+        pool = enumerate_pool("latin", 4).items
+        again = latin_squares(4, np.array([x.rows for x in pool]))
+        assert again == pool
+        for got, want in zip(again, pool):
+            fresh = LatinSquare(n=4, rows=want.rows)
+            assert got == fresh and hash(got) == hash(fresh)
+            assert pickle.dumps(got) == pickle.dumps(fresh)
+            assert pickle.loads(pickle.dumps(got)) == fresh
+
+    def test_rejects_arrays_of_another_shape_or_type(self):
+        square = [[1, 2], [2, 1]]
+        for cells, what in ((np.array([square], float), "float64 (1, 2, 2)"),
+                            (np.array([square]) > 1, "bool (1, 2, 2)"),
+                            (np.array(square), "int64 (2, 2)"),
+                            (np.ones((1, 2, 3), int), "int64 (1, 2, 3)")):
+            with pytest.raises(DesignError,
+                               match=re.escape(f"expected an (N, 2, 2) integer array, got {what}")):
+                latin_squares(2, cells)
+        with pytest.raises(DesignError, match="latin design: n must be an int, got True"):
+            latin_squares(True, np.ones((1, 1, 1), int))
+
+    def test_no_squares_and_order_zero(self):
+        assert latin_squares(3, np.empty((0, 3, 3), np.int8)) == ()
+        assert latin_squares(0, np.empty((0, 0, 0), np.int8)) == ()
+        with pytest.raises(SquareError, match="^square 0: "):
+            latin_squares(0, np.empty((1, 0, 0), np.int8))   # as LatinSquare(n=0, rows=())
+        with pytest.raises(DesignError, match=NOT_LATIN):
+            LatinSquare(n=0, rows=())
+
+    def test_restores_the_garbage_collector(self):
+        cells = np.array([[[1, 2], [2, 1]]])
+        assert gc.isenabled()
+        latin_squares(2, cells)
+        assert gc.isenabled()
+        gc.disable()
+        try:
+            latin_squares(2, cells)
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+    def test_dumps_template_matches_the_encoder(self):
+        # two-digit symbols from n = 10
+        rnd = random.Random(5)
+        for n in range(1, 13):
+            for _ in range(5):
+                sq = LatinSquare(n=n, rows=tuple(map(tuple, _random_latin(rnd, n))))
+                assert dumps(sq) == core._ENCODER.encode(to_json_dict(sq))
 
 
 class TestFeasibility:

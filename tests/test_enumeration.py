@@ -1,12 +1,23 @@
 """Exact counters against independent naive oracles, and pool behavior."""
 
 import hashlib
+import json
 import math
+import pickle
 
+import numpy as np
 import pytest
 
-from designcount import enumeration
-from designcount.core import DesignError, dumps, loads, validate_triple_system
+from designcount import core, enumeration
+from designcount.core import (
+    DesignError,
+    LatinSquare,
+    dumps,
+    loads,
+    to_json_dict,
+    to_latin_cube,
+    validate_triple_system,
+)
 from designcount.enumeration import (
     EmptyPoolError,
     Pool,
@@ -265,12 +276,26 @@ class TestPools:
         ("sts", 9, "f706972b28adadc05a75d84c9423bd8c313ab08dbc013e72c38f576f13438445"),
         ("1f-labeled", 6, "8e0d34425c2c1d8b2a89783e490fd115485f863b29229d78bf95b9e16f22fdae"),
         ("latin", 4, "6eb0f7edd259a4bf71d16f0c55d1c320f9c05d8706986860cc73267dce2d0ace"),
+        ("latin", 5, "99bbb0b86b98c033fa05ad3b5134b8e0de8fb70ca091a3a6fb993d5139b00cbe"),
     ])
     def test_pool_order_is_pinned(self, kind, n, digest):
         # Monte Carlo draws designs by pool index, so a reordered pool would
         # silently change every fixed-seed estimate
         text = pool_to_jsonl(enumerate_pool(kind, n))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_latin_pool_is_the_full_search(self, n):
+        # derived from the reduced squares, the pool is what a collect pass
+        # of the full labeled search lists, in the same order
+        kernel, args, state, depth, full_depth, _ = enumeration._start("latin", n, pinned=False)
+        paths = []
+        kernel(*args, state, depth, full_depth, enumeration._Budget(None), paths, [])
+        want = [LatinSquare(n=n, rows=tuple(tuple(p[r * n:(r + 1) * n]) for r in range(n)))
+                for p in paths]
+        got = enumerate_pool("latin", n).items
+        assert list(got) == want and len(want) == count_latin_squares(n).count
+        assert [pickle.dumps(x) for x in got] == [pickle.dumps(x) for x in want]
 
     def test_jsonl_round_trip(self):
         p = enumerate_pool("1f-labeled", 4)
@@ -324,7 +349,148 @@ class TestPools:
             pool_from_jsonl("1f-labeled", 4, text)
 
 
+def _per_object_load(kind, n, text):
+    """The line-by-line loader: each line through ``loads``, then the first
+    line equal to an earlier one."""
+    first_line, items = {}, []
+    for number, line in enumerate(text.splitlines(), 1):
+        if not line.strip():
+            continue
+        try:
+            obj = loads(line)
+        except ValueError as e:
+            raise DesignError(f"pool line {number}: {e}") from None
+        if to_json_dict(obj)["kind"] != {"1f-labeled": "1f"}.get(kind, kind) or obj.n != n:
+            raise DesignError(f"pool line {number} holds {to_json_dict(obj)['kind']} "
+                              f"n={obj.n}, wanted {kind} n={n}")
+        items.append((number, obj))
+    for number, obj in items:
+        if first_line.setdefault(obj, number) != number:
+            raise DesignError(f"pool line {number} repeats line {first_line[obj]}")
+    return tuple(obj for _, obj in items)
+
+
+class TestLatinLoader:
+    """The bulk latin loader against the line-by-line one."""
+
+    @pytest.fixture(scope="class")
+    def lines(self):
+        # every 997th Latin square of order 5, with two blank lines
+        squares = enumeration._latin_cells(5)[::997]
+        lines = [dumps(LatinSquare(n=5, rows=tuple(map(tuple, s)))) for s in squares.tolist()]
+        return lines[:50] + [""] + lines[50:100] + ["   "] + lines[100:]
+
+    @staticmethod
+    def _error(load, text):
+        with pytest.raises(DesignError) as info:
+            load("latin", 5, text)
+        return str(info.value)
+
+    @pytest.mark.parametrize("bad, message", [
+        ("true", "pool line 120: Latin square entries must be ints"),
+        ("1.0", "pool line 120: Latin square entries must be ints"),
+        ("0", "pool line 120: matrix is not a Latin square"),
+        ("6", "pool line 120: matrix is not a Latin square"),
+        ("300", "pool line 120: matrix is not a Latin square"),
+        ("257", "pool line 120: matrix is not a Latin square"),
+        ("-1", "pool line 120: matrix is not a Latin square"),
+        ("18446744073709551616", "pool line 120: matrix is not a Latin square"),
+        ("null", "pool line 120: matrix is not a Latin square"),
+        ("[1]", "pool line 120: malformed latin design: TypeError"),
+        ("four rows", "pool line 120: declared n=5 but got 4 rows"),
+        ("a 6-entry row", "pool line 120: matrix is not a Latin square"),
+        ("a row that is not a list", "pool line 120: malformed latin design: TypeError"),
+        ("not Latin", "pool line 120: matrix is not a Latin square"),
+        ("n=4", "pool line 120: declared n=4 but got 5 rows"),
+        ("n=true", "pool line 120: latin design: n must be an int, got True"),
+        ("not JSON", "pool line 120: Expecting"),
+    ])
+    def test_a_bad_line_is_named(self, lines, bad, message):
+        d = json.loads(lines[119])
+        rows = d["rows"]
+        if bad == "four rows":
+            del rows[4]
+        elif bad == "a 6-entry row":
+            rows[2].append(1)
+        elif bad == "a row that is not a list":
+            rows[2] = 12345
+        elif bad == "not Latin":
+            rows[0][0], rows[0][1] = rows[0][1], rows[0][0]
+        elif bad == "n=4":
+            d["n"] = 4
+        elif bad == "n=true":
+            d["n"] = True
+        elif bad != "not JSON":
+            rows[3][rows[3].index(1)] = json.loads(bad)
+        line = "{" if bad == "not JSON" else json.dumps(d)
+        text = "\n".join(lines[:119] + [line] + lines[120:]) + "\n"
+        got = self._error(pool_from_jsonl, text)
+        assert got.startswith(message) and got == self._error(_per_object_load, text)
+
+    def test_a_line_of_another_kind(self, lines):
+        fano = validate_triple_system(7, oracles.FANO)
+        text = dumps(to_latin_cube(fano)) + "\n" + dumps(fano) + "\n"
+        with pytest.raises(DesignError, match="^pool line 2 holds sts n=7, wanted latin n=7$"):
+            pool_from_jsonl("latin", 7, text)
+        assert pool_from_jsonl("latin", 7, text.splitlines()[0]).items == (to_latin_cube(fano),)
+
+    @pytest.mark.parametrize("copies, message", [
+        ([(7, 60)], "pool line 61 repeats line 8"),
+        ([(30, 140), (7, 60), (7, 90)], "pool line 61 repeats line 8"),
+        ([(55, 90), (3, 140)], "pool line 91 repeats line 56"),
+        ([(99, 103), (103, 104)], "pool line 104 repeats line 100"),
+    ])
+    def test_the_first_repeat_is_named(self, lines, copies, message):
+        lines = list(lines)
+        for source, at in copies:   # indices into lines
+            lines[at] = lines[source]
+        text = "\n".join(lines)
+        assert self._error(pool_from_jsonl, text) == message
+        assert self._error(_per_object_load, text) == message
+
+    def test_line_faults_come_before_square_faults(self, lines):
+        # line by line the first bad line was named; in bulk a line the
+        # per-object loader must word comes first, then squares that are not
+        # Latin, then repeats
+        lines = list(lines)
+        lines[10] = lines[5]
+        lines[20] = lines[20].replace("1", "2", 1)
+        assert self._error(pool_from_jsonl, "\n".join(lines)) == (
+            "pool line 21: matrix is not a Latin square")
+        lines[40] = lines[40].replace("1", "true", 1)
+        assert self._error(pool_from_jsonl, "\n".join(lines)) == (
+            "pool line 41: Latin square entries must be ints")
+        lines[45] = "[]"
+        assert self._error(pool_from_jsonl, "\n".join(lines)) == (
+            "pool line 41: Latin square entries must be ints")
+        lines[30] = "[]"
+        assert self._error(pool_from_jsonl, "\n".join(lines)) == (
+            "pool line 31: a design is a JSON object, got list")
+        lines[35] = lines[35].replace("1", "1.0", 1)
+        assert self._error(pool_from_jsonl, "\n".join(lines)) == (
+            "pool line 31: a design is a JSON object, got list")
+
+    def test_round_trip_and_chunks(self, lines, monkeypatch):
+        text = "\n".join(lines) + "\n"
+        want = _per_object_load("latin", 5, text)
+        for chunk in (1, 7, 4096):
+            monkeypatch.setattr(enumeration, "BULK_CHUNK", chunk)
+            monkeypatch.setattr(core, "BULK_CHUNK", chunk)
+            assert pool_from_jsonl("latin", 5, text).items == want
+        assert pool_from_jsonl("latin", 5, "\n \n").items == ()
+
+
 class TestSampling:
+    def test_draws_are_the_pool_objects(self):
+        # indexing by Python ints picks the very objects numpy scalars did
+        for kind, n in (("latin", 4), ("sts", 7)):
+            p = enumerate_pool(kind, n)
+            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(99)))
+            idx = rng.integers(0, len(p.items), size=500)
+            old = [p.items[k] for k in idx]
+            new = sample_uniform(p, 99, 500)
+            assert len(new) == 500 and all(a is b for a, b in zip(new, old))
+
     def test_determinism(self):
         p = enumerate_pool("sts", 7)
         a = sample_uniform(p, 42, 100)
