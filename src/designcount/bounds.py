@@ -163,6 +163,8 @@ def conjectured_rate_log(n: int, k: int) -> LogScalar:
     """log of (n/e^2)^(n^2/k) with the vanishing correction dropped."""
     if k not in (6, 2, 1):
         raise BadKError(f"k must be 6, 2 or 1, got {k}")
+    if n < 1:
+        raise DesignError(f"n must be >= 1, got {n}")
     return LogScalar((n * n / float(k)) * (math.log(n) - 2.0))
 
 
@@ -208,6 +210,8 @@ def bound_report(n: int, names=None, latin_count: int | None = None,
     and unordered F(n/2) feeding the recursive lower bound.
     """
     names = list(names) if names is not None else list(BOUND_NAMES)
+    if abs(n) >= 10**150:   # n^2 log n, a float in every bound, must stay finite
+        raise DesignError("|n| must be below 10^150")
     bounds: dict[str, LogScalar] = {}
     notes: dict[str, str] = {}
     for name in names:
@@ -216,6 +220,8 @@ def bound_report(n: int, names=None, latin_count: int | None = None,
         elif name == "wilson-upper":
             bounds[name] = wilson_bounds(n)[1]
         elif name == "kahn-lovasz":
+            if n < 2:   # K_n for n < 2 has no edges, so no degree sequence
+                raise DesignError(f"n must be >= 2, got {n}")
             bounds[name] = kahn_lovasz_log([n - 1] * n)
             notes[name] = "complete-graph degree sequence"
         elif name == "peel":

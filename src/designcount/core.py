@@ -449,3 +449,27 @@ def dumps(obj: TripleSystem | EdgeColoring | LatinSquare) -> str:
 
 def loads(text: str) -> TripleSystem | EdgeColoring | LatinSquare:
     return from_json_dict(json.loads(text))
+
+
+def canonical_latin_cells(n: int, text: str) -> np.ndarray | None:
+    """The cells of a text in exactly the form ``dumps`` gives order-n
+    squares, one a line and each line ending in a newline, as an
+    (N, n, n) uint8 array; None for any other text.
+
+    Only orders 1..9 qualify, whose entries are one digit each: the text
+    is then an (N, line length) byte array whose columns outside the
+    entries equal the template and whose entry columns hold 0-9.  The
+    cells are not checked for the Latin property.
+    """
+    if not 1 <= n <= 9:
+        return None
+    template = np.frombuffer((_latin_format(n).replace("%d", "\0") + "\n").encode(), np.uint8)
+    data = np.frombuffer(text.encode(), np.uint8)
+    if len(data) % len(template):
+        return None
+    lines = data.reshape(-1, len(template))
+    entry = template == 0
+    cells = lines[:, entry] - np.uint8(ord("0"))
+    if not ((lines[:, ~entry] == template[~entry]).all() and (cells <= 9).all()):
+        return None
+    return cells.reshape(-1, n, n)

@@ -43,7 +43,6 @@ throughout; nothing here overflows.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import time
@@ -54,7 +53,6 @@ from itertools import combinations, permutations
 import numpy as np
 
 from .core import (
-    BULK_CHUNK,
     NOT_LATIN,
     CountResult,
     DesignError,
@@ -62,6 +60,7 @@ from .core import (
     LatinSquare,
     SquareError,
     TripleSystem,
+    canonical_latin_cells,
     dumps,
     latin_squares,
     loads,
@@ -111,7 +110,6 @@ class Pool:
     kind: str
     n: int
     items: tuple = ()
-    complete: bool = True
 
     def __len__(self) -> int:
         return len(self.items)
@@ -393,8 +391,6 @@ def enumerate_pool(kind: str, n: int) -> Pool:
     else:
         edges = list(combinations(range(1, n + 1), 2))
         items = tuple(validate_edge_coloring(n, dict(zip(edges, colors))) for colors in paths)
-    if _has_duplicates(items):
-        raise DesignError(f"{kind} n={n} pool lists a design twice")
     return Pool(kind, n, items)
 
 
@@ -421,22 +417,8 @@ def _latin_cells(n: int) -> np.ndarray:
     return squares[np.lexsort(squares.T[::-1])].reshape(-1, n, n)
 
 
-def _has_duplicates(items) -> bool:
-    """True iff two of the validated designs are equal.
-
-    Designs compare by value, which for designs with int entries is the
-    same as comparing their dumps.  Sorted hashes take 8 bytes a design where a
-    set takes about 50, so only equal hashes build the set.
-    """
-    hashes = np.fromiter(map(hash, items), np.int64, len(items))
-    hashes.sort()
-    return bool((hashes[1:] == hashes[:-1]).any()) and len(set(items)) != len(items)
-
-
 def sample_uniform(pool: Pool, seed: int, count: int) -> list:
     """Independent uniform draws from a complete pool, reproducible by seed."""
-    if not pool.complete:
-        raise DesignError("sampling requires a complete pool")
     if len(pool) == 0:
         raise EmptyPoolError(f"pool {pool.kind} n={pool.n} is empty")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
@@ -454,26 +436,27 @@ def pool_from_jsonl(kind: str, n: int, text: str) -> Pool:
     """Load a pool written by `pool_to_jsonl`, validating every line.
 
     Each non-blank line must be a JSON object holding a valid design of
-    the pool's kind and n, and no design may appear twice.
+    the pool's kind and n, and no design may appear twice: the first bad
+    line, else the first line equal to an earlier one, is named.  A latin
+    text exactly as `pool_to_jsonl` writes it (``canonical_latin_cells``)
+    is checked and built as one array, with the same result.
     """
     if kind not in _POOL_TYPES:
         raise DesignError(f"unknown pool kind {kind!r}")
-    lines = text.splitlines()
-    if kind == "latin":
-        return Pool(kind, n, _latin_from_lines(n, lines))
-    items = [_load_line(kind, n, number, line)
-             for number, line in enumerate(lines, 1) if line.strip()]
-    if _has_duplicates(items):
-        first_line: dict = {}
-        for number, obj in zip(_numbers(lines), items):
-            if first_line.setdefault(obj, number) != number:
-                raise DesignError(f"pool line {number} repeats line {first_line[obj]}")
-    return Pool(kind, n, tuple(items), complete=True)
-
-
-def _numbers(lines: list) -> list:
-    """The line numbers of the non-blank lines, the ones that hold designs."""
-    return [number for number, line in enumerate(lines, 1) if line.strip()]
+    cells = canonical_latin_cells(n, text) if kind == "latin" else None
+    if cells is not None:
+        try:
+            return Pool(kind, n, latin_squares(n, cells))
+        except SquareError as e:   # square k is on line k + 1
+            fault = f": {NOT_LATIN}" if e.repeats is None else f" repeats line {e.repeats + 1}"
+            raise DesignError(f"pool line {e.index + 1}{fault}") from None
+    items = [(number, _load_line(kind, n, number, line))
+             for number, line in enumerate(text.splitlines(), 1) if line.strip()]
+    first_line: dict = {}
+    for number, obj in items:
+        if first_line.setdefault(obj, number) != number:
+            raise DesignError(f"pool line {number} repeats line {first_line[obj]}")
+    return Pool(kind, n, tuple(obj for _, obj in items))
 
 
 def _load_line(kind: str, n: int, number: int, line: str):
@@ -486,68 +469,3 @@ def _load_line(kind: str, n: int, number: int, line: str):
         raise DesignError(f"pool line {number} holds {to_json_dict(obj)['kind']} "
                           f"n={obj.n}, wanted {kind} n={n}")
     return obj
-
-
-def _latin_from_lines(n: int, lines: list) -> tuple:
-    """The squares on the non-blank lines, checked and built in bulk.
-
-    A line that is not a latin object of order n with n rows of n ints
-    goes through the per-object loader, which words its error, so the
-    first such line is reported first; then the first square that is
-    not Latin, then the first that repeats an earlier one.
-    """
-    chunks, flat, numbers = [], [], []
-    for number, line in enumerate(lines, 1):
-        if not line.strip():
-            continue
-        try:
-            d = json.loads(line)
-        except ValueError:
-            d = None
-        rows = (d.get("rows") if type(d) is dict and d.get("kind") == "latin"
-                and type(d.get("n")) is int and d["n"] == n else None)
-        if not (type(rows) is list and len(rows) == n
-                and all([type(r) is list and len(r) == n for r in rows])):
-            _check_ints(n, flat, numbers, lines)   # earlier lines first
-            rows = _load_line("latin", n, number, line).rows
-        for r in rows:
-            flat += r
-        numbers.append(number)
-        if len(numbers) == BULK_CHUNK:
-            chunks.append(_int_cells(n, flat, numbers, lines))
-            flat, numbers = [], []
-    if numbers:
-        chunks.append(_int_cells(n, flat, numbers, lines))
-    if not chunks:
-        return ()
-    try:
-        return latin_squares(n, np.concatenate(chunks))
-    except SquareError as e:
-        numbers = _numbers(lines)
-        if e.repeats is None:
-            raise DesignError(f"pool line {numbers[e.index]}: {NOT_LATIN}") from None
-        raise DesignError(f"pool line {numbers[e.index]} repeats line "
-                          f"{numbers[e.repeats]}") from None
-
-
-def _check_ints(n: int, flat: list, numbers: list, lines: list) -> None:
-    """Reject the first of the squares on lines ``numbers`` (entries in
-    ``flat``) with an entry that is not an int, through the per-object
-    loader; a bool or a float would pass as one in an int array."""
-    if set(map(type, flat)) - {int}:
-        size = n * n
-        for k, number in enumerate(numbers):
-            if set(map(type, flat[k * size:(k + 1) * size])) - {int}:
-                _load_line("latin", n, number, lines[number - 1])   # raises
-
-
-def _int_cells(n: int, flat: list, numbers: list, lines: list) -> np.ndarray:
-    """The squares on lines ``numbers`` as a (len(numbers), n, n) array of
-    small ints.  When an entry does not fit a byte, every int outside 1..n
-    becomes 0, which no Latin square holds, so the Latin check still fails."""
-    _check_ints(n, flat, numbers, lines)
-    try:
-        cells = np.frombuffer(bytes(flat), np.uint8)
-    except ValueError:   # an int outside 0..255
-        cells = np.array([v if 1 <= v <= n else 0 for v in flat], np.min_scalar_type(n))
-    return cells.reshape(len(numbers), n, n)

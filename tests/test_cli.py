@@ -109,6 +109,25 @@ class TestBounds:
         code, out, err = run(capsys, "bounds", "--n", "10", "--list", "cameron-lower")
         assert (code, out, err) == (1, "", "error: recursive bound needs 4 | n, got 10\n")
 
+    @pytest.mark.parametrize("n, names, message", [
+        ("0", "conjecture-6", "n must be >= 1, got 0"),
+        ("-4", "conjecture-1", "n must be >= 1, got -4"),
+        ("-3", "kahn-lovasz", "n must be >= 2, got -3"),
+        ("0", "kahn-lovasz", "n must be >= 2, got 0"),
+        ("1", "kahn-lovasz", "n must be >= 2, got 1"),
+        (str(10**400), "wilson-upper", "|n| must be below 10^150"),
+        (str(-10**400), "conjecture-6", "|n| must be below 10^150"),
+        (str(13 * 10**153), "conjecture-6", "|n| must be below 10^150"),
+    ])
+    def test_bad_n_is_one_error_line(self, capsys, n, names, message):
+        code, out, err = run(capsys, "bounds", "--n", n, "--list", names)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    def test_largest_n_gives_finite_logs(self, capsys):
+        code, out, _ = run(capsys, "bounds", "--n", str(10**150 - 1), "--format", "json",
+                           "--list", "wilson-lower,wilson-upper,conjecture-6,conjecture-1")
+        assert code == 0 and all(map(math.isfinite, json.loads(out)["bounds"].values()))
+
     def test_csv_header(self, capsys):
         code, out, _ = run(capsys, "bounds", "--n", "8",
                            "--list", "peel,cameron-lower", "--format", "csv")

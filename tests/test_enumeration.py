@@ -1,5 +1,6 @@
 """Exact counters against independent naive oracles, and pool behavior."""
 
+import functools
 import hashlib
 import json
 import math
@@ -214,7 +215,7 @@ class TestPools:
 
     def test_infeasible_pool_empty_but_complete(self):
         p = enumerate_pool("sts", 5)
-        assert len(p) == 0 and p.complete
+        assert len(p) == 0
 
     def test_every_item_validates(self):
         # items were built through the validators; spot-check wire format too
@@ -269,7 +270,7 @@ class TestPools:
             assert type(info.value) is DesignError and str(info.value) == outcome
         else:
             pool = enumerate_pool(kind, n)
-            assert (pool.kind, pool.n, pool.complete) == (kind, n, True)
+            assert (pool.kind, pool.n) == (kind, n)
             assert [dumps(x) for x in pool.items] == outcome
 
     @pytest.mark.parametrize("kind, n, digest", [
@@ -306,19 +307,12 @@ class TestPools:
 
     @pytest.mark.parametrize("kind, n", [("sts", 9), ("1f-labeled", 6), ("latin", 4)])
     def test_value_and_dumps_dedupe_agree(self, kind, n):
-        # enumerate_pool dedupes by value; the wire format is the reference
+        # designs compare by value as their dumps do
         items = enumerate_pool(kind, n).items
         for pool in (items, items + (loads(dumps(items[len(items) // 2])),)):
             by_dumps = len({dumps(x) for x in pool})
             assert len(set(pool)) == by_dumps
-            assert enumeration._has_duplicates(pool) == (by_dumps != len(pool))
         assert len(set(items)) == len(items)
-
-    def test_equal_hashes_alone_are_not_duplicates(self):
-        class Clash(int):
-            __hash__ = lambda self: 7
-        assert not enumeration._has_duplicates([Clash(1), Clash(2), Clash(3)])
-        assert enumeration._has_duplicates([Clash(1), Clash(2), Clash(1)])
 
     def test_jsonl_rejects_designs_of_another_n(self):
         text = pool_to_jsonl(enumerate_pool("latin", 4))
@@ -349,7 +343,7 @@ class TestPools:
             pool_from_jsonl("1f-labeled", 4, text)
 
 
-def _per_object_load(kind, n, text):
+def _per_object_load(kind, n, text, loads=loads):
     """The line-by-line loader: each line through ``loads``, then the first
     line equal to an earlier one."""
     first_line, items = {}, []
@@ -371,19 +365,23 @@ def _per_object_load(kind, n, text):
 
 
 class TestLatinLoader:
-    """The bulk latin loader against the line-by-line one."""
+    """The latin loader, on texts that take the bulk path and on texts that
+    do not, against the line-by-line one."""
 
-    @pytest.fixture(scope="class")
-    def lines(self):
-        # every 997th Latin square of order 5, with two blank lines
+    @pytest.fixture(scope="class", params=["canonical", "blank lines"])
+    def lines(self, request):
+        # every 997th Latin square of order 5; the second form adds two
+        # blank lines, which send the file down the per-object path
         squares = enumeration._latin_cells(5)[::997]
         lines = [dumps(LatinSquare(n=5, rows=tuple(map(tuple, s)))) for s in squares.tolist()]
+        if request.param == "canonical":
+            return lines
         return lines[:50] + [""] + lines[50:100] + ["   "] + lines[100:]
 
     @staticmethod
-    def _error(load, text):
+    def _error(load, text, n=5):
         with pytest.raises(DesignError) as info:
-            load("latin", 5, text)
+            load("latin", n, text)
         return str(info.value)
 
     @pytest.mark.parametrize("bad, message", [
@@ -422,12 +420,14 @@ class TestLatinLoader:
             d["n"] = True
         elif bad != "not JSON":
             rows[3][rows[3].index(1)] = json.loads(bad)
-        line = "{" if bad == "not JSON" else json.dumps(d)
+        line = "{" if bad == "not JSON" else json.dumps(d, separators=(",", ":"), sort_keys=True)
         text = "\n".join(lines[:119] + [line] + lines[120:]) + "\n"
+        bulk = len(lines) == 162 and bad in ("0", "6", "not Latin")
+        assert (core.canonical_latin_cells(5, text) is not None) == bulk
         got = self._error(pool_from_jsonl, text)
         assert got.startswith(message) and got == self._error(_per_object_load, text)
 
-    def test_a_line_of_another_kind(self, lines):
+    def test_a_line_of_another_kind(self):
         fano = validate_triple_system(7, oracles.FANO)
         text = dumps(to_latin_cube(fano)) + "\n" + dumps(fano) + "\n"
         with pytest.raises(DesignError, match="^pool line 2 holds sts n=7, wanted latin n=7$"):
@@ -444,40 +444,75 @@ class TestLatinLoader:
         lines = list(lines)
         for source, at in copies:   # indices into lines
             lines[at] = lines[source]
-        text = "\n".join(lines)
+        text = "\n".join(lines) + "\n"
         assert self._error(pool_from_jsonl, text) == message
         assert self._error(_per_object_load, text) == message
 
-    def test_line_faults_come_before_square_faults(self, lines):
-        # line by line the first bad line was named; in bulk a line the
-        # per-object loader must word comes first, then squares that are not
-        # Latin, then repeats
+    def test_faults_are_named_in_file_order(self, lines):
+        # the first faulty line is named, whatever its fault, and a repeat
+        # only when no line is faulty
         lines = list(lines)
         lines[10] = lines[5]
-        lines[20] = lines[20].replace("1", "2", 1)
-        assert self._error(pool_from_jsonl, "\n".join(lines)) == (
-            "pool line 21: matrix is not a Latin square")
-        lines[40] = lines[40].replace("1", "true", 1)
-        assert self._error(pool_from_jsonl, "\n".join(lines)) == (
-            "pool line 41: Latin square entries must be ints")
-        lines[45] = "[]"
-        assert self._error(pool_from_jsonl, "\n".join(lines)) == (
-            "pool line 41: Latin square entries must be ints")
-        lines[30] = "[]"
-        assert self._error(pool_from_jsonl, "\n".join(lines)) == (
-            "pool line 31: a design is a JSON object, got list")
-        lines[35] = lines[35].replace("1", "1.0", 1)
-        assert self._error(pool_from_jsonl, "\n".join(lines)) == (
-            "pool line 31: a design is a JSON object, got list")
+        for at, line in ((20, lines[20].replace("1", "2", 1)),
+                         (40, lines[40].replace("1", "true", 1)), (45, "[]"), (30, "[]"),
+                         (35, lines[35].replace("1", "1.0", 1))):
+            lines[at] = line
+            text = "\n".join(lines) + "\n"
+            assert self._error(pool_from_jsonl, text) == self._error(_per_object_load, text) == (
+                "pool line 21: matrix is not a Latin square")
 
     def test_round_trip_and_chunks(self, lines, monkeypatch):
         text = "\n".join(lines) + "\n"
         want = _per_object_load("latin", 5, text)
         for chunk in (1, 7, 4096):
-            monkeypatch.setattr(enumeration, "BULK_CHUNK", chunk)
             monkeypatch.setattr(core, "BULK_CHUNK", chunk)
             assert pool_from_jsonl("latin", 5, text).items == want
         assert pool_from_jsonl("latin", 5, "\n \n").items == ()
+        assert pool_from_jsonl("latin", 5, "").items == ()
+
+    def test_valid_non_canonical_texts_load_the_same(self):
+        text = pool_to_jsonl(enumerate_pool("latin", 4))
+        want = pool_from_jsonl("latin", 4, text).items
+        assert core.canonical_latin_cells(4, text) is not None and len(want) == 576
+        spaced = "".join(json.dumps(json.loads(line)) + "\n" for line in text.splitlines())
+        for other in (spaced, text.replace("\n", "\r\n"), text[:-1], "\n" + text):
+            assert core.canonical_latin_cells(4, other) is None
+            assert pool_from_jsonl("latin", 4, other).items == want
+        # order 10 has two-digit entries, so no text of it is canonical
+        cyclic = [tuple((r + c) % 10 + 1 for c in range(10)) for r in range(10)]
+        squares = [LatinSquare(n=10, rows=tuple(cyclic[r] for r in p))
+                   for p in (range(10), reversed(range(10)))]
+        text = "".join(dumps(s) + "\n" for s in squares)
+        assert core.canonical_latin_cells(10, text) is None
+        assert pool_from_jsonl("latin", 10, text).items == tuple(squares)
+
+    def test_byte_mutations_and_copied_lines(self):
+        # 1,000 files with one or two characters overwritten, then 300 with
+        # a line copied over another and up to two: both loaders give the
+        # same squares or the same message
+        lines = pool_to_jsonl(enumerate_pool("latin", 4)).splitlines(keepends=True)
+        rng = np.random.default_rng(11)
+        cached = functools.lru_cache(maxsize=None)(loads)   # unchanged lines parse once
+        bulk = loaded = 0
+        for case in range(1300):
+            copy = case >= 1000
+            chars = list(lines)
+            if copy:
+                chars[rng.integers(len(lines))] = chars[rng.integers(len(lines))]
+            chars = list("".join(chars))
+            for at in rng.integers(len(chars), size=rng.integers(1 - copy, 3)):
+                chars[at] = (rng.choice(list("0123456789{}[],:\n \r")) if rng.random() < 0.7
+                             else chr(rng.integers(256)))
+            text = "".join(chars)
+            bulk += core.canonical_latin_cells(4, text) is not None
+            try:
+                want = _per_object_load("latin", 4, text, cached)
+            except DesignError as e:
+                assert self._error(pool_from_jsonl, text, 4) == str(e)
+            else:
+                assert pool_from_jsonl("latin", 4, text).items == want
+                loaded += 1
+        assert bulk >= 100 and loaded >= 10
 
 
 class TestSampling:
@@ -506,7 +541,7 @@ class TestSampling:
 
     def test_empty_pool(self):
         with pytest.raises(EmptyPoolError):
-            sample_uniform(Pool("sts", 5, (), True), 0, 1)
+            sample_uniform(Pool("sts", 5, ()), 0, 1)
 
     def test_uniform_frequencies_5_sigma(self):
         p = enumerate_pool("sts", 7)
