@@ -74,28 +74,27 @@ class LogScalar:
         return f"e^{self.value:.6g}"
 
 
-# --- exact log factorials, cached prefix sums with Neumaier compensation ---
+# --- exact log factorials, one pass of prefix sums with Neumaier compensation ---
 
-_RAW: list[float] = [0.0, 0.0]   # raw running sum of log t through t = k
-_CMP: list[float] = [0.0, 0.0]   # accumulated compensation through t = k
+def _log_factorials(k: int):
+    """log(t!) for t = 1 .. k, from one pass of the compensated sum of log t."""
+    raw = comp = 0.0   # running sum of log t, and its accumulated compensation
+    for t in range(1, k + 1):
+        term = math.log(t)
+        total = raw + term
+        comp += (raw - total) + term if abs(raw) >= abs(term) else (term - total) + raw
+        raw = total
+        yield raw + comp
 
 
 def log_factorial(k: int) -> LogScalar:
     """log(k!) as the compensated sum log 2 + ... + log k."""
     if not isinstance(k, int) or k < 0:
         raise DesignError(f"factorial argument must be a nonnegative int, got {k!r}")
-    while len(_RAW) <= k:
-        t = len(_RAW)
-        s = _RAW[-1]
-        term = math.log(t)
-        total = s + term
-        if abs(s) >= abs(term):
-            c = (s - total) + term
-        else:
-            c = (term - total) + s
-        _RAW.append(total)
-        _CMP.append(_CMP[-1] + c)
-    return LogScalar(_RAW[k] + _CMP[k])
+    value = 0.0
+    for value in _log_factorials(k):
+        pass
+    return LogScalar(value)
 
 
 def wilson_bounds(n: int) -> tuple[LogScalar, LogScalar]:
@@ -111,16 +110,20 @@ def wilson_bounds(n: int) -> tuple[LogScalar, LogScalar]:
 def kahn_lovasz_log(degrees) -> LogScalar:
     """log of prod_i (r_i!)^(1/(2 r_i)) for a graph degree sequence."""
     degrees = list(degrees)
-    if any(r < 1 for r in degrees):
-        raise ZeroDegreeError("all degrees must be >= 1")
-    return LogScalar(math.fsum(log_factorial(r).value / (2.0 * r) for r in degrees))
+    if any(not isinstance(r, int) or r < 1 for r in degrees):
+        raise ZeroDegreeError("all degrees must be ints >= 1")
+    wanted = set(degrees)
+    terms = {r: lf / (2.0 * r)   # one term per distinct degree
+             for r, lf in enumerate(_log_factorials(max(wanted, default=0)), 1) if r in wanted}
+    return LogScalar(math.fsum(terms[r] for r in degrees))
 
 
 def peel_bound_log(n: int) -> LogScalar:
     """log of prod_{d=1}^{n-1} (d!)^(n/(2d)): repeated matching removal."""
     if n < 2 or n % 2:
         raise OddNError(f"peel bound needs even n >= 2, got {n}")
-    return LogScalar(math.fsum((n / (2.0 * d)) * log_factorial(d).value for d in range(1, n)))
+    return LogScalar(math.fsum((n / (2.0 * d)) * lf
+                               for d, lf in enumerate(_log_factorials(n - 1), 1)))
 
 
 def vdw_latin_lower_log(n: int) -> LogScalar:
@@ -177,6 +180,7 @@ BOUND_NAMES = (
     "vdw-latin-lower", "cameron-lower",
     "conjecture-6", "conjecture-2", "conjecture-1",
 )
+MAX_SUMMED_N = 10**7   # for the bounds that sum up to n log terms
 
 
 @dataclass(frozen=True)
@@ -212,6 +216,10 @@ def bound_report(n: int, names=None, latin_count: int | None = None,
     names = list(names) if names is not None else list(BOUND_NAMES)
     if abs(n) >= 10**150:   # n^2 log n, a float in every bound, must stay finite
         raise DesignError("|n| must be below 10^150")
+    summed = [x for x in names if x in ("kahn-lovasz", "peel", "vdw-latin-lower",
+                                        "cameron-lower")]
+    if summed and n > MAX_SUMMED_N:
+        raise DesignError(f"{summed[0]} sums up to n log terms; n must be <= 10^7, got {n}")
     bounds: dict[str, LogScalar] = {}
     notes: dict[str, str] = {}
     for name in names:
@@ -222,7 +230,8 @@ def bound_report(n: int, names=None, latin_count: int | None = None,
         elif name == "kahn-lovasz":
             if n < 2:   # K_n for n < 2 has no edges, so no degree sequence
                 raise DesignError(f"n must be >= 2, got {n}")
-            bounds[name] = kahn_lovasz_log([n - 1] * n)
+            # n equal degrees n-1: their fsum is n times one term
+            bounds[name] = LogScalar(n * kahn_lovasz_log([n - 1]).value)
             notes[name] = "complete-graph degree sequence"
         elif name == "peel":
             bounds[name] = peel_bound_log(n)

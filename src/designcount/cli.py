@@ -142,7 +142,7 @@ def _cmd_count(args) -> int:
 
 def _exact_bases_for_cameron(n: int):
     m = n // 2
-    latin = count_latin_squares(m).count if 1 <= m <= 5 else None
+    latin = count_latin_squares(m).count if 1 <= m <= 6 else None
     onef = None
     if m >= 2 and m % 2 == 0 and m <= 8:
         onef = count_one_factorizations(m, labeled=False).count

@@ -218,11 +218,7 @@ def validate_triple_system(n: int, triples: Iterable[Sequence[int]]) -> TripleSy
             raise DesignError(f"not a 3-element subset: {tt!r}")
         for v in tt:
             _check_vertex(v, n)
-        fs = frozenset(tt)
-        if fs in seen:
-            a, b = sorted(tt)[:2]
-            raise DuplicatePairError(a, b)
-        seen.add(fs)
+        seen.add(frozenset(tt))   # a repeated triple repeats its pairs below
         a, b, c = sorted(tt)
         for (i, j, k) in ((a, b, c), (a, c, b), (b, c, a)):
             if table[i][j] != 0:

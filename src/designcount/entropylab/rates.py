@@ -22,15 +22,15 @@ expectations produce and compares them against their limit log n - 1.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..core import DesignError
-from ..enumeration import EmptyPoolError, Pool, enumerate_pool, worker_count
+from ..enumeration import EmptyPoolError, Pool, enumerate_pool, map_tasks
 from .reveal import TooLargeError
 
 BLOCK_SIZE = 4096
@@ -137,24 +137,21 @@ def _mc_block(args):
     variant, tables, n, seed, block, count = args
     rng = np.random.Generator(np.random.PCG64(
         np.random.SeedSequence(entropy=seed, spawn_key=(block,))))
-    acc = (0, 0.0, 0.0)
+    chunks = []
     for start in range(0, count, CHUNK):
         size = min(CHUNK, count - start)
         x = _reveal_sums(variant, tables, rng.integers(len(tables), size=size),
                          rng.permuted(np.tile(np.arange(1, n + 1), (size, 1)), axis=1),
                          rng.random((size, n, n)))
         mean = float(x.mean())
-        acc = _merge(acc, (len(x), mean, float(((x - mean) ** 2).sum())))
-    return acc
+        chunks.append((len(x), mean, float(((x - mean) ** 2).sum())))
+    return functools.reduce(_merge, chunks)
 
 
 def _merge(a, b):
+    """Combine the (count, mean, squared deviations) of two nonempty samples."""
     na, ma, m2a = a
     nb, mb, m2b = b
-    if na == 0:
-        return b
-    if nb == 0:
-        return a
     n = na + nb
     delta = mb - ma
     return n, ma + delta * (nb / n), m2a + m2b + delta * delta * (na * nb / n)
@@ -237,16 +234,7 @@ def entropy_upper_estimate(variant: str, n: int, samples: int,
         raise DesignError("need at least 2 samples for a standard error")
     blocks = [(variant, tables, n, seed, b, min(BLOCK_SIZE, samples - start))
               for b, start in enumerate(range(0, samples, BLOCK_SIZE))]
-    jobs = worker_count(jobs, len(blocks))
-    if jobs <= 1:
-        results = [_mc_block(args) for args in blocks]
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
-            results = list(ex.map(_mc_block, blocks))
-    acc = (0, 0.0, 0.0)
-    for r in results:
-        acc = _merge(acc, r)
-    count, mean, m2 = acc
+    count, mean, m2 = functools.reduce(_merge, map_tasks(_mc_block, blocks, jobs))
     se = math.sqrt(m2 / (count - 1) / count)
     return EntropyEstimate(variant, n, count, seed, mean, se, exact=False,
                           designs=len(pool))

@@ -26,18 +26,18 @@ complete total by the labeled designs each pinned leaf stands for:
 
 A partial count (node budget hit) is the pinned leaves found, unscaled.
 Triple-system and coloring pools collect every labeled design from the
-full start state (``pinned=False``), which ``_count`` can also run as a
-reference; the Latin pool expands the reduced squares of the pinned
-search by row and column permutations (``_latin_cells``).
+full start state (``pinned=False``); the Latin pool expands the reduced
+squares of the pinned search by row and column permutations
+(``_latin_cells``).
 
 Both kernels stop at a depth ``cut``, where they append the choice path
 to ``sink`` (if given) and count 1.  At the full depth that counts or
 collects designs; at a smaller depth the same DFS lists the frontier of
 subtrees.  ``_count`` runs every count: a parallel run cuts a fixed
-number of levels below the start state, farms the subtrees to worker
-processes (each replays its path onto the start state and searches
-below it), and sums the (exact integer) subtree counts in task order,
-so totals are schedule independent.  Counts are Python ints
+number of levels below the start state, hands the subtrees to
+``map_tasks`` (each task replays its path onto the start state and
+searches below it), and sums the (exact integer) subtree counts in task
+order, so totals are schedule independent.  Counts are Python ints
 throughout; nothing here overflows.
 """
 
@@ -103,6 +103,19 @@ def worker_count(jobs: int, tasks: int) -> int:
     return max(1, min(jobs, tasks, os.cpu_count() or 1))
 
 
+def map_tasks(fn, tasks: list, jobs: int) -> list:
+    """``[fn(t) for t in tasks]`` in task order: the package's one worker pool.
+
+    One worker (``worker_count``) runs in this process, so a one-task
+    list or a one-CPU host starts no pool.
+    """
+    workers = worker_count(jobs, len(tasks))
+    if workers == 1:
+        return [fn(t) for t in tasks]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
+
+
 @dataclass(frozen=True)
 class Pool:
     """A complete, duplicate-free list of validated designs."""
@@ -126,12 +139,11 @@ class _Budget:
         self.exhausted = False
 
     def spend(self) -> bool:
-        """Count one node; False once the budget is gone."""
-        if self.exhausted:
-            return False
-        self.nodes += 1
+        """Count one node; False, and exhausted, once the budget is gone."""
         if self.limit is not None and self.nodes >= self.limit:
             self.exhausted = True
+            return False
+        self.nodes += 1
         return True
 
 
@@ -215,13 +227,14 @@ def _start(kind: str, n: int, pinned: bool):
     """One search: its kernel, fixed arguments, start state, start and full
     depth, and the number of labeled designs each leaf stands for.
 
-    kind is "sts", "latin", "1f-labeled" or "1f" (unordered partitions,
-    whose start is always pinned); n must be feasible for the family.  A
+    kind is one of ``POOL_GATES``; n must be feasible for the family.  A
     pinned start fixes one part of every design, and relabeling maps the
     designs through any one such part onto those through any other, so
     the pinned leaves times the multiplier is the labeled count.  The
     full start (pinned=False, multiplier 1) is the one pools collect from.
     """
+    if kind not in POOL_GATES:
+        raise DesignError(f"unknown search kind {kind!r}")
     if kind == "sts":
         above = [((1 << (n + 1)) - 1) & ~((1 << (v + 1)) - 1) for v in range(n + 1)]
         covered, depth, multiplier = [0] * (n + 1), 0, 1
@@ -246,23 +259,21 @@ def _start(kind: str, n: int, pinned: bool):
         return _pair_dfs, (cells, symbols), used, 0, len(cells), multiplier
     colors = ((1 << n) - 1) & ~1  # color bits 1..n-1
     used, first, multiplier = [0] * (n + 1), 1, 1
-    if pinned or kind == "1f":
+    if pinned:
         # color of {1,v} pinned to v-1: one canonical coloring per partition,
         # which stands for the (n-1)! colorings that permute its colors
         used[1] = colors
         for v in range(2, n + 1):
             used[v] = 1 << (v - 1)
-        first = 2
-        if kind == "1f-labeled":
-            multiplier = math.factorial(n - 1)
+        first, multiplier = 2, math.factorial(n - 1)
     edges = list(combinations(range(first, n + 1), 2))
     return _pair_dfs, (edges, colors), used, 0, len(edges), multiplier
 
 
 def _subtree(task):
     """Count one frontier subtree: replay its path, then search below it."""
-    kind, n, pinned, path = task
-    kernel, args, state, depth, full_depth, _ = _start(kind, n, pinned)
+    kind, n, path = task
+    kernel, args, state, depth, full_depth, _ = _start(kind, n, pinned=True)
     if kernel is _sts_dfs:
         for triple in path:
             _cover(state, *triple)
@@ -275,8 +286,8 @@ def _subtree(task):
     return count, budget.nodes
 
 
-def _count(kind: str, n: int, cfg: SearchConfig, pinned: bool = True) -> CountResult:
-    """Count one search, in this process or split into subtrees over workers.
+def _count(kind: str, n: int, cfg: SearchConfig) -> CountResult:
+    """Count one pinned search, in this process or split into subtrees.
 
     A complete count is the leaves times the start's multiplier; a
     partial one (node budget hit) is the leaves found, never scaled.
@@ -284,27 +295,20 @@ def _count(kind: str, n: int, cfg: SearchConfig, pinned: bool = True) -> CountRe
     if cfg.node_budget is not None and cfg.node_budget < 1:
         raise DesignError(f"node budget must be >= 1, got {cfg.node_budget}")
     t0 = time.perf_counter()
-    kernel, args, state, depth, full_depth, multiplier = _start(kind, n, pinned)
-    if cfg.jobs <= 1 or cfg.node_budget is not None or depth == full_depth:
-        budget = _Budget(cfg.node_budget)
+    kernel, args, state, depth, full_depth, multiplier = _start(kind, n, pinned=True)
+    budget = _Budget(cfg.node_budget)
+    if cfg.jobs <= 1 or cfg.node_budget is not None:
         leaves = kernel(*args, state, depth, full_depth, budget, None, None)
         nodes = budget.nodes
     else:
-        budget = _Budget(None)
         frontier: list = []
         # split below the start: the rest of point 2's star, the next two
-        # rows of cells, or vertex 2's edges
-        split = {"sts": (n - 3) // 2, "latin": 2 * (n - 1)}.get(kind, n - 2)
-        cut = min(depth + split, full_depth)
-        kernel(*args, state, depth, cut, budget, frontier, [])
-        tasks = [(kind, n, pinned, path) for path in frontier]
-        leaves, nodes = 0, budget.nodes
-        workers = worker_count(cfg.jobs, len(tasks))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for c, nd in pool.map(_subtree, tasks,
-                                  chunksize=max(1, len(tasks) // (4 * workers))):
-                leaves += c
-                nodes += nd
+        # rows of cells, or vertex 2's edges; a complete start is one task
+        split = {"sts": max(0, (n - 3) // 2), "latin": 2 * (n - 1)}.get(kind, n - 2)
+        kernel(*args, state, depth, min(depth + split, full_depth), budget, frontier, [])
+        counts = map_tasks(_subtree, [(kind, n, path) for path in frontier], cfg.jobs)
+        leaves = sum(c for c, _ in counts)
+        nodes = budget.nodes + sum(nd for _, nd in counts)
     complete = not budget.exhausted
     return CountResult(kind, n, leaves * multiplier if complete else leaves,
                        complete=complete, nodes=nodes, seconds=time.perf_counter() - t0)
@@ -340,12 +344,14 @@ def count_one_factorizations(n: int, labeled: bool = False,
 
     labeled=True counts proper (n-1)-edge-colorings; labeled=False
     counts unordered partitions into perfect matchings.  Both run the
-    search with vertex 1's star pinned; a complete labeled count is that
-    total times (n-1)!.
+    labeled search with vertex 1's star pinned, whose complete count is
+    the partitions times (n-1)!; a partial count is never scaled.
     """
     if not _feasible("1f", n):
         return CountResult("1f", n, 0, labeled=labeled)
-    result = _count("1f-labeled" if labeled else "1f", n, config or SearchConfig())
+    result = _count("1f-labeled", n, config or SearchConfig())
+    if result.complete and not labeled:
+        result = replace(result, count=result.count // math.factorial(n - 1))
     return replace(result, kind="1f", labeled=labeled)
 
 

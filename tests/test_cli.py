@@ -47,6 +47,11 @@ class TestCount:
         assert code == 2
         assert json.loads(out)["complete"] is False
 
+    def test_budget_equal_to_the_node_total_is_complete(self, capsys):
+        code, out, _ = run(capsys, "count", "--object", "sts", "--n", "9",
+                           "--node-budget", "152")
+        assert (code, out) == (0, "sts n=9: 840 [exact, 152 nodes]\n")
+
     def test_nonpositive_budget_exit_1(self, capsys):
         for budget in ("0", "-3"):
             code, out, err = run(capsys, "count", "--object", "latin", "--n", "5",
@@ -122,6 +127,23 @@ class TestBounds:
     def test_bad_n_is_one_error_line(self, capsys, n, names, message):
         code, out, err = run(capsys, "bounds", "--n", n, "--list", names)
         assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("name", ["kahn-lovasz", "peel", "vdw-latin-lower",
+                                      "cameron-lower"])
+    def test_summed_bounds_refuse_huge_n(self, capsys, name):
+        # kahn-lovasz used to build an n-entry degree list: a MemoryError traceback
+        code, out, err = run(capsys, "bounds", "--n", str(10**12), "--list", name)
+        assert (code, out) == (1, "")
+        assert err == (f"error: {name} sums up to n log terms; "
+                       f"n must be <= 10^7, got {10**12}\n")
+
+    def test_cameron_12_takes_exact_latin_6(self, capsys):
+        code, out, _ = run(capsys, "bounds", "--n", "12", "--list", "cameron-lower",
+                           "--format", "json")
+        doc = json.loads(out)
+        assert code == 0
+        assert doc["notes"]["cameron-lower"] == "L(6) exact; F(6) exact"
+        assert doc["bounds"]["cameron-lower"] == math.log(812_851_200) + 2 * math.log(6)
 
     def test_largest_n_gives_finite_logs(self, capsys):
         code, out, _ = run(capsys, "bounds", "--n", str(10**150 - 1), "--format", "json",

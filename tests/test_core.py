@@ -72,6 +72,11 @@ class TestTripleSystemValidation:
         with pytest.raises(DuplicatePairError):
             validate_triple_system(7, [(1, 2, 3), (1, 2, 4)])
 
+    @pytest.mark.parametrize("again", [(1, 2, 3), (3, 1, 2)])
+    def test_repeated_triple_names_its_least_pair(self, again):
+        with pytest.raises(DuplicatePairError, match=r"^pair \(1, 2\) is covered more than once$"):
+            validate_triple_system(7, [(1, 2, 3), again])
+
     def test_uncovered_pair(self):
         with pytest.raises(UncoveredPairError):
             validate_triple_system(7, [(1, 2, 3)])

@@ -4,6 +4,7 @@ import functools
 import hashlib
 import json
 import math
+import os
 import pickle
 
 import numpy as np
@@ -33,6 +34,7 @@ from designcount.enumeration import (
     sample_uniform,
     worker_count,
 )
+from designcount.entropylab import entropy_upper_estimate
 
 import oracles
 
@@ -150,12 +152,14 @@ class TestPinnedStarts:
     @pytest.mark.parametrize("kind, n, leaves, full_nodes, pinned_nodes", CASES)
     def test_pinned_count_times_multiplier_is_the_full_count(
             self, kind, n, leaves, full_nodes, pinned_nodes, jobs):
-        cfg = SearchConfig(jobs=jobs)
-        full = enumeration._count(kind, n, cfg, pinned=False)
-        pinned = enumeration._count(kind, n, cfg)
+        # the reference: the full start, run serially through the kernel
+        kernel, args, state, depth, full_depth, _ = enumeration._start(kind, n, pinned=False)
+        budget = enumeration._Budget(None)
+        full_count = kernel(*args, state, depth, full_depth, budget, None, None)
+        pinned = enumeration._count(kind, n, SearchConfig(jobs=jobs))
         multiplier = enumeration._start(kind, n, pinned=True)[-1]
-        assert pinned.count == leaves * multiplier == full.count
-        assert (full.nodes, pinned.nodes) == (full_nodes, pinned_nodes)
+        assert pinned.count == leaves * multiplier == full_count
+        assert (budget.nodes, pinned.nodes) == (full_nodes, pinned_nodes)
 
     def test_multipliers(self):
         def multiplier(kind, n):
@@ -163,7 +167,7 @@ class TestPinnedStarts:
         # (n-2)!!, n!(n-1)! and (n-1)!; a full start stands for itself
         assert [multiplier("sts", n) for n in (1, 3, 7, 9, 13)] == [1, 1, 15, 105, 10395]
         assert [multiplier("latin", n) for n in (1, 2, 5)] == [1, 2, 120 * 24]
-        assert multiplier("1f-labeled", 8) == 5040 and multiplier("1f", 8) == 1
+        assert multiplier("1f-labeled", 8) == 5040
         assert enumeration._start("latin", 5, pinned=False)[-1] == 1
 
     def test_latin_6_from_reduced_squares(self):
@@ -187,6 +191,17 @@ class TestNodeBudget:
         assert r.nodes == budget
         assert r.count == partial
 
+    @pytest.mark.parametrize("count, n, nodes, total", [
+        (count_triple_systems, 9, 152, 840),
+        (count_latin_squares, 5, 848, 161_280),
+    ], ids=["sts9", "latin5"])
+    def test_budget_is_exhausted_only_by_a_refused_node(self, count, n, nodes, total):
+        # a budget equal to the node total completes the search
+        r = count(n, SearchConfig(node_budget=nodes))
+        assert (r.complete, r.count, r.nodes) == (True, total, nodes)
+        r = count(n, SearchConfig(node_budget=nodes - 1))
+        assert not r.complete and r.nodes == nodes - 1 and r.count < total
+
 
 class TestWorkerClamp:
     def test_worker_count(self, recording_executor):
@@ -203,6 +218,21 @@ class TestWorkerClamp:
         assert count_one_factorizations(8, config=cfg).count == 6240
         assert count_latin_squares(4, cfg).count == 576
         assert requested == [4, 4, 4]
+
+    def test_one_task_frontiers_start_no_worker(self, recording_executor):
+        requested = recording_executor(enumeration)
+        assert count_one_factorizations(4, config=SearchConfig(jobs=2)).count == 1
+        assert count_latin_squares(3, SearchConfig(jobs=8)).count == 12
+        assert requested == []
+
+    def test_one_cpu_starts_no_worker(self, recording_executor, monkeypatch):
+        requested = recording_executor(enumeration)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        assert count_triple_systems(9, SearchConfig(jobs=2)).count == 840
+        a = entropy_upper_estimate("sts", 7, samples=9_000, seed=3, jobs=2)
+        b = entropy_upper_estimate("sts", 7, samples=9_000, seed=3, jobs=1)
+        assert (a.estimate, a.se) == (b.estimate, b.se)
+        assert requested == []
 
 
 class TestPools:
