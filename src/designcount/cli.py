@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import fcntl
+import functools
 import json
 import math
 import sys
@@ -250,7 +251,10 @@ def _cmd_entropy(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing leaves it unchanged,
+    and each subcommand looks its count functions up when it runs."""
     parser = _Parser(prog="designcount", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -14,30 +14,39 @@ node total) is identical no matter how the work is split:
   order: edge {i, j} is vertex slots i and j, and the values are the
   colors.
 
-Every count searches from a pinned start state and multiplies a
-complete total by the labeled designs each pinned leaf stands for:
+Every count runs a short list of start states (``_starts``), one per
+cycle type, and adds up each start's leaves times the labeled designs
+each of its leaves stands for.  Each start fixes two parts of every
+design, the second up to conjugacy:
 
-* triple systems fix point 1's star to {1,2,3}, {1,4,5}, ...,
-  {1,n-1,n}: STS(n) = pinned x (n-2)!!;
-* Latin squares fix the first row and column to 1..n (reduced squares)
-  and search the (n-1)^2 inner cells: L(n) = R(n) x n!(n-1)!;
-* 1-factorizations fix the color of {1,v} to v-1, one coloring per
-  unordered partition: labeled = unordered x (n-1)!.
+* triple systems fix point 1's star {1,2,3}, {1,4,5}, ..., {1,n-1,n}
+  and point 2's other triples, a perfect matching mu of 4..n, one per
+  cycle type l of mu together with point 1's matching there (a
+  partition of (n-3)/2 into parts >= 2):
+  STS(n) = (n-2)!! x sum over l of m_l T(l), m_l the matchings of type l;
+* Latin squares fix row 1 to the identity, row 2 to one derangement
+  per cycle type c, and the first column of rows 3..n to the remaining
+  symbols in increasing order: L(n) = n!(n-2)! x sum over c of D_c T(c),
+  D_c the derangements of n points of type c;
+* 1-factorizations fix the color of {1,v} to v-1 and vertex 2's colors
+  to one derangement of 3..n per cycle type: the unordered count is
+  the sum over c of D_c T(c), and the labeled one (n-1)! times that.
 
-A partial count (node budget hit) is the pinned leaves found, unscaled.
-Triple-system and coloring pools collect every labeled design from the
-full start state (``pinned=False``); the Latin pool expands the reduced
-squares of the pinned search by row and column permutations
+A partial count (node budget hit) is the leaves found over the starts in
+order, unscaled.  Triple-system and coloring pools collect every
+labeled design from the full start state (``_start(kind, n,
+pinned=False)``); the Latin pool expands the reduced squares of the
+reduced-square start (``pinned=True``) by row and column permutations
 (``_latin_cells``).
 
 Both kernels stop at a depth ``cut``, where they append the choice path
 to ``sink`` (if given) and count 1.  At the full depth that counts or
 collects designs; at a smaller depth the same DFS lists the frontier of
-subtrees.  ``_count`` runs every count: a parallel run cuts a fixed
-number of levels below the start state, hands the subtrees to
-``map_tasks`` (each task replays its path onto the start state and
-searches below it), and sums the (exact integer) subtree counts in task
-order, so totals are schedule independent.  Counts are Python ints
+subtrees.  ``_count`` runs every count: a parallel run cuts each start
+a fixed number of levels below its fixed parts, hands the subtrees to
+``map_tasks`` (each task names its start and replays its path onto it,
+then searches below it), and sums the (exact integer) subtree counts in
+task order, so totals are schedule independent.  Counts are Python ints
 throughout; nothing here overflows.
 """
 
@@ -46,7 +55,6 @@ from __future__ import annotations
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import combinations, permutations
 
@@ -112,6 +120,7 @@ def map_tasks(fn, tasks: list, jobs: int) -> list:
     workers = worker_count(jobs, len(tasks))
     if workers == 1:
         return [fn(t) for t in tasks]
+    from concurrent.futures import ProcessPoolExecutor   # only a pool needs it
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
 
@@ -231,7 +240,8 @@ def _start(kind: str, n: int, pinned: bool):
     pinned start fixes one part of every design, and relabeling maps the
     designs through any one such part onto those through any other, so
     the pinned leaves times the multiplier is the labeled count.  The
-    full start (pinned=False, multiplier 1) is the one pools collect from.
+    full start (pinned=False, multiplier 1) is the one pools collect from;
+    counts run the cycle-type starts of ``_starts``.
     """
     if kind not in POOL_GATES:
         raise DesignError(f"unknown search kind {kind!r}")
@@ -270,10 +280,91 @@ def _start(kind: str, n: int, pinned: bool):
     return _pair_dfs, (edges, colors), used, 0, len(edges), multiplier
 
 
+def _cycle_types(m: int, most: int | None = None) -> list:
+    """The partitions of m into parts of at least 2 (and at most ``most``),
+    each in non-increasing order, the largest first part first: the cycle
+    types of the derangements of m points.  m = 0 has one, the empty type
+    (sts 3, 1f 2), and m = 1 none."""
+    if m == 0:
+        return [()]
+    return [(p, *rest) for p in range(min(m, most or m), 1, -1)
+            for rest in _cycle_types(m - p, p)]
+
+
+def _class_size(parts: tuple) -> int:
+    """The number of permutations of sum(parts) points with these cycle
+    lengths: m! / (prod of the parts * prod of each length's multiplicity!)."""
+    return math.factorial(sum(parts)) // math.prod(
+        [*parts, *(math.factorial(parts.count(p)) for p in set(parts))])
+
+
+def _permutation(parts: tuple) -> list:
+    """A permutation of 0..sum(parts)-1 with these cycle lengths: each cycle
+    shifts a block of consecutive points by one."""
+    perm: list = []
+    for p in parts:
+        perm += [len(perm) + (i + 1) % p for i in range(p)]
+    return perm
+
+
+def _starts(kind: str, n: int) -> list:
+    """The starts a count runs, one per cycle type, as ``_start`` tuples.
+
+    Relabelings that keep a start's first part (point 1's star, row 1,
+    vertex 1's star) conjugate its second, so any two second parts of one
+    cycle type c lie in equally many designs.  The start of type c fixes
+    the second part given by ``_permutation(c)``: row 2, vertex 2's
+    colors, or for triple systems the matching that joins the second
+    point of point 1's t-th pair {2t+4, 2t+5} to the first of its
+    pi(t)-th; there are D_c(k) 2^(k - len(c)) such matchings, with k =
+    (n-3)/2 and D_c(k) = ``_class_size(c)``.
+    """
+    if n == 1:   # no row 2 or point 2; 1-factorizations start at n = 2
+        return [_start(kind, n, pinned=True)]
+    if kind == "latin":
+        symbols = ((1 << (n + 1)) - 1) & ~1
+        cells = [(r, n + c) for r in range(2, n) for c in range(1, n)]
+        starts = []
+        for parts in _cycle_types(n):
+            pi = _permutation(parts)
+            used = [0] * (2 * n)
+            used[0] = used[1] = used[n] = symbols
+            for c in range(n):
+                used[n + c] |= (1 << (c + 1)) | (1 << (pi[c] + 1))
+            rest = [s for s in range(2, n + 1) if s != pi[0] + 1]
+            for r, s in enumerate(rest, 2):
+                used[r] = 1 << s
+            starts.append((_pair_dfs, (cells, symbols), used, 0, len(cells),
+                           math.factorial(n) * math.factorial(n - 2) * _class_size(parts)))
+        return starts
+    kernel, args, state, depth, full_depth, multiplier = _start(kind, n, pinned=True)
+    if kind == "sts":
+        k = (n - 3) // 2
+        starts = []
+        for parts in _cycle_types(k):
+            covered = list(state)
+            for t, u in enumerate(_permutation(parts)):
+                _cover(covered, 2, 5 + 2 * t, 4 + 2 * u)
+            starts.append((kernel, args, covered, depth + k, full_depth,
+                           multiplier * _class_size(parts) << (k - len(parts))))
+        return starts
+    edges, colors = args
+    starts = []
+    for parts in _cycle_types(n - 2):
+        used = list(state)
+        for v, u in enumerate(_permutation(parts), 3):
+            used[2] |= 1 << (u + 2)
+            used[v] |= 1 << (u + 2)   # {2,v} takes {1,u+3}'s color u+2
+        starts.append((kernel, (edges[n - 2:], colors), used, 0, full_depth - (n - 2),
+                       multiplier * _class_size(parts)))
+    return starts
+
+
 def _subtree(task):
-    """Count one frontier subtree: replay its path, then search below it."""
-    kind, n, path = task
-    kernel, args, state, depth, full_depth, _ = _start(kind, n, pinned=True)
+    """Count one frontier subtree: replay its path onto its start, then
+    search below it."""
+    kind, n, index, path = task
+    kernel, args, state, depth, full_depth, _ = _starts(kind, n)[index]
     if kernel is _sts_dfs:
         for triple in path:
             _cover(state, *triple)
@@ -287,31 +378,41 @@ def _subtree(task):
 
 
 def _count(kind: str, n: int, cfg: SearchConfig) -> CountResult:
-    """Count one pinned search, in this process or split into subtrees.
+    """Count from every start of ``_starts``, in this process or split into
+    subtrees.
 
-    A complete count is the leaves times the start's multiplier; a
-    partial one (node budget hit) is the leaves found, never scaled.
+    A complete count is the sum of each start's leaves times its
+    multiplier; a partial one (node budget hit) is the leaves found over
+    the starts in order, never scaled.
     """
     if cfg.node_budget is not None and cfg.node_budget < 1:
         raise DesignError(f"node budget must be >= 1, got {cfg.node_budget}")
     t0 = time.perf_counter()
-    kernel, args, state, depth, full_depth, multiplier = _start(kind, n, pinned=True)
+    starts = _starts(kind, n)
     budget = _Budget(cfg.node_budget)
     if cfg.jobs <= 1 or cfg.node_budget is not None:
-        leaves = kernel(*args, state, depth, full_depth, budget, None, None)
+        leaves = [kernel(*args, state, depth, full_depth, budget, None, None)
+                  for kernel, args, state, depth, full_depth, _ in starts]
         nodes = budget.nodes
     else:
-        frontier: list = []
-        # split below the start: the rest of point 2's star, the next two
-        # rows of cells, or vertex 2's edges; a complete start is one task
-        split = {"sts": max(0, (n - 3) // 2), "latin": 2 * (n - 1)}.get(kind, n - 2)
-        kernel(*args, state, depth, min(depth + split, full_depth), budget, frontier, [])
-        counts = map_tasks(_subtree, [(kind, n, path) for path in frontier], cfg.jobs)
-        leaves = sum(c for c, _ in counts)
-        nodes = budget.nodes + sum(nd for _, nd in counts)
+        # split each start below its fixed parts: point 3's star, row 3's
+        # cells, or vertex 3's edges
+        split = max(0, {"sts": (n - 3) // 2, "latin": n - 1}.get(kind, n - 3))
+        tasks: list = []
+        for index, (kernel, args, state, depth, full_depth, _) in enumerate(starts):
+            frontier: list = []
+            kernel(*args, state, depth, min(depth + split, full_depth), budget, frontier, [])
+            tasks += [(kind, n, index, path) for path in frontier]
+        leaves = [0] * len(starts)
+        nodes = budget.nodes
+        for (_, _, index, _), (count, subtree_nodes) in zip(
+                tasks, map_tasks(_subtree, tasks, cfg.jobs)):
+            leaves[index] += count
+            nodes += subtree_nodes
     complete = not budget.exhausted
-    return CountResult(kind, n, leaves * multiplier if complete else leaves,
-                       complete=complete, nodes=nodes, seconds=time.perf_counter() - t0)
+    count = sum(t * s[-1] for t, s in zip(leaves, starts)) if complete else sum(leaves)
+    return CountResult(kind, n, count, complete=complete, nodes=nodes,
+                       seconds=time.perf_counter() - t0)
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +445,9 @@ def count_one_factorizations(n: int, labeled: bool = False,
 
     labeled=True counts proper (n-1)-edge-colorings; labeled=False
     counts unordered partitions into perfect matchings.  Both run the
-    labeled search with vertex 1's star pinned, whose complete count is
-    the partitions times (n-1)!; a partial count is never scaled.
+    labeled search from vertex 1's star and one set of vertex 2's colors
+    per cycle type, whose complete count is the partitions times (n-1)!;
+    a partial count is never scaled.
     """
     if not _feasible("1f", n):
         return CountResult("1f", n, 0, labeled=labeled)
@@ -358,9 +460,10 @@ def count_one_factorizations(n: int, labeled: bool = False,
 def count_latin_squares(n: int, config: SearchConfig | None = None) -> CountResult:
     """Exact number of Latin squares of order n.
 
-    The search fills the (n-1)^2 inner cells of a reduced square (first
-    row and column 1..n) in row-major order; a complete count is the R(n)
-    reduced squares times n!(n-1)!.
+    Each start fixes row 1 to the identity, row 2 to one derangement per
+    cycle type c and the first column of rows 3..n, and fills the other
+    cells in row-major order; a complete count is n!(n-2)! times the sum
+    over c of the D_c derangements of type c times the c start's leaves.
     """
     _feasible("latin", n)
     return _count("latin", n, config or SearchConfig())

@@ -1,5 +1,6 @@
 """Shared fixtures."""
 
+import concurrent.futures
 import os
 
 import pytest
@@ -7,9 +8,11 @@ import pytest
 
 @pytest.fixture
 def recording_executor(monkeypatch):
-    """Swap a module's ProcessPoolExecutor for an in-process fake.
+    """Swap ``concurrent.futures.ProcessPoolExecutor``, which
+    ``enumeration.map_tasks`` imports when it starts a pool, for an
+    in-process fake.
 
-    ``install(module)`` returns the list that collects every requested
+    The fixture is the list that collects every requested
     ``max_workers``.  ``os.cpu_count`` reads 4; no process is started.
     """
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
@@ -28,8 +31,5 @@ def recording_executor(monkeypatch):
         def map(self, fn, *iterables, chunksize=1):
             return map(fn, *iterables)
 
-    def install(module):
-        monkeypatch.setattr(module, "ProcessPoolExecutor", RecordingExecutor)
-        return requested
-
-    return install
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+    return requested

@@ -21,6 +21,15 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def fresh_python(*argv):
+    """Run this interpreter in a new process with this package importable."""
+    src = str(pathlib.Path(designcount.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                          env=env, timeout=120)
+
+
 class TestCount:
     def test_sts7_json(self, capsys):
         code, out, _ = run(capsys, "count", "--object", "sts", "--n", "7",
@@ -49,8 +58,8 @@ class TestCount:
 
     def test_budget_equal_to_the_node_total_is_complete(self, capsys):
         code, out, _ = run(capsys, "count", "--object", "sts", "--n", "9",
-                           "--node-budget", "152")
-        assert (code, out) == (0, "sts n=9: 840 [exact, 152 nodes]\n")
+                           "--node-budget", "16")
+        assert (code, out) == (0, "sts n=9: 840 [exact, 16 nodes]\n")
 
     def test_nonpositive_budget_exit_1(self, capsys):
         for budget in ("0", "-3"):
@@ -71,7 +80,20 @@ class TestCount:
                            "--format", "json")
         assert code == 0
         assert out == ('{"complete":true,"count":"812851200","kind":"latin",'
-                       '"labeled":null,"n":6,"nodes":172914}\n')
+                       '"labeled":null,"n":6,"nodes":13036}\n')
+
+    def test_parser_is_built_once(self, capsys):
+        # main reuses one parser, and a refused command leaves it as it was
+        assert cli.build_parser() is cli.build_parser()
+        assert run(capsys, "count", "--object", "cube", "--n", "3")[0] == 1
+        assert run(capsys, "count", "--object", "sts", "--n", "7") == (
+            0, "sts n=7: 30 [exact, 2 nodes]\n", "")
+
+    def test_import_starts_no_process_pool_machinery(self):
+        # map_tasks imports the process pool only when it starts one
+        proc = fresh_python("-c", "import sys, designcount.cli; print(sorted(m for m in "
+                            "('concurrent.futures', 'multiprocessing') if m in sys.modules))")
+        assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
 
     def test_bad_flag_exit_1(self, capsys):
         code, _, err = run(capsys, "count", "--object", "cube", "--n", "3")
@@ -302,12 +324,8 @@ class TestEntropy:
 
     def test_python_m_entry_point(self):
         # `python -m designcount` runs __main__.py in a fresh interpreter
-        src = str(pathlib.Path(designcount.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
-        proc = subprocess.run(
-            [sys.executable, "-m", "designcount", "entropy", "--variant", "sts", "--n", "7",
-             "--samples", "0"], capture_output=True, text=True, env=env, timeout=120)
+        proc = fresh_python("-m", "designcount", "entropy", "--variant", "sts", "--n", "7",
+                            "--samples", "0")
         assert proc.returncode == 0, proc.stderr
         doc = json.loads(proc.stdout)
         assert doc["verdict"] == "PASS" and doc["exact"] is True

@@ -1,7 +1,9 @@
 """Exact counters against independent naive oracles, and pool behavior."""
 
+import collections
 import functools
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -136,54 +138,160 @@ class TestDeterminismUnderParallelism:
 
 
 class TestPinnedStarts:
-    """Every count runs a pinned start; pools collect from the full one."""
+    """Every count runs one start per cycle type; pools collect from the
+    full start."""
 
-    # kind, n, pinned leaves, nodes from the full start, nodes pinned
+    # kind, n, leaves per start, nodes from the full start, nodes of the count
     CASES = [
-        ("sts", 1, 1, 0, 0), ("sts", 3, 1, 1, 0), ("sts", 7, 2, 155, 8),
-        ("sts", 9, 8, 8862, 152),
-        ("latin", 1, 1, 1, 0), ("latin", 2, 1, 8, 1), ("latin", 3, 1, 93, 5),
-        ("latin", 4, 4, 5680, 37), ("latin", 5, 56, 2314165, 848),
-        ("1f-labeled", 2, 1, 1, 0), ("1f-labeled", 4, 1, 33, 3),
-        ("1f-labeled", 6, 6, 10285, 83),
+        ("sts", 1, (1,), 0, 0), ("sts", 3, (1,), 1, 0), ("sts", 7, (1,), 155, 2),
+        ("sts", 9, (1,), 8862, 16),
+        ("latin", 1, (1,), 1, 0), ("latin", 2, (1,), 8, 0), ("latin", 3, (1,), 93, 2),
+        ("latin", 4, (1, 2), 5680, 20), ("latin", 5, (6, 4), 2314165, 141),
+        ("1f-labeled", 2, (1,), 1, 0), ("1f-labeled", 4, (1,), 33, 1),
+        ("1f-labeled", 6, (1, 0), 10285, 12),
     ]
 
-    @pytest.mark.parametrize("jobs", [1, 2])
-    @pytest.mark.parametrize("kind, n, leaves, full_nodes, pinned_nodes", CASES)
-    def test_pinned_count_times_multiplier_is_the_full_count(
-            self, kind, n, leaves, full_nodes, pinned_nodes, jobs):
-        # the reference: the full start, run serially through the kernel
+    @staticmethod
+    @functools.cache
+    def _full_search(kind, n):
+        """The reference: the full start, run serially through the kernel."""
         kernel, args, state, depth, full_depth, _ = enumeration._start(kind, n, pinned=False)
         budget = enumeration._Budget(None)
-        full_count = kernel(*args, state, depth, full_depth, budget, None, None)
-        pinned = enumeration._count(kind, n, SearchConfig(jobs=jobs))
-        multiplier = enumeration._start(kind, n, pinned=True)[-1]
-        assert pinned.count == leaves * multiplier == full_count
-        assert (budget.nodes, pinned.nodes) == (full_nodes, pinned_nodes)
+        return kernel(*args, state, depth, full_depth, budget, None, None), budget.nodes
+
+    @pytest.mark.parametrize("jobs", [1, 2, 8])
+    @pytest.mark.parametrize("kind, n, leaves, full_nodes, nodes", CASES)
+    def test_cycle_type_count_is_the_full_count(self, kind, n, leaves, full_nodes, nodes, jobs):
+        full_count, searched = self._full_search(kind, n)
+        result = enumeration._count(kind, n, SearchConfig(jobs=jobs))
+        multipliers = [start[-1] for start in enumeration._starts(kind, n)]
+        assert len(multipliers) == len(leaves)
+        assert result.count == sum(t * m for t, m in zip(leaves, multipliers)) == full_count
+        assert (searched, result.nodes) == (full_nodes, nodes)
+
+    @pytest.mark.parametrize("n, reduced", [(1, 1), (2, 1), (3, 1), (4, 4), (5, 56), (6, 9408)])
+    def test_latin_counts_equal_the_reduced_square_start(self, n, reduced):
+        # R(n), OEIS A000315, from the reduced-square start that _latin_cells expands
+        kernel, args, state, depth, full_depth, multiplier = enumeration._start(
+            "latin", n, pinned=True)
+        leaves = kernel(*args, state, depth, full_depth, enumeration._Budget(None), None, None)
+        assert leaves == reduced
+        assert count_latin_squares(n).count == reduced * multiplier
 
     def test_multipliers(self):
-        def multiplier(kind, n):
-            return enumeration._start(kind, n, pinned=True)[-1]
-        # (n-2)!!, n!(n-1)! and (n-1)!; a full start stands for itself
-        assert [multiplier("sts", n) for n in (1, 3, 7, 9, 13)] == [1, 1, 15, 105, 10395]
-        assert [multiplier("latin", n) for n in (1, 2, 5)] == [1, 2, 120 * 24]
-        assert multiplier("1f-labeled", 8) == 5040
+        def multipliers(kind, n):
+            return [start[-1] for start in enumeration._starts(kind, n)]
+        # n!(n-2)! D_c and (n-1)! D_c(n-2); the sts ones are checked with m_l below
+        assert multipliers("latin", 5) == [120 * 6 * 24, 120 * 6 * 20]
+        assert multipliers("1f-labeled", 8) == [5040 * d for d in (120, 90, 40, 15)]
+        assert [multipliers("sts", n) for n in (1, 3)] == [[1], [1]]
+        assert [multipliers("latin", n) for n in (1, 2)] == [[1], [2]]
+        assert [multipliers("1f-labeled", n) for n in (2, 4)] == [[1], [6]]
         assert enumeration._start("latin", 5, pinned=False)[-1] == 1
+
+    def test_derangement_classes_against_brute_force(self):
+        # D_c = m!/(prod of parts * prod of multiplicities!) over the
+        # permutations of m points, and their sum is OEIS A000166
+        def cycle_type(perm):
+            seen, lengths = set(), []
+            for start in range(len(perm)):
+                length, v = 0, start
+                while v not in seen:
+                    seen.add(v)
+                    v, length = perm[v], length + 1
+                if length:
+                    lengths.append(length)
+            return tuple(sorted(lengths, reverse=True))
+
+        for m in range(8):
+            by_type = collections.Counter(cycle_type(p) for p in itertools.permutations(range(m)))
+            types = enumeration._cycle_types(m)
+            assert {c: by_type[c] for c in types} == {
+                c: enumeration._class_size(c) for c in types}
+            assert sum(by_type[c] for c in types) == sum(
+                n for c, n in by_type.items() if 1 not in c)
+            assert all(cycle_type(enumeration._permutation(c)) == c for c in types)
+        assert [sum(map(enumeration._class_size, enumeration._cycle_types(m)))
+                for m in range(10)] == [1, 0, 1, 2, 9, 44, 265, 1854, 14833, 133496]
+
+    @staticmethod
+    def _matching_type(n, mu):
+        """The cycle type of mu + nu on 4..n, nu = {4,5}, {6,7}, ...: the
+        half-lengths of its alternating cycles."""
+        seen, lengths = set(), []
+        for start in range(4, n + 1, 2):
+            length, v = 0, start
+            while v not in seen:
+                seen.update((v, v ^ 1))
+                v, length = mu[v ^ 1], length + 1
+            if length:
+                lengths.append(length)
+        return tuple(sorted(lengths, reverse=True))
+
+    def test_matching_classes_against_brute_force(self):
+        # m_l = k!/(prod l_i! * prod multiplicities!) * prod (l_i - 1)! 2^(l_i - 1),
+        # and the sum over l is OEIS A053871: 2, 8, 544, 6,040 at sts 7, 9, 13, 15
+        def m_closed(parts):
+            k = sum(parts)
+            size = math.factorial(k) // math.prod(
+                [*map(math.factorial, parts), *(math.factorial(parts.count(p)) for p in set(parts))])
+            return size * math.prod(math.factorial(p - 1) * 2 ** (p - 1) for p in parts)
+
+        def matchings(points):
+            if not points:
+                yield {}
+                return
+            a = points[0]
+            for b in points[1:]:
+                for rest in matchings([p for p in points[1:] if p != b]):
+                    yield {a: b, b: a, **rest}
+
+        double_factorial = {7: 15, 9: 105, 13: 10395, 15: 135135}
+        for n, total in ((7, 2), (9, 8), (13, 544), (15, 6040)):
+            types = enumeration._cycle_types((n - 3) // 2)
+            assert sum(map(m_closed, types)) == total
+            assert [start[-1] for start in enumeration._starts("sts", n)] == [
+                double_factorial[n] * m_closed(c) for c in types]
+            if n <= 13:   # 945 matchings of 10 points
+                by_type = collections.Counter(
+                    self._matching_type(n, mu) for mu in matchings(list(range(4, n + 1)))
+                    if all(mu[v] != v ^ 1 for v in mu))
+                assert by_type == {c: m_closed(c) for c in types}
+
+    @pytest.mark.parametrize("n", [7, 9, 13, 15])
+    def test_sts_starts_fix_one_matching_of_each_type(self, n):
+        # point 2's other triples {2, a, mu(a)}: read mu off each start state
+        for start, parts in zip(enumeration._starts("sts", n),
+                                enumeration._cycle_types((n - 3) // 2)):
+            covered = start[2]
+            mu = {a: next(b for b in range(4, n + 1) if covered[a] >> b & 1 and b != a ^ 1)
+                  for a in range(4, n + 1)}
+            assert all(covered[2] >> a & 1 for a in range(3, n + 1))
+            assert self._matching_type(n, mu) == parts
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_sts_13_and_its_orbit_counting_identity(self, jobs):
+        # the two STS(13) classes have automorphism groups of orders 39 and 6
+        # (Colbourn-Rosa, Triple Systems), so STS(13) = 13!/39 + 13!/6
+        r = count_triple_systems(13, SearchConfig(jobs=jobs))
+        assert r.complete and r.count == 1_197_504_000
+        assert r.count == math.factorial(13) // 39 + math.factorial(13) // 6
+        assert r.nodes == 31_728
 
     def test_latin_6_from_reduced_squares(self):
         # OEIS A002860 L(6) = 812,851,200 from A000315 R(6) = 9,408
         r = count_latin_squares(6)
         assert r.complete and r.count == 812_851_200 == 9408 * math.factorial(6) * 120
-        assert r.nodes == 172_914
+        assert r.nodes == 13_036
 
 
 class TestNodeBudget:
     # a partial count is the pinned leaves found, never scaled by the multiplier
     @pytest.mark.parametrize("count, budget, partial", [
-        (lambda cfg: count_latin_squares(5, cfg), 500, 32),       # reduced squares
-        (lambda cfg: count_one_factorizations(8, labeled=False, config=cfg), 500, 48),
-        (lambda cfg: count_one_factorizations(8, labeled=True, config=cfg), 500, 48),
-        (lambda cfg: count_triple_systems(13, cfg), 5000, 59),    # not times 11!!
+        (lambda cfg: count_latin_squares(5, cfg), 100, 7),        # over two starts
+        (lambda cfg: count_one_factorizations(8, labeled=False, config=cfg), 500, 28),
+        (lambda cfg: count_one_factorizations(8, labeled=True, config=cfg), 500, 28),
+        (lambda cfg: count_triple_systems(13, cfg), 5000, 57),    # not scaled
     ], ids=["latin5", "1f8", "1f8-labeled", "sts13"])
     def test_partial_for_every_family(self, count, budget, partial):
         r = count(SearchConfig(node_budget=budget))
@@ -192,8 +300,8 @@ class TestNodeBudget:
         assert r.count == partial
 
     @pytest.mark.parametrize("count, n, nodes, total", [
-        (count_triple_systems, 9, 152, 840),
-        (count_latin_squares, 5, 848, 161_280),
+        (count_triple_systems, 9, 16, 840),
+        (count_latin_squares, 5, 141, 161_280),
     ], ids=["sts9", "latin5"])
     def test_budget_is_exhausted_only_by_a_refused_node(self, count, n, nodes, total):
         # a budget equal to the node total completes the search
@@ -204,29 +312,28 @@ class TestNodeBudget:
 
 
 class TestWorkerClamp:
-    def test_worker_count(self, recording_executor):
-        recording_executor(enumeration)             # os.cpu_count() reads 4
+    def test_worker_count(self, recording_executor):   # os.cpu_count() reads 4
         assert worker_count(5000, 100) == 4
         assert worker_count(5000, 3) == 3
         assert worker_count(2, 100) == 2
         assert worker_count(5000, 0) == 1
 
     def test_absurd_jobs_start_at_most_cpu_count_workers(self, recording_executor):
-        requested = recording_executor(enumeration)
+        requested = recording_executor
         cfg = SearchConfig(jobs=5000)
         assert count_triple_systems(9, cfg).count == 840
         assert count_one_factorizations(8, config=cfg).count == 6240
-        assert count_latin_squares(4, cfg).count == 576
+        assert count_latin_squares(5, cfg).count == 161_280
         assert requested == [4, 4, 4]
 
     def test_one_task_frontiers_start_no_worker(self, recording_executor):
-        requested = recording_executor(enumeration)
+        requested = recording_executor
         assert count_one_factorizations(4, config=SearchConfig(jobs=2)).count == 1
         assert count_latin_squares(3, SearchConfig(jobs=8)).count == 12
         assert requested == []
 
     def test_one_cpu_starts_no_worker(self, recording_executor, monkeypatch):
-        requested = recording_executor(enumeration)
+        requested = recording_executor
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
         assert count_triple_systems(9, SearchConfig(jobs=2)).count == 840
         a = entropy_upper_estimate("sts", 7, samples=9_000, seed=3, jobs=2)

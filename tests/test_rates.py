@@ -6,7 +6,6 @@ import math
 import numpy as np
 import pytest
 
-from designcount import enumeration
 from designcount.core import DesignError
 from designcount.enumeration import (
     EmptyPoolError,
@@ -173,7 +172,7 @@ class TestReproducibility:
         assert len({(r.estimate, r.se) for r in runs}) == 1
 
     def test_absurd_jobs_clamped(self, recording_executor):
-        requested = recording_executor(enumeration)   # os.cpu_count() reads 4
+        requested = recording_executor   # os.cpu_count() reads 4
         a = entropy_upper_estimate("sts", 7, samples=9_000, seed=3, jobs=5000)
         b = entropy_upper_estimate("sts", 7, samples=9_000, seed=3, jobs=1)
         assert requested == [3]                     # one worker per block
