@@ -160,7 +160,7 @@ class EdgeColoring:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LatinSquare:
     """An n x n matrix over symbols 1..n, one of each per row and column."""
 
@@ -447,6 +447,12 @@ def loads(text: str) -> TripleSystem | EdgeColoring | LatinSquare:
     return from_json_dict(json.loads(text))
 
 
+def _latin_template(n: int) -> np.ndarray:
+    """One ``dumps`` line of an order-n square and its newline as uint8
+    bytes, with a 0 byte for each entry."""
+    return np.frombuffer((_latin_format(n).replace("%d", "\0") + "\n").encode(), np.uint8)
+
+
 def canonical_latin_cells(n: int, text: str) -> np.ndarray | None:
     """The cells of a text in exactly the form ``dumps`` gives order-n
     squares, one a line and each line ending in a newline, as an
@@ -459,7 +465,7 @@ def canonical_latin_cells(n: int, text: str) -> np.ndarray | None:
     """
     if not 1 <= n <= 9:
         return None
-    template = np.frombuffer((_latin_format(n).replace("%d", "\0") + "\n").encode(), np.uint8)
+    template = _latin_template(n)
     data = np.frombuffer(text.encode(), np.uint8)
     if len(data) % len(template):
         return None
@@ -469,3 +475,24 @@ def canonical_latin_cells(n: int, text: str) -> np.ndarray | None:
     if not ((lines[:, ~entry] == template[~entry]).all() and (cells <= 9).all()):
         return None
     return cells.reshape(-1, n, n)
+
+
+def canonical_latin_text(cells: np.ndarray) -> str:
+    """What ``dumps`` writes for each square of an (N, n, n) integer array
+    with entries 1..9, one a line: the inverse of ``canonical_latin_cells``.
+
+    The digits fill the template's entry columns ``BULK_CHUNK`` squares at
+    a time, and each chunk becomes a string at once, so no byte array of
+    the whole text is made.
+    """
+    n = cells.shape[1]
+    template = _latin_template(n)
+    entry = np.flatnonzero(template == 0)
+    block = np.tile(template, (min(len(cells), BULK_CHUNK), 1))
+    chunks = []
+    for start in range(0, len(cells), BULK_CHUNK):
+        part = cells[start:start + BULK_CHUNK].reshape(-1, n * n)
+        lines = block[:len(part)]
+        lines[:, entry] = part + ord("0")
+        chunks.append(str(lines.data, "ascii"))
+    return "".join(chunks)

@@ -37,13 +37,15 @@ order, unscaled.  Triple-system and coloring pools collect every
 labeled design from the full start state (``_start(kind, n,
 pinned=False)``); the Latin pool expands the reduced squares of the
 reduced-square start (``pinned=True``) by row and column permutations
-(``_latin_cells``).
+(``_latin_cells``) and keeps that array, which ``pool_to_jsonl`` writes
+in bulk.
 
 Both kernels stop at a depth ``cut``, where they append the choice path
 to ``sink`` (if given) and count 1.  At the full depth that counts or
 collects designs; at a smaller depth the same DFS lists the frontier of
-subtrees.  ``_count`` runs every count: a parallel run cuts each start
-a fixed number of levels below its fixed parts, hands the subtrees to
+subtrees.  ``_count`` runs every count: a parallel run whose search
+needs more than ``SERIAL_NODES`` nodes cuts each start a fixed number
+of levels below its fixed parts, hands the subtrees to
 ``map_tasks`` (each task names its start and replays its path onto it,
 then searches below it), and sums the (exact integer) subtree counts in
 task order, so totals are schedule independent.  Counts are Python ints
@@ -55,7 +57,7 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import combinations, permutations
 
 import numpy as np
@@ -69,6 +71,7 @@ from .core import (
     SquareError,
     TripleSystem,
     canonical_latin_cells,
+    canonical_latin_text,
     dumps,
     latin_squares,
     loads,
@@ -127,11 +130,17 @@ def map_tasks(fn, tasks: list, jobs: int) -> list:
 
 @dataclass(frozen=True)
 class Pool:
-    """A complete, duplicate-free list of validated designs."""
+    """A complete, duplicate-free list of validated designs.
+
+    ``cells``, when set, is the (N, n, n) array of Latin squares, entries
+    1..9, that the items were built from; ``pool_to_jsonl`` writes it
+    without reading the items.
+    """
 
     kind: str
     n: int
     items: tuple = ()
+    cells: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.items)
@@ -377,24 +386,34 @@ def _subtree(task):
     return count, budget.nodes
 
 
+# Nodes a parallel count searches in this process before it splits, about
+# the cost of starting a worker pool: 2^15 nodes take 20-70 ms on a
+# 2-vCPU VM
+SERIAL_NODES = 1 << 15
+
+
 def _count(kind: str, n: int, cfg: SearchConfig) -> CountResult:
     """Count from every start of ``_starts``, in this process or split into
     subtrees.
 
-    A complete count is the sum of each start's leaves times its
-    multiplier; a partial one (node budget hit) is the leaves found over
-    the starts in order, never scaled.
+    A parallel count without a node budget first searches here, up to
+    ``SERIAL_NODES``, and splits only a search that needs more; the tree
+    is the same either way.  A complete count is the sum of each start's
+    leaves times its multiplier; a partial one (node budget hit) is the
+    leaves found over the starts in order, never scaled.
     """
     if cfg.node_budget is not None and cfg.node_budget < 1:
         raise DesignError(f"node budget must be >= 1, got {cfg.node_budget}")
     t0 = time.perf_counter()
     starts = _starts(kind, n)
-    budget = _Budget(cfg.node_budget)
-    if cfg.jobs <= 1 or cfg.node_budget is not None:
-        leaves = [kernel(*args, state, depth, full_depth, budget, None, None)
-                  for kernel, args, state, depth, full_depth, _ in starts]
-        nodes = budget.nodes
-    else:
+    serial = cfg.jobs <= 1 or cfg.node_budget is not None
+    budget = _Budget(cfg.node_budget if serial else SERIAL_NODES)
+    # an interrupted kernel leaves its start state as it found it
+    leaves = [kernel(*args, state, depth, full_depth, budget, None, None)
+              for kernel, args, state, depth, full_depth, _ in starts]
+    nodes = budget.nodes
+    if budget.exhausted and not serial:
+        budget = _Budget(None)
         # split each start below its fixed parts: point 3's star, row 3's
         # cells, or vertex 3's edges
         split = max(0, {"sts": (n - 3) // 2, "latin": n - 1}.get(kind, n - 3))
@@ -480,8 +499,9 @@ def enumerate_pool(kind: str, n: int) -> Pool:
     colorings are one collect pass of the full labeled search, which
     appends each leaf where the count adds it, so the pool's size is the
     count; Latin squares are derived from the reduced ones
-    (``_latin_cells``), in the order the full search would list them.
-    Every element passes the core validators.
+    (``_latin_cells``), in the order the full search would list them,
+    and the pool keeps their array as ``cells``.  Every element passes
+    the core validators.
     """
     if kind not in POOL_GATES:
         raise DesignError(f"unknown pool kind {kind!r}")
@@ -490,7 +510,8 @@ def enumerate_pool(kind: str, n: int) -> Pool:
     if not _feasible("1f" if kind == "1f-labeled" else kind, n):
         return Pool(kind, n, ())
     if kind == "latin":
-        return Pool(kind, n, latin_squares(n, _latin_cells(n)))
+        cells = _latin_cells(n)
+        return Pool(kind, n, latin_squares(n, cells), cells)
 
     kernel, args, state, depth, full_depth, _ = _start(kind, n, pinned=False)
     paths: list = []
@@ -537,7 +558,10 @@ def sample_uniform(pool: Pool, seed: int, count: int) -> list:
 
 
 def pool_to_jsonl(pool: Pool) -> str:
-    """One JSON object per line, in enumeration order."""
+    """One JSON object per line, in enumeration order: ``dumps`` of each
+    item, or the same text written in bulk from the pool's ``cells``."""
+    if pool.cells is not None:
+        return canonical_latin_text(pool.cells)
     return "".join(dumps(obj) + "\n" for obj in pool.items)
 
 
@@ -548,14 +572,15 @@ def pool_from_jsonl(kind: str, n: int, text: str) -> Pool:
     the pool's kind and n, and no design may appear twice: the first bad
     line, else the first line equal to an earlier one, is named.  A latin
     text exactly as `pool_to_jsonl` writes it (``canonical_latin_cells``)
-    is checked and built as one array, with the same result.
+    is checked and built as one array, with the same result, and the
+    pool keeps that array as ``cells``.
     """
     if kind not in _POOL_TYPES:
         raise DesignError(f"unknown pool kind {kind!r}")
     cells = canonical_latin_cells(n, text) if kind == "latin" else None
     if cells is not None:
         try:
-            return Pool(kind, n, latin_squares(n, cells))
+            return Pool(kind, n, latin_squares(n, cells), cells)
         except SquareError as e:   # square k is on line k + 1
             fault = f": {NOT_LATIN}" if e.repeats is None else f" repeats line {e.repeats + 1}"
             raise DesignError(f"pool line {e.index + 1}{fault}") from None

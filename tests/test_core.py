@@ -1,5 +1,6 @@
 """Validation, conversions, and interchange format of the core types."""
 
+import dataclasses
 import gc
 import json
 import pickle
@@ -344,6 +345,20 @@ class TestLatinSquaresInBulk:
             assert pickle.dumps(got) == pickle.dumps(fresh)
             assert pickle.loads(pickle.dumps(got)) == fresh
 
+    def test_latin_square_is_slotted_and_frozen(self):
+        square = LatinSquare(n=3, rows=((1, 2, 3), (2, 3, 1), (3, 1, 2)))
+        assert not hasattr(square, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            square.n = 4
+        with pytest.raises((AttributeError, TypeError)):
+            square.extra = 1
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            again = pickle.loads(pickle.dumps(square, protocol))
+            assert again == square and hash(again) == hash(square)
+            assert dumps(again) == dumps(square)
+        with pytest.raises(DesignError, match=NOT_LATIN):
+            LatinSquare(n=3, rows=((1, 2, 3), (2, 3, 1), (3, 2, 1)))
+
     def test_rejects_arrays_of_another_shape_or_type(self):
         square = [[1, 2], [2, 1]]
         for cells, what in ((np.array([square], float), "float64 (1, 2, 2)"),
@@ -383,6 +398,21 @@ class TestLatinSquaresInBulk:
             for _ in range(5):
                 sq = LatinSquare(n=n, rows=tuple(map(tuple, _random_latin(rnd, n))))
                 assert dumps(sq) == core._ENCODER.encode(to_json_dict(sq))
+
+    @pytest.mark.parametrize("chunk", [1, 3, 4096])
+    def test_bulk_text_is_dumps_line_by_line(self, monkeypatch, chunk):
+        # every one-digit order, with chunks that do and do not divide N
+        monkeypatch.setattr(core, "BULK_CHUNK", chunk)
+        rnd = random.Random(9)
+        for n in range(1, 10):
+            for count in (0, 1, 7):
+                cells = np.array([_random_latin(rnd, n) for _ in range(count)],
+                                 np.int8).reshape(count, n, n)
+                text = core.canonical_latin_text(cells)
+                assert text == "".join(
+                    dumps(LatinSquare(n=n, rows=tuple(map(tuple, rows)))) + "\n"
+                    for rows in cells.tolist())
+                assert (core.canonical_latin_cells(n, text) == cells).all()
 
 
 class TestFeasibility:

@@ -123,8 +123,14 @@ class TestLatinCounts:
         assert count_latin_squares(5).count == oracles.oracle_count_latin_permanent(5)
 
 
+@pytest.fixture
+def split_counts(monkeypatch):
+    """Make every parallel count split into subtrees, however small."""
+    monkeypatch.setattr(enumeration, "SERIAL_NODES", 1)
+
+
 class TestDeterminismUnderParallelism:
-    def test_counts_and_nodes_identical_across_jobs(self):
+    def test_counts_and_nodes_identical_across_jobs(self, split_counts):
         cases = [
             lambda cfg: count_triple_systems(7, cfg),
             lambda cfg: count_triple_systems(9, cfg),
@@ -161,7 +167,8 @@ class TestPinnedStarts:
 
     @pytest.mark.parametrize("jobs", [1, 2, 8])
     @pytest.mark.parametrize("kind, n, leaves, full_nodes, nodes", CASES)
-    def test_cycle_type_count_is_the_full_count(self, kind, n, leaves, full_nodes, nodes, jobs):
+    def test_cycle_type_count_is_the_full_count(self, kind, n, leaves, full_nodes, nodes, jobs,
+                                                split_counts):
         full_count, searched = self._full_search(kind, n)
         result = enumeration._count(kind, n, SearchConfig(jobs=jobs))
         multipliers = [start[-1] for start in enumeration._starts(kind, n)]
@@ -270,7 +277,7 @@ class TestPinnedStarts:
             assert self._matching_type(n, mu) == parts
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_sts_13_and_its_orbit_counting_identity(self, jobs):
+    def test_sts_13_and_its_orbit_counting_identity(self, jobs, split_counts):
         # the two STS(13) classes have automorphism groups of orders 39 and 6
         # (Colbourn-Rosa, Triple Systems), so STS(13) = 13!/39 + 13!/6
         r = count_triple_systems(13, SearchConfig(jobs=jobs))
@@ -318,7 +325,8 @@ class TestWorkerClamp:
         assert worker_count(2, 100) == 2
         assert worker_count(5000, 0) == 1
 
-    def test_absurd_jobs_start_at_most_cpu_count_workers(self, recording_executor):
+    def test_absurd_jobs_start_at_most_cpu_count_workers(self, recording_executor,
+                                                         split_counts):
         requested = recording_executor
         cfg = SearchConfig(jobs=5000)
         assert count_triple_systems(9, cfg).count == 840
@@ -326,13 +334,13 @@ class TestWorkerClamp:
         assert count_latin_squares(5, cfg).count == 161_280
         assert requested == [4, 4, 4]
 
-    def test_one_task_frontiers_start_no_worker(self, recording_executor):
+    def test_one_task_frontiers_start_no_worker(self, recording_executor, split_counts):
         requested = recording_executor
         assert count_one_factorizations(4, config=SearchConfig(jobs=2)).count == 1
         assert count_latin_squares(3, SearchConfig(jobs=8)).count == 12
         assert requested == []
 
-    def test_one_cpu_starts_no_worker(self, recording_executor, monkeypatch):
+    def test_one_cpu_starts_no_worker(self, recording_executor, monkeypatch, split_counts):
         requested = recording_executor
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
         assert count_triple_systems(9, SearchConfig(jobs=2)).count == 840
@@ -340,6 +348,24 @@ class TestWorkerClamp:
         b = entropy_upper_estimate("sts", 7, samples=9_000, seed=3, jobs=1)
         assert (a.estimate, a.se) == (b.estimate, b.se)
         assert requested == []
+
+    def test_small_parallel_counts_stay_in_this_process(self, recording_executor):
+        requested = recording_executor
+        for count in (lambda cfg: count_latin_squares(5, cfg),
+                      lambda cfg: count_triple_systems(9, cfg),
+                      lambda cfg: count_one_factorizations(8, config=cfg)):
+            one, two = count(SearchConfig(jobs=1)), count(SearchConfig(jobs=2))
+            assert (two.count, two.nodes, two.complete) == (one.count, one.nodes, True)
+        assert requested == []
+
+    @pytest.mark.parametrize("serial_nodes, requested", [(141, []), (140, [2])])
+    def test_a_count_splits_once_its_serial_budget_is_spent(
+            self, recording_executor, monkeypatch, serial_nodes, requested):
+        # latin 5 searches 141 nodes
+        monkeypatch.setattr(enumeration, "SERIAL_NODES", serial_nodes)
+        r = count_latin_squares(5, SearchConfig(jobs=2))
+        assert (r.count, r.nodes, r.complete) == (161_280, 141, True)
+        assert recording_executor == requested
 
 
 class TestPools:
@@ -650,6 +676,47 @@ class TestLatinLoader:
                 assert pool_from_jsonl("latin", 4, text).items == want
                 loaded += 1
         assert bulk >= 100 and loaded >= 10
+
+
+def _per_object_dump(pool):
+    return "".join(dumps(x) + "\n" for x in pool.items)
+
+
+class TestLatinWriter:
+    """``pool_to_jsonl`` from a latin pool's cells against ``dumps`` of
+    each item."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_bulk_text_is_dumps_of_each_item(self, n):
+        pool = enumerate_pool("latin", n)
+        text = pool_to_jsonl(pool)
+        assert pool.cells is not None and text == _per_object_dump(pool)
+        assert pool_to_jsonl(Pool("latin", n, pool.items)) == text
+        back = pool_from_jsonl("latin", n, text)
+        assert back.cells is not None and back == pool
+        assert pool_to_jsonl(back) == _per_object_dump(back) == text
+
+    def test_pools_without_cells_dump_each_item(self):
+        text = pool_to_jsonl(enumerate_pool("latin", 4))
+        crlf = pool_from_jsonl("latin", 4, text.replace("\n", "\r\n"))
+        assert crlf.cells is None and pool_to_jsonl(crlf) == text
+        assert pool_to_jsonl(pool_from_jsonl("latin", 4, "")) == ""
+        for kind, n in (("sts", 7), ("1f-labeled", 4)):
+            pool = enumerate_pool(kind, n)
+            back = pool_from_jsonl(kind, n, pool_to_jsonl(pool))
+            assert pool.cells is None and back.cells is None
+            assert pool_to_jsonl(back) == _per_object_dump(back) == pool_to_jsonl(pool)
+
+    @pytest.mark.parametrize("n", [10, 11])
+    def test_orders_above_nine_dump_and_load_line_by_line(self, n):
+        # two-digit entries: no text of these orders is canonical
+        cyclic = [tuple((r + c) % n + 1 for c in range(n)) for r in range(n)]
+        squares = tuple(LatinSquare(n=n, rows=tuple(cyclic[r] for r in p))
+                        for p in (range(n), reversed(range(n))))
+        text = pool_to_jsonl(Pool("latin", n, squares))
+        assert text == "".join(dumps(x) + "\n" for x in squares)
+        back = pool_from_jsonl("latin", n, text)
+        assert back.cells is None and back.items == squares
 
 
 class TestSampling:
