@@ -11,6 +11,13 @@ only on the vertices before the anchor and the star elements before
 the pair, so for them exact mode feeds one order per such set,
 weighted by the number of orders it stands for.
 
+The M and N laws draw their orders once, for all the pairs of an
+exp-m suite and for each vertex order of an n-law suite, and make one
+kernel pass over each batch of them: the pass reads every pair at once
+and buckets its M or N by the anchor's position p or q.
+`verify_M_expectation` and `verify_N_law` are the same evaluator
+restricted to one pair and one p or q.
+
 The laws checked, with the conditioning event in brackets:
 
 * position law, edge-coloring variant [i before j]:
@@ -44,7 +51,7 @@ from fractions import Fraction
 import numpy as np
 
 from ..core import DesignError, EdgeColoring, TripleSystem
-from ..enumeration import enumerate_pool
+from ..enumeration import first_design
 from .rates import CHUNK, reveal_steps, set_orders
 from .reveal import EmptyConditionError, TooLargeError, sample_reveal_order
 
@@ -126,22 +133,45 @@ def _orders(m: int, mode: str, samples: int, seed: int):
         yield rng.permuted(np.tile(np.arange(m), (size, 1)), axis=1)
 
 
-def _anchored(m: int, head: int, at, avoid, mode: str, samples: int, seed: int):
-    """(orders, weight) batches of the orders of 0..m-1 that put ``head`` at
-    position ``at`` (any if None) before every item in ``avoid``: exact mode
-    one per set before head (`set_orders`), mc mode the draws that do."""
+def _anchored(m: int, targets, sizes, mode: str, samples: int, seed: int):
+    """Batches ``(perms, rows, t, s, weight)`` of orders of 0..m-1 and of
+    reads in them.
+
+    Read r is target ``targets[t[r]]`` = (head, avoid) in the order
+    ``perms[rows[r]]``, which puts head at position s[r], one of ``sizes``,
+    before every item in avoid, and stands for ``weight[s[r]]`` orders.
+    Exact mode is one batch holding, for each target, one order per set
+    before head with the weight `set_orders` gives it; mc mode reads
+    every target in each batch of the draws (`_orders`), each weighing 1.
+    """
+    sizes = [s for s in sizes if s >= 0]
     if mode == "exact":
-        free = sum(x != head and x not in avoid for x in range(m))
-        sizes = range(free + 1) if at is None else range(max(at, 0), at + 1)
-        _gate(mode, sum(math.comb(free, s) for s in sizes), MAX_EXACT_SETS, "sets")
-        yield from set_orders(m, (head,), sizes, avoid)
-        return
-    for perms in _orders(m, mode, samples, seed):
-        pos = np.argsort(perms, axis=1)
-        keep = (pos[:, avoid] > pos[:, [head]]).all(axis=1)
-        if at is not None:
-            keep &= pos[:, head] == at
-        yield perms[keep], 1
+        blocks = [np.empty((0, m), np.int64)]
+        owner = []
+        weight = [0] * m   # alike for every target: head at s weighs s!(m-1-s)!
+        for t, (head, avoid) in enumerate(targets):
+            free = m - 1 - len(avoid)
+            _gate(mode, sum(math.comb(free, s) for s in sizes), MAX_EXACT_SETS, "sets")
+            for orders, w in set_orders(m, (head,), sizes, avoid):
+                blocks.append(orders)
+                owner += [t] * len(orders)
+                weight[list(orders[0]).index(head)] = w
+        batches = [(np.concatenate(blocks), np.array(owner, np.intp), weight)]
+    else:
+        batches = ((perms, None, [1] * m) for perms in _orders(m, mode, samples, seed))
+    heads = np.array([head for head, _ in targets], np.intp)
+    for perms, owner, weight in batches:
+        pos = np.argsort(perms, axis=1)   # pos[r, a]: position of item a
+        reads = []
+        for t, (head, avoid) in enumerate(targets):
+            keep = (pos[:, avoid] > pos[:, [head]]).all(axis=1) & np.isin(pos[:, head], sizes)
+            if owner is not None:
+                keep &= owner == t
+            reads.append(np.flatnonzero(keep))
+        t = np.repeat(np.arange(len(targets)), [len(r) for r in reads])
+        rows = np.concatenate(reads)
+        used, rows = np.unique(rows, return_inverse=True)
+        yield perms[used], rows, t, pos[used[rows], heads[t]], weight
 
 
 def _gate(mode: str, size: int, limit: int, what: str) -> None:
@@ -149,19 +179,54 @@ def _gate(mode: str, size: int, limit: int, what: str) -> None:
         raise TooLargeError(f"exact mode gated at {what} <= {limit}, got {size}")
 
 
-def _pair_values(variant: str, X, vo: np.ndarray, p: int, j: int, keys=None):
-    """M and N of the pair (vo[b, p], j) in each reveal b of design X.
+def _pair_values(variant: str, X, vo: np.ndarray, at, j, keys=None, rows=None):
+    """M and N of the pair (vo[b, at], j) in reveals b of design X, one per read.
 
-    j must follow position p in every vertex order; ``keys`` order the
-    stars as in `reveal_steps` (by default in some fixed order, which
-    leaves M unchanged).
+    Read r is reveal b = rows[r] (by default every reveal once), with its
+    own at[r] and j[r] (a scalar serves every read); j must follow
+    position at in the vertex order.  ``keys`` order the stars as in
+    `reveal_steps` (by default in vertex order, which leaves M unchanged).
     """
-    if keys is None:
-        keys = np.zeros(vo.shape + vo.shape[1:])
+    rows = np.arange(len(vo)) if rows is None else rows
+    at, j = np.broadcast_to(at, rows.shape), np.broadcast_to(j, rows.shape)
+    m_out, n_out = np.zeros((2, len(rows)), np.int64)
     steps = reveal_steps(variant, np.array([X.table]), np.zeros(len(vo), np.intp), vo, keys)
-    _, star, m_avail, n_avail = next(itertools.islice(steps, p, None))
-    slot = star == j
-    return m_avail[slot], n_avail[slot]
+    for p, (_, star, m_avail, n_avail) in zip(range(at.max(initial=-1) + 1), steps):
+        r = np.flatnonzero(at == p)
+        slot = star[rows[r]] == j[r, None]   # one slot per read
+        m_out[r], n_out[r] = m_avail[rows[r]][slot], n_avail[rows[r]][slot]
+    return m_out, n_out
+
+
+def _pair_counts(variant: str, X, targets, sizes, mode: str, samples: int, seed: int,
+                 vo=None, p=None):
+    """Counts of M, or of N, by target, position of its head and value.
+
+    Each target (j, head, avoid) reads the pair (i, j) in the orders of
+    `_anchored` that put head at a position s in ``sizes``: without
+    ``vo`` they are vertex orders (head = i-1) and the read is M at step
+    s; with it they order the forward star of i = vo[p], and the read is
+    N.  One kernel pass per batch serves every target.  Returns
+    ``counts[t, s, value]`` as Python ints, each read weighted by the
+    orders it stands for.
+    """
+    n = X.n
+    m = n if vo is None else n - 1 - p
+    js = np.array([j for j, _, _ in targets], np.intp)
+    counts = np.zeros((len(targets), m, n + 1), object)
+    for perms, rows, t, s, weight in _anchored(m, [(h, a) for _, h, a in targets], sizes,
+                                       mode, samples, seed):
+        if vo is None:
+            values = _pair_values(variant, X, perms + 1, s, js[t], rows=rows)[0]
+        else:
+            keys = np.zeros((len(perms), n, n))
+            keys[:, p, p + 1:] = np.argsort(perms, axis=1)   # rank of each star slot
+            values = _pair_values(variant, X, np.tile(vo, (len(perms), 1)), p, js[t],
+                                  keys, rows)[1]
+        hits = np.bincount(np.ravel_multi_index((t, s, values), counts.shape),
+                           minlength=counts.size).reshape(counts.shape)
+        counts += hits.astype(object) * np.array(weight, object)[:, None]
+    return counts
 
 
 def _share(count: int, total: int, exact: bool):
@@ -172,20 +237,17 @@ def _share(count: int, total: int, exact: bool):
     return est, math.sqrt(max(est * (1 - est), 1e-300) / total)
 
 
-def _mean(batches, exact: bool, cond: dict):
-    """Mean of a stream of (integer array, orders) batches, with the
-    number of orders; each value stands for ``orders`` orders (1 if drawn).
+def _mean(counts, exact: bool, cond: dict):
+    """Mean of a value given its counts (``counts[v]`` orders have value v),
+    with the number of orders.
 
     Exact mode gives a Fraction; mc mode a float and its standard error.
     Both come from the integer moments (count, sum, sum of squares), so
     the MC sum of squared deviations is exact before it is rounded.
     """
-    count = total = squares = 0
-    for x, orders in batches:
-        x = x.astype(np.int64)
-        count += orders * len(x)
-        total += orders * int(x.sum())
-        squares += orders * int((x * x).sum())
+    count = sum(counts)
+    total = sum(v * c for v, c in enumerate(counts))
+    squares = sum(v * v * c for v, c in enumerate(counts))
     if count == 0:
         where = ", ".join(f"{k}={v}" for k, v in sorted(cond.items()))
         raise EmptyConditionError(f"no {'' if exact else 'sampled '}order satisfies {where}")
@@ -282,40 +344,54 @@ def verify_M_expectation(variant: str, X: EdgeColoring | TripleSystem,
     Triple-system variant: single verdict against
     1 + (n-p-2)(n-p-3)(n-p-4)/((n-4)(n-5)).
     """
+    return _m_verdicts(variant, X, [(i, j)], [p], mode, samples, seed)
+
+
+def _m_verdicts(variant, X, pairs, positions, mode, samples, seed):
+    """`verify_M_expectation` for every pair and position: one draw and
+    one kernel pass serve them all."""
     n = X.n
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise DesignError(f"pair ({i}, {j}) outside 1..{n}")
+    if not positions:
+        return []
+    for i, j in pairs:
+        if not (1 <= i <= n and 1 <= j <= n):
+            raise DesignError(f"pair ({i}, {j}) outside 1..{n}")
     if variant == "1f":
         if not isinstance(X, EdgeColoring):
             raise DesignError("1f variant needs an EdgeColoring")
-        anchors = (i, j)
-        num = (n - p - 1) * (n - p - 2)
-        formula = 1 + Fraction(num, n - 3)
-        printed = 1 + Fraction(num, n - 1)
+        anchors = list(pairs)
     elif variant == "sts":
         if not isinstance(X, TripleSystem):
             raise DesignError("sts variant needs a TripleSystem")
-        anchors = (i, j, X.table[i][j])
-        formula = 1 + Fraction((n - p - 2) * (n - p - 3) * (n - p - 4),
-                               (n - 4) * (n - 5))
-        printed = None
+        anchors = [(i, j, X.table[i][j]) for i, j in pairs]
     else:
         raise DesignError(f"unknown variant {variant!r}")
 
     # M is a function of the p-1 vertices before i
-    batches = _anchored(n, i - 1, p - 1, [a - 1 for a in anchors[1:]], mode, samples, seed)
-    m_values = ((_pair_values(variant, X, perms + 1, p - 1, j)[0], orders)
-                for perms, orders in batches if len(perms))
-    cond_keys = {"p": p, "i": i, "j": j}
-    observed, se, count = _mean(m_values, mode == "exact", cond_keys)
-    out = [LemmaVerdict("exp-m" if variant == "1f" else "exp-m-2", variant, n,
-                        cond_keys, formula, observed, se,
-                        passed=_passed(observed, formula, se), samples=count)]
-    if printed is not None:
-        out.append(LemmaVerdict(
-            "exp-m[printed]", variant, n, cond_keys, printed, observed, se,
-            passed=_passed(observed, printed, se), samples=count, informational=True,
-            note="printed denominator n-1; measured form uses n-3"))
+    targets = [(a[1], a[0] - 1, [x - 1 for x in a[1:]]) for a in anchors]
+    counts = _pair_counts(variant, X, targets, [p - 1 for p in positions],
+                          mode, samples, seed)
+    out = []
+    for t, (i, j) in enumerate(pairs):
+        for p in positions:
+            if variant == "1f":
+                num = (n - p - 1) * (n - p - 2)
+                formula, printed = 1 + Fraction(num, n - 3), 1 + Fraction(num, n - 1)
+            else:
+                formula = 1 + Fraction((n - p - 2) * (n - p - 3) * (n - p - 4),
+                                       (n - 4) * (n - 5))
+                printed = None
+            cond_keys = {"p": p, "i": i, "j": j}
+            observed, se, count = _mean(counts[t, p - 1] if 1 <= p <= n else (),
+                                        mode == "exact", cond_keys)
+            out.append(LemmaVerdict("exp-m" if variant == "1f" else "exp-m-2", variant, n,
+                                    cond_keys, formula, observed, se,
+                                    passed=_passed(observed, formula, se), samples=count))
+            if printed is not None:
+                out.append(LemmaVerdict(
+                    "exp-m[printed]", variant, n, cond_keys, printed, observed, se,
+                    passed=_passed(observed, printed, se), samples=count,
+                    informational=True, note="printed denominator n-1; measured form uses n-3"))
     return out
 
 
@@ -338,69 +414,61 @@ def verify_N_law(variant: str, X: EdgeColoring | TripleSystem,
     vo = tuple(vertex_order)
     if vo.index(i) >= vo.index(j):
         raise EmptyConditionError(f"{i} must precede {j} in the vertex order")
-
-    if variant == "1f":
-        return _verify_n_uniform_1f(X, vo, i, j, mode, samples, seed)
-    if variant == "sts":
-        if q is None:
-            raise DesignError("triple-system N law needs the star position q")
-        return _verify_n_expectation_sts(X, vo, i, j, q, mode, samples, seed)
-    raise DesignError(f"unknown variant {variant!r}")
+    if variant == "sts" and q is None:
+        raise DesignError("triple-system N law needs the star position q")
+    return _n_verdicts(variant, X, vo, i, [(j, q)], mode, samples, seed)
 
 
-def _star_n_values(variant, X, vo, i, j, mode, samples, seed, q=None):
-    """N of (i, j) over the orders of i's forward star, vo fixed.
-
-    Yields (values, orders) per batch of star orders; given ``q`` (sts),
-    only of those with j at star position q and the third point k after
-    it.  Exact mode takes one star order per set of elements before j.
-    """
-    n, p = len(vo), vo.index(i)
-    at, avoid = (None, []) if q is None else (q - 1, [vo.index(X.table[i][j]) - p - 1])
-    for perms, orders in _anchored(n - 1 - p, vo.index(j) - p - 1, at, avoid,
-                                   mode, samples, seed):
-        if len(perms):
-            keys = np.zeros((len(perms), n, n))
-            keys[:, p, p + 1:] = np.argsort(perms, axis=1)   # rank of each star slot
-            yield _pair_values(variant, X, np.tile(vo, (len(perms), 1)), p, j, keys)[1], orders
-
-
-def _verify_n_uniform_1f(X, vo, i, j, mode, samples, seed):
-    M = int(_pair_values("1f", X, np.array([vo]), vo.index(i), j)[0][0])
-    counts = np.zeros(X.n + 1, dtype=np.int64)
-    for n_avail, orders in _star_n_values("1f", X, vo, i, j, mode, samples, seed):
-        counts += orders * np.bincount(n_avail, minlength=X.n + 1)
-    total = int(counts.sum())
-    stray = total - int(counts[1:M + 1].sum())
+def _n_verdicts(variant, X, vo, i, cases, mode, samples, seed):
+    """`verify_N_law` for each (j, q) of ``cases`` with i's star in one
+    vertex order: one draw and one kernel pass serve them all."""
+    if variant not in ("1f", "sts"):
+        raise DesignError(f"unknown variant {variant!r}")
+    if not cases:
+        return []
+    n, p = X.n, vo.index(i)
+    m = n - 1 - p
+    js = list(dict.fromkeys(j for j, _ in cases))
+    # M of each (i, j) in vo, which the order of i's star leaves unchanged
+    M = dict(zip(js, _pair_values(variant, X, np.array([vo]), p, js,
+                                  rows=np.zeros(len(js), np.intp))[0].tolist()))
+    formulas = []
+    for j, q in cases if variant == "sts" else ():
+        k = X.table[i][j]
+        if vo.index(k) <= p:
+            raise EmptyConditionError(f"the third point {k} must follow {i}")
+        if not 1 <= q <= m - 1:
+            raise EmptyConditionError(f"position q={q} cannot precede the companion edge")
+        l = M[j]
+        if l > 1 and m < 4:
+            raise DesignError(f"the expectation law needs star size >= 4 when l > 1, got m={m}")
+        formulas.append(Fraction(1) if l == 1 else
+                        1 + Fraction((m - q - 1) * (m - q - 2), (m - 2) * (m - 3)) * (l - 1))
+    # j at star position q before the third point k (sts), anywhere (1f)
+    targets = [(j, vo.index(j) - p - 1,
+                [] if variant == "1f" else [vo.index(X.table[i][j]) - p - 1]) for j in js]
+    sizes = range(m) if variant == "1f" else sorted({q - 1 for _, q in cases})
+    counts = _pair_counts(variant, X, targets, sizes, mode, samples, seed, vo, p)
+    exact = mode == "exact"
     out = []
-    for v in range(1, M + 1):
-        observed, se = _share(int(counts[v]), total, mode == "exact")
-        out.append(LemmaVerdict(
-            "n-law", "1f", X.n, {"i": i, "j": j, "v": v, "M": M},
-            Fraction(1, M), observed, se,
-            passed=stray == 0 and _passed(observed, Fraction(1, M), se), samples=total))
+    for c, (j, q) in enumerate(cases):
+        t = js.index(j)
+        if variant == "sts":
+            cond = {"i": i, "j": j, "q": q, "l": M[j], "m": m}
+            observed, se, count = _mean(counts[t, q - 1], exact, cond)
+            out.append(LemmaVerdict("n-law", "sts", n, cond, formulas[c], observed, se,
+                                    passed=_passed(observed, formulas[c], se), samples=count))
+            continue
+        hist = counts[t].sum(axis=0)
+        total = int(hist.sum())
+        stray = total - int(hist[1:M[j] + 1].sum())
+        for v in range(1, M[j] + 1):
+            observed, se = _share(int(hist[v]), total, exact)
+            out.append(LemmaVerdict(
+                "n-law", "1f", n, {"i": i, "j": j, "v": v, "M": M[j]},
+                Fraction(1, M[j]), observed, se,
+                passed=stray == 0 and _passed(observed, Fraction(1, M[j]), se), samples=total))
     return out
-
-
-def _verify_n_expectation_sts(X, vo, i, j, q, mode, samples, seed):
-    n = X.n
-    k = X.table[i][j]
-    if vo.index(k) <= vo.index(i):
-        raise EmptyConditionError(f"the third point {k} must follow {i}")
-    m = n - 1 - vo.index(i)
-    if not 1 <= q <= m - 1:
-        raise EmptyConditionError(f"position q={q} cannot precede the companion edge")
-    l = int(_pair_values("sts", X, np.array([vo]), vo.index(i), j)[0][0])
-    if l > 1 and m < 4:
-        raise DesignError(f"the expectation law needs star size >= 4 when l > 1, got m={m}")
-    formula = Fraction(1) if l == 1 else \
-        1 + Fraction((m - q - 1) * (m - q - 2), (m - 2) * (m - 3)) * (l - 1)
-
-    cond = {"i": i, "j": j, "q": q, "l": l, "m": m}
-    observed, se, count = _mean(_star_n_values("sts", X, vo, i, j, mode, samples, seed, q),
-                                mode == "exact", cond)
-    return [LemmaVerdict("n-law", "sts", n, cond, formula, observed, se,
-                         passed=_passed(observed, formula, se), samples=count)]
 
 
 # ---------------------------------------------------------------------------
@@ -408,10 +476,10 @@ def _verify_n_expectation_sts(X, vo, i, j, q, mode, samples, seed):
 # ---------------------------------------------------------------------------
 
 def _default_design(variant: str, n: int):
-    pool = enumerate_pool("sts" if variant == "sts" else "1f-labeled", n)
-    if len(pool) == 0:
+    X = first_design("sts" if variant == "sts" else "1f-labeled", n)
+    if X is None:
         raise DesignError(f"no {variant} design exists on {n} points")
-    return pool.items[0]
+    return X
 
 
 def verify_suite(lemma: str, variant: str, n: int, mode: str = "exact",
@@ -443,25 +511,15 @@ def verify_suite(lemma: str, variant: str, n: int, mode: str = "exact",
             if (i, j) not in pairs:
                 pairs.append((i, j))
         p_max = n - 1 if variant == "1f" else n - 2
-        for (i, j) in pairs:
-            for p in range(1, p_max + 1):
-                out.extend(verify_M_expectation(variant, X, i, j, p, mode,
-                                                samples, seed))
+        out = _m_verdicts(variant, X, pairs, range(1, p_max + 1), mode, samples, seed)
     elif lemma == "n-law":
         X = _default_design(variant, n)
         for case in range(2):
             vo = sample_reveal_order(n, rng=rng).vertex_order
-            i = vo[0]
-            for j in vo[1:]:
-                if variant == "1f":
-                    out.extend(verify_N_law("1f", X, vo, i, j, mode=mode,
-                                            samples=samples, seed=seed + case))
-                    continue
-                if vo.index(X.table[i][j]) <= vo.index(i):
-                    continue
-                for q in range(1, n - 1 - vo.index(i)):
-                    out.extend(verify_N_law("sts", X, vo, i, j, q=q, mode=mode,
-                                            samples=samples, seed=seed + case))
+            # i = vo[0] leads, so every third point k follows it
+            i, m = vo[0], n - 1
+            cases = [(j, q) for j in vo[1:] for q in ([None] if variant == "1f" else range(1, m))]
+            out += _n_verdicts(variant, X, vo, i, cases, mode, samples, seed + case)
     else:
         raise DesignError(f"unknown lemma {lemma!r}")
     if not out:

@@ -38,7 +38,8 @@ labeled design from the full start state (``_start(kind, n,
 pinned=False)``); the Latin pool expands the reduced squares of the
 reduced-square start (``pinned=True``) by row and column permutations
 (``_latin_cells``) and keeps that array, which ``pool_to_jsonl`` writes
-in bulk.
+in bulk.  ``first_design`` stops the full search at its first leaf,
+which is the pool's first item.
 
 Both kernels stop at a depth ``cut``, where they append the choice path
 to ``sink`` (if given) and count 1.  At the full depth that counts or
@@ -492,6 +493,26 @@ def count_latin_squares(n: int, config: SearchConfig | None = None) -> CountResu
 # Pools and sampling
 # ---------------------------------------------------------------------------
 
+def _pool_feasible(kind: str, n: int) -> bool:
+    """Whether the pool of ``kind`` at n holds designs; an unknown kind or
+    an n above ``POOL_GATES`` raises."""
+    if kind not in POOL_GATES:
+        raise DesignError(f"unknown pool kind {kind!r}")
+    if n > POOL_GATES[kind]:
+        raise PoolTooLargeError(f"{kind} pool gated at n <= {POOL_GATES[kind]}, got {n}")
+    return _feasible("1f" if kind == "1f-labeled" else kind, n)
+
+
+def _designs(kind: str, n: int, paths) -> tuple:
+    """The validated designs of leaf paths of the full search of ``kind``."""
+    if kind == "latin":   # the symbols of the cells in row-major order
+        return latin_squares(n, np.array(paths, np.int8).reshape(-1, n, n))
+    if kind == "sts":
+        return tuple(validate_triple_system(n, triples) for triples in paths)
+    edges = list(combinations(range(1, n + 1), 2))
+    return tuple(validate_edge_coloring(n, dict(zip(edges, colors))) for colors in paths)
+
+
 def enumerate_pool(kind: str, n: int) -> Pool:
     """Materialize the complete pool of designs of one kind.
 
@@ -503,11 +524,7 @@ def enumerate_pool(kind: str, n: int) -> Pool:
     and the pool keeps their array as ``cells``.  Every element passes
     the core validators.
     """
-    if kind not in POOL_GATES:
-        raise DesignError(f"unknown pool kind {kind!r}")
-    if n > POOL_GATES[kind]:
-        raise PoolTooLargeError(f"{kind} pool gated at n <= {POOL_GATES[kind]}, got {n}")
-    if not _feasible("1f" if kind == "1f-labeled" else kind, n):
+    if not _pool_feasible(kind, n):
         return Pool(kind, n, ())
     if kind == "latin":
         cells = _latin_cells(n)
@@ -516,12 +533,33 @@ def enumerate_pool(kind: str, n: int) -> Pool:
     kernel, args, state, depth, full_depth, _ = _start(kind, n, pinned=False)
     paths: list = []
     kernel(*args, state, depth, full_depth, _Budget(None), paths, [])
-    if kind == "sts":
-        items = tuple(validate_triple_system(n, triples) for triples in paths)
-    else:
-        edges = list(combinations(range(1, n + 1), 2))
-        items = tuple(validate_edge_coloring(n, dict(zip(edges, colors))) for colors in paths)
-    return Pool(kind, n, items)
+    return Pool(kind, n, _designs(kind, n, paths))
+
+
+class _FirstLeaf(Exception):
+    """Ends a search at its first leaf; ``args[0]`` is the leaf's path."""
+
+
+class _FirstLeafSink:
+    def append(self, path):
+        raise _FirstLeaf(path)
+
+
+def first_design(kind: str, n: int):
+    """``enumerate_pool(kind, n).items[0]`` without building the pool, or
+    None if the pool is empty.
+
+    The search is the full one that triple-system and coloring pools
+    collect from, and that lists Latin squares in pool order, stopped at
+    its first leaf; the kind and gate checks are the pool's.
+    """
+    if not _pool_feasible(kind, n):
+        return None
+    kernel, args, state, depth, full_depth, _ = _start(kind, n, pinned=False)
+    try:
+        kernel(*args, state, depth, full_depth, _Budget(None), _FirstLeafSink(), [])
+    except _FirstLeaf as leaf:
+        return _designs(kind, n, leaf.args)[0]
 
 
 def _latin_cells(n: int) -> np.ndarray:

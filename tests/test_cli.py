@@ -244,8 +244,7 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "--lemma", "n-law", "--variant", "sts",
                              "--n", "9", "--mode", "mc", "--samples", "2")
         assert code == 1 and out == ""
-        assert err.startswith("error: no sampled order satisfies i=") and err.count("\n") == 1
-        assert all(f"{key}=" in err for key in ("i", "j", "q"))
+        assert err == "error: no sampled order satisfies i=5, j=6, l=7, m=8, q=1\n"
 
     def test_mc_csv_has_plain_floats(self, capsys):
         code, out, _ = run(capsys, "verify", "--lemma", "dist-p-2", "--variant", "sts",
@@ -408,6 +407,74 @@ class TestCache:
         code, _, err = run(capsys, "count", "--object", "sts", "--n", "7",
                            "--cache", str(cache))
         assert code == 1 and err.count("\n") == 1 and "line 1" in err
+
+    STS7 = "{'kind': 'sts', 'n': 7, 'labeled': None}"
+
+    def count(self, capsys, cache, n=7):
+        return run(capsys, "count", "--object", "sts", "--n", str(n), "--cache", str(cache))
+
+    def test_another_writers_malformed_line_is_named(self, capsys, tmp_path):
+        cache = tmp_path / "cache.jsonl"
+        for n in (7, 9):
+            assert self.count(capsys, cache, n)[0] == 0
+        with open(cache, "a") as f:
+            f.write('{"kind":"sts","n":7\n')
+        for _ in range(2):           # a failed append writes nothing
+            code, _, err = self.count(capsys, cache)
+            assert code == 1 and err == f"error: cache {cache}: line 3 is not a JSON object\n"
+
+    def test_a_file_truncated_between_appends(self, capsys, tmp_path):
+        cache = tmp_path / "cache.jsonl"
+        for n in (7, 9, 7):
+            assert self.count(capsys, cache, n)[0] == 0
+        data = cache.read_bytes()
+        first = data.index(b"\n") + 1
+        cache.write_bytes(data[:first + 10])   # line 1 and the start of line 2
+        code, _, err = self.count(capsys, cache)
+        assert code == 1 and err == f"error: cache {cache}: line 2 is not a JSON object\n"
+        cache.write_bytes(data[:first])
+        assert self.count(capsys, cache, 9)[0] == 0
+        lines = cache.read_bytes().splitlines(keepends=True)
+        assert len(lines) == 2 and lines[0] == data[:first]
+        assert json.loads(lines[1])["count"] == "840"
+
+    def test_crlf_and_cr_lines(self, capsys, tmp_path):
+        cache = tmp_path / "cache.jsonl"
+        assert self.count(capsys, cache, 9)[0] == 0
+        stale = b'{"kind":"sts","n":7,"labeled":null,"count":"29"}'
+        with open(cache, "ab") as f:
+            f.write(b'{"kind":"count","n":3}\r\n\r\n' + stale + b"\r\n")
+        code, _, err = self.count(capsys, cache)
+        assert code == 1 and err == (f"error: cache {cache}: key {self.STS7} stored "
+                                     "count='29', recomputed '30'\n")
+        cache.write_bytes(b'{"kind":"count","n":3}\r\n\r\n{"kind"\r\n')
+        assert self.count(capsys, cache)[2] == f"error: cache {cache}: line 3 is not a JSON object\n"
+        cache.write_bytes(b'{"kind":"count","n":3}\r{"kind"\r')
+        assert self.count(capsys, cache)[2] == f"error: cache {cache}: line 2 is not a JSON object\n"
+        cache.write_bytes(b'{"kind":"count","n":3}\r\n\r')
+        assert self.count(capsys, cache)[0] == 0
+        assert self.count(capsys, cache)[0] == 0
+        lines = cache.read_bytes().split(b"\r\n\r")
+        assert lines[0] == b'{"kind":"count","n":3}' and lines[1].count(b"\n") == 2
+
+    @pytest.mark.parametrize("pad", ["\x0c", "\xa0", "\u2028"])
+    def test_padding_that_json_does_not_skip(self, capsys, tmp_path, pad):
+        # a line is stripped as text before it is parsed
+        cache = tmp_path / "cache.jsonl"
+        cache.write_text(f'{pad}{{"kind":"count","n":3}}{pad}\n', encoding="utf-8")
+        assert self.count(capsys, cache)[0] == 0
+        assert cache.read_text(encoding="utf-8").count("\n") == 2
+
+    def test_the_first_disagreeing_line_is_named(self, capsys, tmp_path):
+        cache = tmp_path / "cache.jsonl"
+        assert self.count(capsys, cache, 9)[0] == 0
+        with open(cache, "a") as f:
+            for count in ("30", "31", "32"):
+                f.write(json.dumps({"kind": "sts", "n": 7, "labeled": None, "count": count}) + "\n")
+        want = f"error: cache {cache}: key {self.STS7} stored count='31', recomputed '30'\n"
+        assert self.count(capsys, cache)[2] == want
+        cache.write_text(cache.read_text().replace('"31"', '"30"'))
+        assert self.count(capsys, cache)[2] == want.replace("'31'", "'32'")
 
     def test_partial_counts_not_cached(self, capsys, tmp_path):
         cache = str(tmp_path / "cache.jsonl")

@@ -394,6 +394,17 @@ class TestPools:
         with pytest.raises(PoolTooLargeError):
             enumerate_pool("latin", 6)
 
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_first_latin_square_is_the_first_pool_item(self, n):
+        # the triple-system and coloring kinds are checked in test_lemmas
+        assert enumeration.first_design("latin", n) == enumerate_pool("latin", n).items[0]
+
+    def test_first_design_of_an_empty_or_gated_pool(self):
+        assert enumeration.first_design("sts", 5) is None
+        assert enumeration.first_design("1f-labeled", 5) is None
+        with pytest.raises(PoolTooLargeError, match="^latin pool gated at n <= 5, got 6$"):
+            enumeration.first_design("latin", 6)
+
     def test_memory_bound(self, monkeypatch):
         # the gates are the only bound on a pool, and they fire before any search
         def no_search(*args):

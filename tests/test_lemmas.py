@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from designcount.core import DesignError, validate_edge_coloring, validate_triple_system
-from designcount.enumeration import enumerate_pool
+from designcount import enumeration
+from designcount.enumeration import PoolTooLargeError, enumerate_pool
 from designcount.entropylab import (
     EmptyConditionError,
     TooLargeError,
@@ -410,6 +411,19 @@ class TestPinnedOutput:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "512190ae85253d452b28d9c857ae403a9856a8bfac4eb6de86f96fd96efa6ddf")
 
+    # sha256 of verdicts_to_json, recorded before the suites drew their
+    # orders once and read every conditioning value from one kernel pass
+    @pytest.mark.parametrize("lemma,variant,n,samples,digest", [
+        ("exp-m", "1f", 6, 8000, "457745f8f87bdd51ec7ec3273cf80200e661332684e244a1f7fe465f8738c9f0"),
+        ("exp-m-2", "sts", 9, 2000, "cdcef3dfd5d5fcd8fee1bf40ef9ee2e78850cdb7dce321be37ab154599750619"),
+        ("n-law", "sts", 9, 2000, "c4f40fdba9c6c517cbead887730d9e1119e7a1057eb212a8d283ef344c982d99"),
+        ("n-law", "1f", 6, 2000, "228fa6149f3d7b959955602d9ccc00b1452df8fde7fd343db1368d15c067ed7e"),
+        ("n-law", "sts", 7, 3000, "b11328f7d50389bb2cee4b868af3e6bbba5ac4d76473eeb7455924c012252fac"),
+    ])
+    def test_mc_suites(self, lemma, variant, n, samples, digest):
+        out = verdicts_to_json(verify_suite(lemma, variant, n, "mc", samples=samples))
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_mc_draws_unchanged(self):
         # batched draws accept the same orders as one permutation per sample
         gate = [v for v in verify_suite("exp-m", "1f", 6, "mc", samples=8000)
@@ -418,3 +432,31 @@ class TestPinnedOutput:
                                              582, 239, 1318, 1096, 758, 537, 250]
         assert all(v.passed for v in gate)
 
+
+class TestDefaultDesign:
+    GATED = [("sts", n) for n in (1, 3, 7, 9)] + [("1f", n) for n in (2, 4, 6)]
+
+    @pytest.mark.parametrize("variant,n", GATED)
+    def test_first_pool_item_without_a_pool(self, monkeypatch, variant, n):
+        kind = "sts" if variant == "sts" else "1f-labeled"
+        want = enumerate_pool(kind, n).items[0]
+
+        def refuse(*args):
+            raise AssertionError("enumerate_pool called")
+        monkeypatch.setattr(enumeration, "enumerate_pool", refuse)
+        monkeypatch.setattr(lemmas, "enumerate_pool", refuse, raising=False)
+        assert lemmas._default_design(variant, n) == want
+
+    @pytest.mark.parametrize("variant,n", [("sts", 13), ("1f", 8)])
+    def test_gate(self, variant, n):
+        kind = "sts" if variant == "sts" else "1f-labeled"
+        with pytest.raises(PoolTooLargeError) as pool_error:
+            enumerate_pool(kind, n)
+        with pytest.raises(PoolTooLargeError) as design_error:
+            lemmas._default_design(variant, n)
+        assert str(design_error.value) == str(pool_error.value)
+
+    @pytest.mark.parametrize("variant,n", [("sts", 5), ("sts", 6), ("1f", 3), ("1f", 5)])
+    def test_infeasible(self, variant, n):
+        with pytest.raises(DesignError, match=f"^no {variant} design exists on {n} points$"):
+            lemmas._default_design(variant, n)
