@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import gc
 import json
+from collections import deque
 from dataclasses import dataclass, field
-from itertools import chain
+from functools import reduce
+from itertools import chain, repeat
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -294,17 +296,29 @@ def is_latin(rows: Sequence[Sequence[int]]) -> bool:
             and all(map(want.__eq__, map(set, zip(*rows)))))
 
 
-# squares turned into Python objects per step: each step's nested lists
-# are the largest temporary of a bulk build
+# squares checked or built, or rows coded, per step: each step's arrays
+# are the largest temporaries of a bulk build
 BULK_CHUNK = 4096
 
 
-def _runs(flat: np.ndarray):
-    """Stable lexicographic order of the rows of a 2-D array, and whether
-    each sorted row after the first equals the one before it."""
-    order = np.lexsort(flat.T[::-1])
-    ranked = flat[order]
-    return order, (ranked[1:] == ranked[:-1]).all(axis=1)
+def lex_ranks(digits: np.ndarray, base: int):
+    """The stable lexicographic order of the rows of an (M, k) array of
+    digits 0..base-1, whether each row there differs from the one before,
+    and each row's rank among the distinct rows (int32).  A row is sorted
+    by its base-``base`` code: uint16 (which numpy sorts by radix) up to
+    base**k = 2**16, int64 up to 2**63, a Python int above."""
+    top = base ** digits.shape[1]
+    codes = np.empty(len(digits), np.uint16 if top <= 2 ** 16
+                     else np.int64 if top <= 2 ** 63 else object)
+    for start in range(0, len(digits), BULK_CHUNK):
+        part = digits[start:start + BULK_CHUNK].astype(codes.dtype)
+        codes[start:start + len(part)] = reduce(lambda code, d: code * base + d, part.T)
+    order = np.argsort(codes, kind="stable")
+    codes = codes[order]
+    first = np.r_[True, codes[1:] != codes[:-1]]
+    ids = np.empty(len(codes), np.int32)
+    ids[order] = np.cumsum(first, dtype=np.int32) - 1
+    return order, first, ids
 
 
 def latin_squares(n: int, cells) -> tuple[LatinSquare, ...]:
@@ -312,11 +326,15 @@ def latin_squares(n: int, cells) -> tuple[LatinSquare, ...]:
 
     Every row and column must hold 1..n once each, and no square may
     equal an earlier one; the first square that is not Latin, else the
-    first that repeats an earlier one, raises ``SquareError``.  The
-    squares are then built as ``LatinSquare`` objects without running
-    their checks again, ``BULK_CHUNK`` at a time, and equal rows are one
-    shared tuple.  The cyclic GC is paused meanwhile: the objects hold no
-    cycles, and it would otherwise scan the growing pool again and again.
+    first that repeats an earlier one, raises ``SquareError``.  The Latin
+    check ORs bit e for each entry e, bit 0 for one outside 1..n, along
+    every row and column (uint16 masks below n = 16, uint64 below 64,
+    Python ints above); a square repeats when its code in the ranks of
+    its rows (``lex_ranks``) equals an earlier one.  The squares are then
+    built as ``LatinSquare`` objects without running their checks again,
+    ``BULK_CHUNK`` at a time, and equal rows are one shared tuple.  The
+    cyclic GC is paused meanwhile: the objects hold no cycles, and it
+    would otherwise scan the growing pool again and again.
     """
     _check_n("latin", n)
     cells = np.asarray(cells)
@@ -328,34 +346,41 @@ def latin_squares(n: int, cells) -> tuple[LatinSquare, ...]:
         return ()
     if n < 1:
         raise SquareError(0)
-    want = np.arange(1, n + 1)
-    latin = ((np.sort(cells, axis=2) == want).all(axis=(1, 2))
-             & (np.sort(cells, axis=1) == want[:, None]).all(axis=(1, 2)))
-    if not latin.all():
-        raise SquareError(int(np.argmin(latin)))
-    order, same = _runs(cells.reshape(len(cells), n * n))
-    if same.any():
+    masks = np.uint16 if n < 16 else np.uint64 if n < 64 else object
+    full = (1 << n + 1) - 2   # bits 1..n
+    for start in range(0, len(cells), BULK_CHUNK):
+        part = cells[start:start + BULK_CHUNK]
+        # zeroed before the shift, so no entry can wrap round to a symbol's bit
+        bits = np.ones((), masks) << np.where((part >= 1) & (part <= n), part, 0).astype(masks)
+        by_row, by_col = bits[:, :, 0], bits[:, 0]
+        for k in range(1, n):
+            by_row, by_col = by_row | bits[:, :, k], by_col | bits[:, k]
+        latin = ((by_row == full) & (by_col == full)).all(axis=1)
+        if not latin.all():
+            raise SquareError(start + int(np.argmin(latin)))
+    rows = cells.reshape(-1, n)
+    order, first, ids = lex_ranks(rows, n + 1)
+    table = tuple(map(tuple, rows[order[first]].tolist()))
+    order, first, _ = lex_ranks(ids.reshape(-1, n), len(table))
+    if not first.all():
         # the earliest repeat is the second of its run, after the first copy
-        later = np.flatnonzero(same) + 1
+        later = np.flatnonzero(~first)
         k = later[np.argmin(order[later])]
         raise SquareError(int(order[k]), repeats=int(order[k - 1]))
+    del order, first   # freed before the build, whose peak is the pool itself
 
-    rows = cells.reshape(-1, n)
-    order, same = _runs(rows)
-    ids = np.empty(len(rows), np.intp)
-    ids[order] = np.cumsum(np.r_[0, ~same])
-    table = tuple(map(tuple, rows[order[np.r_[True, ~same]]].tolist()))
-    ids = ids.reshape(len(cells), n)
-    items, row, new, put = [], table.__getitem__, object.__new__, object.__setattr__
+    row, items, new = table.__getitem__, [], object.__new__
+    set_n, set_rows = LatinSquare.n.__set__, LatinSquare.rows.__set__
     enabled = gc.isenabled()
     gc.disable()
     try:
         for start in range(0, len(cells), BULK_CHUNK):
-            for square in ids[start:start + BULK_CHUNK].tolist():
-                x = new(LatinSquare)
-                put(x, "n", n)
-                put(x, "rows", tuple(map(row, square)))
-                items.append(x)
+            chunk = ids[start * n:(start + BULK_CHUNK) * n].tolist()
+            made = list(map(new, repeat(LatinSquare, len(chunk) // n)))
+            # the maps run in C; a deque of length 0 drains them
+            deque(map(set_n, made, repeat(n)), 0)
+            deque(map(set_rows, made, zip(*[map(row, chunk)] * n)), 0)
+            items += made
     finally:
         if enabled:
             gc.enable()

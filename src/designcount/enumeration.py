@@ -75,6 +75,7 @@ from .core import (
     canonical_latin_text,
     dumps,
     latin_squares,
+    lex_ranks,
     loads,
     one_factorization_feasible,
     sts_feasible,
@@ -570,8 +571,10 @@ def _latin_cells(n: int) -> np.ndarray:
     all (n-1)! permutations of rows 2..n: a square's first row fixes the
     column permutation and then its first column the row permutation, so
     each labeled square arises exactly once.  The full search lists
-    squares in lexicographic order of their row-major cells, and one
-    lexsort restores that order.
+    squares in lexicographic order of their row-major cells, which is the
+    order of their codes in the ranks of their rows (``lex_ranks``).  Each
+    row of a square is a row of its reduced square with the columns
+    permuted, so only those R(n) n! n rows are ranked.
     """
     kernel, args, state, depth, full_depth, _ = _start("latin", n, pinned=True)
     inner: list = []
@@ -581,8 +584,12 @@ def _latin_cells(n: int) -> np.ndarray:
     reduced[:, 1:, 1:] = np.array(inner, np.int8).reshape(len(inner), n - 1, n - 1)
     cols = np.array(list(permutations(range(n))))
     rows = np.array([(0, *p) for p in permutations(range(1, n))])
-    squares = reduced[:, rows[:, None, :, None], cols[None, :, None, :]].reshape(-1, n * n)
-    return squares[np.lexsort(squares.T[::-1])].reshape(-1, n, n)
+    # square (k, s, t) is reduced square k with the columns in the order
+    # cols[s] and then the rows in the order rows[t]
+    _, first, ids = lex_ranks(reduced[:, :, cols].transpose(0, 2, 1, 3).reshape(-1, n), n + 1)
+    ids = ids.reshape(len(reduced), len(cols), n)[:, :, rows]
+    order = lex_ranks(ids.reshape(-1, n), int(first.sum()))[0]
+    return reduced[:, rows[None, :, :, None], cols[:, None, None, :]].reshape(-1, n, n)[order]
 
 
 def sample_uniform(pool: Pool, seed: int, count: int) -> list:
@@ -609,13 +616,14 @@ def pool_from_jsonl(kind: str, n: int, text: str) -> Pool:
     Each non-blank line must be a JSON object holding a valid design of
     the pool's kind and n, and no design may appear twice: the first bad
     line, else the first line equal to an earlier one, is named.  A latin
-    text exactly as `pool_to_jsonl` writes it (``canonical_latin_cells``)
-    is checked and built as one array, with the same result, and the
-    pool keeps that array as ``cells``.
+    text as `pool_to_jsonl` writes it (``canonical_latin_cells``), or with
+    CRLF line ends, which ``splitlines`` numbers alike, is checked and
+    built as one array, with the same result, and the pool keeps that
+    array as ``cells``.
     """
     if kind not in _POOL_TYPES:
         raise DesignError(f"unknown pool kind {kind!r}")
-    cells = canonical_latin_cells(n, text) if kind == "latin" else None
+    cells = canonical_latin_cells(n, text.replace("\r\n", "\n")) if kind == "latin" else None
     if cells is not None:
         try:
             return Pool(kind, n, latin_squares(n, cells), cells)

@@ -1,5 +1,6 @@
 """Validation, conversions, and interchange format of the core types."""
 
+import contextlib
 import dataclasses
 import gc
 import json
@@ -275,6 +276,22 @@ def _perturb(rnd, rows, n):
         rows[:] = [list(col) for col in zip(*rows)]
 
 
+@pytest.mark.parametrize("base, width", [(6, 5), (2, 16), (257, 2), (16, 15), (17, 16), (200, 9)])
+def test_lex_ranks_against_sorted_tuples(base, width):
+    # uint16 codes up to base**width = 2**16, then int64, then Python ints
+    # past 2**63, where an int64 code would wrap and misorder the rows
+    rnd = random.Random(base)
+    rows = [tuple(rnd.choice((0, 1, base - 1)) if rnd.random() < 0.5 else rnd.randrange(base)
+                  for _ in range(width)) for _ in range(300)]
+    rows += rnd.sample(rows, 100)
+    order, first, ids = core.lex_ranks(np.array(rows, np.int64), base)
+    distinct = sorted(set(rows))
+    assert order.tolist() == sorted(range(len(rows)), key=rows.__getitem__)
+    assert first.tolist() == [k == 0 or rows[order[k]] != rows[order[k - 1]]
+                              for k in range(len(rows))]
+    assert ids.dtype == np.int32 and ids.tolist() == list(map(distinct.index, rows))
+
+
 class TestLatinSquaresInBulk:
     """``latin_squares`` against ``is_latin`` and the ``LatinSquare`` checks."""
 
@@ -303,6 +320,72 @@ class TestLatinSquaresInBulk:
                     assert type(got.rows[0][0]) is int
                 accepted += 1
         assert accepted > 600 and rejected > 600   # both answers are exercised
+
+    @pytest.mark.parametrize("n", [*range(7, 18), 63, 64])
+    def test_agrees_with_the_constructor_at_larger_orders(self, n):
+        # uint16 masks below n = 16, uint64 below 64 and Python ints from 64;
+        # int64 row codes below 16 and Python ints from 16, where (n+1)**n
+        # passes 2**63.  The entries put in every fourth square are ones a
+        # shift or cast of a fixed width could wrap round to a bit
+        rnd = random.Random(n)
+        accepted, rejected = [], 0
+        for trial in range(60):
+            rows = _random_latin(rnd, n)
+            if trial % 3:
+                _perturb(rnd, rows, n)
+            if trial % 4 == 0:
+                r, c = rnd.randrange(n), rnd.randrange(n)
+                v = rows[r][c]
+                rows[r][c] = rnd.choice([n + 1 + 16, n + 1 + 64, -1, 2 ** 40, v + 16, v + 64,
+                                         v + 2 ** 16, v - 2 ** 16, v + 2 ** 40])
+            try:
+                want = LatinSquare(n=n, rows=tuple(map(tuple, rows)))
+            except DesignError as e:
+                assert str(e) == NOT_LATIN and not is_latin(rows)
+                with pytest.raises(SquareError, match=f"^square 0: {NOT_LATIN}$"):
+                    latin_squares(n, np.array([rows], np.int64))
+                rejected += 1
+                continue
+            assert is_latin(rows)
+            for dtype in (np.int8, np.uint64, np.int64):
+                (got,) = latin_squares(n, np.array([rows], dtype))
+                assert got == want and type(got.rows[0][0]) is int
+            if want not in accepted:
+                accepted.append(want)
+        assert len(accepted) > 10 and rejected > 10   # both answers are exercised
+        cells = np.array([x.rows for x in accepted], np.int64)
+        assert latin_squares(n, cells) == tuple(accepted)
+        with pytest.raises(SquareError, match=f"^square {len(accepted)} repeats square 3$"):
+            latin_squares(n, np.concatenate([cells, cells[3:4], cells[1:2]]))
+
+    @pytest.mark.parametrize("chunk", [1, 7])
+    def test_faults_in_later_chunks_are_named_by_their_index(self, monkeypatch, chunk):
+        monkeypatch.setattr(core, "BULK_CHUNK", chunk)
+        rnd = random.Random(chunk)
+        squares = []
+        while len(squares) < 30:
+            square = _random_latin(rnd, 5)
+            if square not in squares:
+                squares.append(square)
+        cells = np.array(squares, np.int64)
+        assert latin_squares(5, cells) == tuple(LatinSquare(n=5, rows=tuple(map(tuple, s)))
+                                                for s in squares)
+        repeats = cells.copy()
+        repeats[26], repeats[29] = repeats[19], repeats[3]
+        with pytest.raises(SquareError, match="^square 26 repeats square 19$") as info:
+            latin_squares(5, repeats)
+        assert (info.value.index, info.value.repeats) == (26, 19)
+        # a square that is not Latin is named before any repeat
+        repeats[23, 2, 3], repeats[27, 0, 0] = 2 ** 40, 0
+        with pytest.raises(SquareError, match=f"^square 23: {NOT_LATIN}$") as info:
+            latin_squares(5, repeats)
+        assert (info.value.index, info.value.repeats) == (23, None)
+
+    def test_equal_rows_are_one_tuple(self):
+        pool = enumerate_pool("latin", 5)
+        again = latin_squares(5, pool.cells)
+        for squares in (pool.items, again):
+            assert len({id(row) for square in squares for row in square.rows}) == 120
 
     def test_names_the_first_square_that_is_not_latin(self):
         rnd = random.Random(7)
@@ -380,16 +463,21 @@ class TestLatinSquaresInBulk:
             LatinSquare(n=0, rows=())
 
     def test_restores_the_garbage_collector(self):
-        cells = np.array([[[1, 2], [2, 1]]])
-        assert gc.isenabled()
-        latin_squares(2, cells)
-        assert gc.isenabled()
-        gc.disable()
-        try:
-            latin_squares(2, cells)
-            assert not gc.isenabled()
-        finally:
-            gc.enable()
+        square = [[1, 2], [2, 1]]
+        for cells in ([square], [square, [[1, 1], [2, 2]]], [square, square]):
+            cells = np.array(cells)
+            fails = len(cells) > 1
+            assert gc.isenabled()
+            with pytest.raises(SquareError) if fails else contextlib.nullcontext():
+                latin_squares(2, cells)
+            assert gc.isenabled()
+            gc.disable()
+            try:
+                with pytest.raises(SquareError) if fails else contextlib.nullcontext():
+                    latin_squares(2, cells)
+                assert not gc.isenabled()
+            finally:
+                gc.enable()
 
     def test_dumps_template_matches_the_encoder(self):
         # two-digit symbols from n = 10

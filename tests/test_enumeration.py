@@ -621,6 +621,7 @@ class TestLatinLoader:
         text = "\n".join(lines) + "\n"
         assert self._error(pool_from_jsonl, text) == message
         assert self._error(_per_object_load, text) == message
+        assert self._error(pool_from_jsonl, text.replace("\n", "\r\n")) == message
 
     def test_faults_are_named_in_file_order(self, lines):
         # the first faulty line is named, whatever its fault, and a repeat
@@ -634,6 +635,8 @@ class TestLatinLoader:
             text = "\n".join(lines) + "\n"
             assert self._error(pool_from_jsonl, text) == self._error(_per_object_load, text) == (
                 "pool line 21: matrix is not a Latin square")
+            assert self._error(pool_from_jsonl, text.replace("\n", "\r\n")) == (
+                "pool line 21: matrix is not a Latin square")
 
     def test_round_trip_and_chunks(self, lines, monkeypatch):
         text = "\n".join(lines) + "\n"
@@ -641,6 +644,8 @@ class TestLatinLoader:
         for chunk in (1, 7, 4096):
             monkeypatch.setattr(core, "BULK_CHUNK", chunk)
             assert pool_from_jsonl("latin", 5, text).items == want
+            crlf = pool_from_jsonl("latin", 5, text.replace("\n", "\r\n"))
+            assert crlf.items == want and (crlf.cells is None) == ("" in lines)
         assert pool_from_jsonl("latin", 5, "\n \n").items == ()
         assert pool_from_jsonl("latin", 5, "").items == ()
 
@@ -710,7 +715,10 @@ class TestLatinWriter:
     def test_pools_without_cells_dump_each_item(self):
         text = pool_to_jsonl(enumerate_pool("latin", 4))
         crlf = pool_from_jsonl("latin", 4, text.replace("\n", "\r\n"))
-        assert crlf.cells is None and pool_to_jsonl(crlf) == text
+        assert crlf.cells is not None and pool_to_jsonl(crlf) == text
+        # a lone carriage return ends a line too, but only line by line
+        cr = pool_from_jsonl("latin", 4, text.replace("\n", "\r"))
+        assert cr.cells is None and pool_to_jsonl(cr) == text
         assert pool_to_jsonl(pool_from_jsonl("latin", 4, "")) == ""
         for kind, n in (("sts", 7), ("1f-labeled", 4)):
             pool = enumerate_pool(kind, n)
