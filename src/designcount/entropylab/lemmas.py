@@ -179,18 +179,18 @@ def _gate(mode: str, size: int, limit: int, what: str) -> None:
         raise TooLargeError(f"exact mode gated at {what} <= {limit}, got {size}")
 
 
-def _pair_values(variant: str, X, vo: np.ndarray, at, j, keys=None, rows=None):
+def _pair_values(variant: str, X, vo: np.ndarray, at, j, rows=None):
     """M and N of the pair (vo[b, at], j) in reveals b of design X, one per read.
 
     Read r is reveal b = rows[r] (by default every reveal once), with its
     own at[r] and j[r] (a scalar serves every read); j must follow
-    position at in the vertex order.  ``keys`` order the stars as in
-    `reveal_steps` (by default in vertex order, which leaves M unchanged).
+    position at in the vertex order, and the star of vo[b, at] is read in
+    the order of the vertices after it.
     """
     rows = np.arange(len(vo)) if rows is None else rows
     at, j = np.broadcast_to(at, rows.shape), np.broadcast_to(j, rows.shape)
     m_out, n_out = np.zeros((2, len(rows)), np.int64)
-    steps = reveal_steps(variant, np.array([X.table]), np.zeros(len(vo), np.intp), vo, keys)
+    steps = reveal_steps(variant, np.array([X.table]), np.zeros(len(vo), np.intp), vo, None)
     for p, (_, star, m_avail, n_avail) in zip(range(at.max(initial=-1) + 1), steps):
         r = np.flatnonzero(at == p)
         slot = star[rows[r]] == j[r, None]   # one slot per read
@@ -219,10 +219,9 @@ def _pair_counts(variant: str, X, targets, sizes, mode: str, samples: int, seed:
         if vo is None:
             values = _pair_values(variant, X, perms + 1, s, js[t], rows=rows)[0]
         else:
-            keys = np.zeros((len(perms), n, n))
-            keys[:, p, p + 1:] = np.argsort(perms, axis=1)   # rank of each star slot
-            values = _pair_values(variant, X, np.tile(vo, (len(perms), 1)), p, js[t],
-                                  keys, rows)[1]
+            # i's star in the order perms; step p reads no later vertex's star
+            orders = np.hstack([np.tile(vo[:p + 1], (len(perms), 1)), vo[p + 1:][perms]])
+            values = _pair_values(variant, X, orders, p, js[t], rows)[1]
         hits = np.bincount(np.ravel_multi_index((t, s, values), counts.shape),
                            minlength=counts.size).reshape(counts.shape)
         counts += hits.astype(object) * np.array(weight, object)[:, None]
@@ -448,7 +447,7 @@ def _n_verdicts(variant, X, vo, i, cases, mode, samples, seed):
     targets = [(j, vo.index(j) - p - 1,
                 [] if variant == "1f" else [vo.index(X.table[i][j]) - p - 1]) for j in js]
     sizes = range(m) if variant == "1f" else sorted({q - 1 for _, q in cases})
-    counts = _pair_counts(variant, X, targets, sizes, mode, samples, seed, vo, p)
+    counts = _pair_counts(variant, X, targets, sizes, mode, samples, seed, np.array(vo), p)
     exact = mode == "exact"
     out = []
     for c, (j, q) in enumerate(cases):

@@ -14,10 +14,12 @@ node total) is identical no matter how the work is split:
   order: edge {i, j} is vertex slots i and j, and the values are the
   colors.
 
-Every count runs a short list of start states (``_starts``), one per
-cycle type, and adds up each start's leaves times the labeled designs
-each of its leaves stands for.  Each start fixes two parts of every
-design, the second up to conjugacy:
+Every search is ``_start(kind, n, fixed)``: the full search of its
+family with a list of parts already placed (triples, or (slot, slot,
+value) for a pair search).  A count runs one list of parts per cycle
+type (``_starts``) and adds up each start's leaves times the labeled
+designs each of its leaves stands for.  Each start fixes two parts of
+every design, the second up to conjugacy:
 
 * triple systems fix point 1's star {1,2,3}, {1,4,5}, ..., {1,n-1,n}
   and point 2's other triples, a perfect matching mu of 4..n, one per
@@ -33,12 +35,13 @@ design, the second up to conjugacy:
   the sum over c of D_c T(c), and the labeled one (n-1)! times that.
 
 A partial count (node budget hit) is the leaves found over the starts in
-order, unscaled.  Triple-system and coloring pools collect every
-labeled design from the full start state (``_start(kind, n,
-pinned=False)``); the Latin pool expands the reduced squares of the
-reduced-square start (``pinned=True``) by row and column permutations
+order, unscaled; the starts are generated one at a time, so a budgeted
+count at large n stops without listing every cycle type.
+Triple-system and coloring pools collect every labeled design from the
+search with no part fixed; the Latin pool expands the reduced squares
+(the parts ``_reduced(n)`` fixed) by row and column permutations
 (``_latin_cells``) and keeps that array, which ``pool_to_jsonl`` writes
-in bulk.  ``first_design`` stops the full search at its first leaf,
+in bulk.  ``first_design`` stops the unfixed search at its first leaf,
 which is the pool's first item.
 
 Both kernels stop at a depth ``cut``, where they append the choice path
@@ -46,11 +49,11 @@ to ``sink`` (if given) and count 1.  At the full depth that counts or
 collects designs; at a smaller depth the same DFS lists the frontier of
 subtrees.  ``_count`` runs every count: a parallel run whose search
 needs more than ``SERIAL_NODES`` nodes cuts each start a fixed number
-of levels below its fixed parts, hands the subtrees to
-``map_tasks`` (each task names its start and replays its path onto it,
-then searches below it), and sums the (exact integer) subtree counts in
-task order, so totals are schedule independent.  Counts are Python ints
-throughout; nothing here overflows.
+of levels below its fixed parts, hands the subtrees to ``map_tasks``
+(each task is the start's parts plus its path's, searched by
+``_start`` like any other), and sums the (exact integer) subtree counts
+in task order, so totals are schedule independent.  Counts are Python
+ints throughout; nothing here overflows.
 """
 
 from __future__ import annotations
@@ -243,63 +246,52 @@ def _cover(covered, i, j, k):
     covered[k] |= (1 << i) | (1 << j)
 
 
-def _start(kind: str, n: int, pinned: bool):
-    """One search: its kernel, fixed arguments, start state, start and full
-    depth, and the number of labeled designs each leaf stands for.
+def _start(kind: str, n: int, fixed=()):
+    """The full search of ``kind`` at n with the parts ``fixed`` placed:
+    its kernel, fixed arguments, state, depth and full depth.
 
-    kind is one of ``POOL_GATES``; n must be feasible for the family.  A
-    pinned start fixes one part of every design, and relabeling maps the
-    designs through any one such part onto those through any other, so
-    the pinned leaves times the multiplier is the labeled count.  The
-    full start (pinned=False, multiplier 1) is the one pools collect from;
-    counts run the cycle-type starts of ``_starts``.
+    kind is one of ``POOL_GATES``.  A triple-system part is a triple; a
+    Latin or coloring part (a, b, v) puts value v in both slots a and b,
+    and the pairs not fixed keep their order.  Pools search with no part
+    fixed; counts run the starts of ``_starts``.
     """
     if kind not in POOL_GATES:
         raise DesignError(f"unknown search kind {kind!r}")
     if kind == "sts":
         above = [((1 << (n + 1)) - 1) & ~((1 << (v + 1)) - 1) for v in range(n + 1)]
-        covered, depth, multiplier = [0] * (n + 1), 0, 1
-        if pinned:
-            # point 1's star {1,2,3}, {1,4,5}, ..., {1,n-1,n}: one of the
-            # (n-2)!! perfect matchings of points 2..n
-            for j in range(2, n, 2):
-                _cover(covered, 1, j, j + 1)
-            depth, multiplier = (n - 1) // 2, math.prod(range(n - 2, 0, -2))
-        return _sts_dfs, (n, above), covered, depth, n * (n - 1) // 6, multiplier
-    if kind == "latin":
-        symbols = ((1 << (n + 1)) - 1) & ~1
-        used, first, multiplier = [0] * (2 * n), 0, 1
-        if pinned:
-            # reduced squares: the first row and column read 1..n; permuting
-            # the columns and then the other rows gives n!(n-1)! squares each
-            for r in range(1, n):
-                used[r] = used[n + r] = 1 << (r + 1)
-            used[0] = used[n] = symbols
-            first, multiplier = 1, math.factorial(n) * math.factorial(n - 1)
-        cells = [(r, n + c) for r in range(first, n) for c in range(first, n)]
-        return _pair_dfs, (cells, symbols), used, 0, len(cells), multiplier
-    colors = ((1 << n) - 1) & ~1  # color bits 1..n-1
-    used, first, multiplier = [0] * (n + 1), 1, 1
-    if pinned:
-        # color of {1,v} pinned to v-1: one canonical coloring per partition,
-        # which stands for the (n-1)! colorings that permute its colors
-        used[1] = colors
-        for v in range(2, n + 1):
-            used[v] = 1 << (v - 1)
-        first, multiplier = 2, math.factorial(n - 1)
-    edges = list(combinations(range(first, n + 1), 2))
-    return _pair_dfs, (edges, colors), used, 0, len(edges), multiplier
+        covered = [0] * (n + 1)
+        for triple in fixed:
+            _cover(covered, *triple)
+        return _sts_dfs, (n, above), covered, len(fixed), n * (n - 1) // 6
+    if kind == "latin":   # symbol bits 1..n; cell (r, c) is slots r and n+c
+        values, used = ((1 << (n + 1)) - 1) & ~1, [0] * (2 * n)
+        pairs = [(r, n + c) for r in range(n) for c in range(n)]
+    else:                 # color bits 1..n-1; edge {i, j} is slots i and j
+        values, used = ((1 << n) - 1) & ~1, [0] * (n + 1)
+        pairs = list(combinations(range(1, n + 1), 2))
+    for a, b, v in fixed:
+        used[a] |= 1 << v
+        used[b] |= 1 << v
+    taken = {(a, b) for a, b, _ in fixed}
+    pairs = [pair for pair in pairs if pair not in taken]
+    return _pair_dfs, (pairs, values), used, 0, len(pairs)
 
 
-def _cycle_types(m: int, most: int | None = None) -> list:
+def _reduced(n: int) -> tuple:
+    """The parts of a reduced Latin square: row 1 and column 1 read 1..n."""
+    return (*((0, n + c, c + 1) for c in range(n)), *((r, n, r + 1) for r in range(1, n)))
+
+
+def _cycle_types(m: int, most: int | None = None):
     """The partitions of m into parts of at least 2 (and at most ``most``),
     each in non-increasing order, the largest first part first: the cycle
     types of the derangements of m points.  m = 0 has one, the empty type
-    (sts 3, 1f 2), and m = 1 none."""
+    (sts 3, 1f 2), and m = 1 none.  A generator: there are many at large m."""
     if m == 0:
-        return [()]
-    return [(p, *rest) for p in range(min(m, most or m), 1, -1)
-            for rest in _cycle_types(m - p, p)]
+        yield ()
+    for p in range(min(m, most or m), 1, -1):
+        for rest in _cycle_types(m - p, p):
+            yield (p, *rest)
 
 
 def _class_size(parts: tuple) -> int:
@@ -318,12 +310,13 @@ def _permutation(parts: tuple) -> list:
     return perm
 
 
-def _starts(kind: str, n: int) -> list:
-    """The starts a count runs, one per cycle type, as ``_start`` tuples.
+def _starts(kind: str, n: int):
+    """The starts a count runs, one per cycle type c, as ``_start`` parts
+    and the labeled designs each leaf stands for; a generator.
 
     Relabelings that keep a start's first part (point 1's star, row 1,
     vertex 1's star) conjugate its second, so any two second parts of one
-    cycle type c lie in equally many designs.  The start of type c fixes
+    cycle type lie in equally many designs.  The start of type c fixes
     the second part given by ``_permutation(c)``: row 2, vertex 2's
     colors, or for triple systems the matching that joins the second
     point of point 1's t-th pair {2t+4, 2t+5} to the first of its
@@ -331,60 +324,33 @@ def _starts(kind: str, n: int) -> list:
     (n-3)/2 and D_c(k) = ``_class_size(c)``.
     """
     if n == 1:   # no row 2 or point 2; 1-factorizations start at n = 2
-        return [_start(kind, n, pinned=True)]
-    if kind == "latin":
-        symbols = ((1 << (n + 1)) - 1) & ~1
-        cells = [(r, n + c) for r in range(2, n) for c in range(1, n)]
-        starts = []
-        for parts in _cycle_types(n):
-            pi = _permutation(parts)
-            used = [0] * (2 * n)
-            used[0] = used[1] = used[n] = symbols
-            for c in range(n):
-                used[n + c] |= (1 << (c + 1)) | (1 << (pi[c] + 1))
-            rest = [s for s in range(2, n + 1) if s != pi[0] + 1]
-            for r, s in enumerate(rest, 2):
-                used[r] = 1 << s
-            starts.append((_pair_dfs, (cells, symbols), used, 0, len(cells),
-                           math.factorial(n) * math.factorial(n - 2) * _class_size(parts)))
-        return starts
-    kernel, args, state, depth, full_depth, multiplier = _start(kind, n, pinned=True)
+        yield (_reduced(1) if kind == "latin" else ()), 1
+        return
     if kind == "sts":
         k = (n - 3) // 2
-        starts = []
-        for parts in _cycle_types(k):
-            covered = list(state)
-            for t, u in enumerate(_permutation(parts)):
-                _cover(covered, 2, 5 + 2 * t, 4 + 2 * u)
-            starts.append((kernel, args, covered, depth + k, full_depth,
-                           multiplier * _class_size(parts) << (k - len(parts))))
-        return starts
-    edges, colors = args
-    starts = []
-    for parts in _cycle_types(n - 2):
-        used = list(state)
-        for v, u in enumerate(_permutation(parts), 3):
-            used[2] |= 1 << (u + 2)
-            used[v] |= 1 << (u + 2)   # {2,v} takes {1,u+3}'s color u+2
-        starts.append((kernel, (edges[n - 2:], colors), used, 0, full_depth - (n - 2),
-                       multiplier * _class_size(parts)))
-    return starts
+        star = tuple((1, j, j + 1) for j in range(2, n, 2))
+        for c in _cycle_types(k):
+            second = tuple((2, 5 + 2 * t, 4 + 2 * u) for t, u in enumerate(_permutation(c)))
+            yield star + second, math.prod(range(n - 2, 0, -2)) * _class_size(c) << (k - len(c))
+    elif kind == "latin":
+        for c in _cycle_types(n):
+            pi = _permutation(c)
+            row = tuple((1, n + j, pi[j] + 1) for j in range(n))
+            column = [s for s in range(2, n + 1) if s != pi[0] + 1]   # rows 3..n
+            yield (_reduced(n)[:n] + row + tuple((r, n, s) for r, s in enumerate(column, 2)),
+                   math.factorial(n) * math.factorial(n - 2) * _class_size(c))
+    else:
+        star = tuple((1, v, v - 1) for v in range(2, n + 1))
+        for c in _cycle_types(n - 2):   # {2,v} takes {1,u+3}'s color u+2
+            yield (star + tuple((2, v, u + 2) for v, u in enumerate(_permutation(c), 3)),
+                   math.factorial(n - 1) * _class_size(c))
 
 
 def _subtree(task):
-    """Count one frontier subtree: replay its path onto its start, then
-    search below it."""
-    kind, n, index, path = task
-    kernel, args, state, depth, full_depth, _ = _starts(kind, n)[index]
-    if kernel is _sts_dfs:
-        for triple in path:
-            _cover(state, *triple)
-    else:
-        for (a, b), v in zip(args[0], path):   # pair searches start at depth 0
-            state[a] |= 1 << v
-            state[b] |= 1 << v
+    """Count one frontier subtree: the search from its fixed parts."""
+    kernel, args, state, depth, full_depth = _start(*task)
     budget = _Budget(None)
-    count = kernel(*args, state, depth + len(path), full_depth, budget, None, None)
+    count = kernel(*args, state, depth, full_depth, budget, None, None)
     return count, budget.nodes
 
 
@@ -407,32 +373,35 @@ def _count(kind: str, n: int, cfg: SearchConfig) -> CountResult:
     if cfg.node_budget is not None and cfg.node_budget < 1:
         raise DesignError(f"node budget must be >= 1, got {cfg.node_budget}")
     t0 = time.perf_counter()
-    starts = _starts(kind, n)
     serial = cfg.jobs <= 1 or cfg.node_budget is not None
     budget = _Budget(cfg.node_budget if serial else SERIAL_NODES)
-    # an interrupted kernel leaves its start state as it found it
-    leaves = [kernel(*args, state, depth, full_depth, budget, None, None)
-              for kernel, args, state, depth, full_depth, _ in starts]
+    leaves = count = 0
+    for parts, multiplier in _starts(kind, n):
+        kernel, args, state, depth, full_depth = _start(kind, n, parts)
+        found = kernel(*args, state, depth, full_depth, budget, None, None)
+        leaves, count = leaves + found, count + found * multiplier
+        if budget.exhausted:   # later starts would search nothing
+            break
     nodes = budget.nodes
     if budget.exhausted and not serial:
         budget = _Budget(None)
         # split each start below its fixed parts: point 3's star, row 3's
         # cells, or vertex 3's edges
         split = max(0, {"sts": (n - 3) // 2, "latin": n - 1}.get(kind, n - 3))
-        tasks: list = []
-        for index, (kernel, args, state, depth, full_depth, _) in enumerate(starts):
+        tasks, multipliers = [], []
+        for parts, multiplier in _starts(kind, n):
+            kernel, args, state, depth, full_depth = _start(kind, n, parts)
             frontier: list = []
             kernel(*args, state, depth, min(depth + split, full_depth), budget, frontier, [])
-            tasks += [(kind, n, index, path) for path in frontier]
-        leaves = [0] * len(starts)
-        nodes = budget.nodes
-        for (_, _, index, _), (count, subtree_nodes) in zip(
-                tasks, map_tasks(_subtree, tasks, cfg.jobs)):
-            leaves[index] += count
-            nodes += subtree_nodes
+            for path in frontier:   # a pair search's path is the values of its pairs
+                tasks.append((kind, n, parts + (path if kind == "sts" else tuple(
+                    (a, b, v) for (a, b), v in zip(args[0], path)))))
+            multipliers += [multiplier] * len(frontier)
+        results = map_tasks(_subtree, tasks, cfg.jobs)
+        count = sum(found * m for (found, _), m in zip(results, multipliers))
+        nodes = budget.nodes + sum(subtree_nodes for _, subtree_nodes in results)
     complete = not budget.exhausted
-    count = sum(t * s[-1] for t, s in zip(leaves, starts)) if complete else sum(leaves)
-    return CountResult(kind, n, count, complete=complete, nodes=nodes,
+    return CountResult(kind, n, count if complete else leaves, complete=complete, nodes=nodes,
                        seconds=time.perf_counter() - t0)
 
 
@@ -531,7 +500,7 @@ def enumerate_pool(kind: str, n: int) -> Pool:
         cells = _latin_cells(n)
         return Pool(kind, n, latin_squares(n, cells), cells)
 
-    kernel, args, state, depth, full_depth, _ = _start(kind, n, pinned=False)
+    kernel, args, state, depth, full_depth = _start(kind, n)
     paths: list = []
     kernel(*args, state, depth, full_depth, _Budget(None), paths, [])
     return Pool(kind, n, _designs(kind, n, paths))
@@ -556,7 +525,7 @@ def first_design(kind: str, n: int):
     """
     if not _pool_feasible(kind, n):
         return None
-    kernel, args, state, depth, full_depth, _ = _start(kind, n, pinned=False)
+    kernel, args, state, depth, full_depth = _start(kind, n)
     try:
         kernel(*args, state, depth, full_depth, _Budget(None), _FirstLeafSink(), [])
     except _FirstLeaf as leaf:
@@ -566,8 +535,8 @@ def first_design(kind: str, n: int):
 def _latin_cells(n: int) -> np.ndarray:
     """Every Latin square of order n, as one (L(n), n, n) int8 array.
 
-    The pinned search collects the R(n) reduced squares (first row and
-    column 1..n).  Each is expanded by all n! column permutations and
+    The search from ``_reduced(n)`` collects the R(n) reduced squares
+    (first row and column 1..n).  Each is expanded by all n! column permutations and
     all (n-1)! permutations of rows 2..n: a square's first row fixes the
     column permutation and then its first column the row permutation, so
     each labeled square arises exactly once.  The full search lists
@@ -576,7 +545,7 @@ def _latin_cells(n: int) -> np.ndarray:
     row of a square is a row of its reduced square with the columns
     permuted, so only those R(n) n! n rows are ranked.
     """
-    kernel, args, state, depth, full_depth, _ = _start("latin", n, pinned=True)
+    kernel, args, state, depth, full_depth = _start("latin", n, _reduced(n))
     inner: list = []
     kernel(*args, state, depth, full_depth, _Budget(None), inner, [])
     reduced = np.empty((len(inner), n, n), np.int8)

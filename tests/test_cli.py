@@ -21,13 +21,13 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def fresh_python(*argv):
+def fresh_python(*argv, timeout=120):
     """Run this interpreter in a new process with this package importable."""
     src = str(pathlib.Path(designcount.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
     return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
-                          env=env, timeout=120)
+                          env=env, timeout=timeout)
 
 
 class TestCount:
@@ -55,6 +55,16 @@ class TestCount:
                            "--node-budget", "1000", "--format", "json")
         assert code == 2
         assert json.loads(out)["complete"] is False
+
+    @pytest.mark.parametrize("obj, n", [("latin", 100), ("1f", 100), ("sts", 151)])
+    def test_budgeted_count_at_large_n_returns_in_seconds(self, obj, n):
+        # the cycle types are generated as the count takes them, so a spent
+        # budget stops it before it lists the partitions of about n/2 or n
+        proc = fresh_python("-m", "designcount", "count", "--object", obj, "--n", str(n),
+                            "--node-budget", "1000", "--format", "json", timeout=20)
+        assert proc.returncode == 2
+        doc = json.loads(proc.stdout)
+        assert (doc["complete"], doc["nodes"], doc["count"]) == (False, 1000, "0")
 
     def test_budget_equal_to_the_node_total_is_complete(self, capsys):
         code, out, _ = run(capsys, "count", "--object", "sts", "--n", "9",

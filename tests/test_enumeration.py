@@ -8,6 +8,7 @@ import json
 import math
 import os
 import pickle
+import random
 
 import numpy as np
 import pytest
@@ -161,7 +162,7 @@ class TestPinnedStarts:
     @functools.cache
     def _full_search(kind, n):
         """The reference: the full start, run serially through the kernel."""
-        kernel, args, state, depth, full_depth, _ = enumeration._start(kind, n, pinned=False)
+        kernel, args, state, depth, full_depth = enumeration._start(kind, n)
         budget = enumeration._Budget(None)
         return kernel(*args, state, depth, full_depth, budget, None, None), budget.nodes
 
@@ -171,7 +172,7 @@ class TestPinnedStarts:
                                                 split_counts):
         full_count, searched = self._full_search(kind, n)
         result = enumeration._count(kind, n, SearchConfig(jobs=jobs))
-        multipliers = [start[-1] for start in enumeration._starts(kind, n)]
+        multipliers = [m for _, m in enumeration._starts(kind, n)]
         assert len(multipliers) == len(leaves)
         assert result.count == sum(t * m for t, m in zip(leaves, multipliers)) == full_count
         assert (searched, result.nodes) == (full_nodes, nodes)
@@ -179,22 +180,23 @@ class TestPinnedStarts:
     @pytest.mark.parametrize("n, reduced", [(1, 1), (2, 1), (3, 1), (4, 4), (5, 56), (6, 9408)])
     def test_latin_counts_equal_the_reduced_square_start(self, n, reduced):
         # R(n), OEIS A000315, from the reduced-square start that _latin_cells expands
-        kernel, args, state, depth, full_depth, multiplier = enumeration._start(
-            "latin", n, pinned=True)
+        kernel, args, state, depth, full_depth = enumeration._start(
+            "latin", n, enumeration._reduced(n))
         leaves = kernel(*args, state, depth, full_depth, enumeration._Budget(None), None, None)
         assert leaves == reduced
-        assert count_latin_squares(n).count == reduced * multiplier
+        assert count_latin_squares(n).count == reduced * math.factorial(n) * math.factorial(n - 1)
 
     def test_multipliers(self):
         def multipliers(kind, n):
-            return [start[-1] for start in enumeration._starts(kind, n)]
+            return [m for _, m in enumeration._starts(kind, n)]
         # n!(n-2)! D_c and (n-1)! D_c(n-2); the sts ones are checked with m_l below
         assert multipliers("latin", 5) == [120 * 6 * 24, 120 * 6 * 20]
         assert multipliers("1f-labeled", 8) == [5040 * d for d in (120, 90, 40, 15)]
         assert [multipliers("sts", n) for n in (1, 3)] == [[1], [1]]
         assert [multipliers("latin", n) for n in (1, 2)] == [[1], [2]]
         assert [multipliers("1f-labeled", n) for n in (2, 4)] == [[1], [6]]
-        assert enumeration._start("latin", 5, pinned=False)[-1] == 1
+        # with no part fixed a search starts at depth 0 of every cell
+        assert enumeration._start("latin", 5)[3:] == (0, 25)
 
     def test_derangement_classes_against_brute_force(self):
         # D_c = m!/(prod of parts * prod of multiplicities!) over the
@@ -212,7 +214,7 @@ class TestPinnedStarts:
 
         for m in range(8):
             by_type = collections.Counter(cycle_type(p) for p in itertools.permutations(range(m)))
-            types = enumeration._cycle_types(m)
+            types = list(enumeration._cycle_types(m))
             assert {c: by_type[c] for c in types} == {
                 c: enumeration._class_size(c) for c in types}
             assert sum(by_type[c] for c in types) == sum(
@@ -255,9 +257,9 @@ class TestPinnedStarts:
 
         double_factorial = {7: 15, 9: 105, 13: 10395, 15: 135135}
         for n, total in ((7, 2), (9, 8), (13, 544), (15, 6040)):
-            types = enumeration._cycle_types((n - 3) // 2)
+            types = list(enumeration._cycle_types((n - 3) // 2))
             assert sum(map(m_closed, types)) == total
-            assert [start[-1] for start in enumeration._starts("sts", n)] == [
+            assert [m for _, m in enumeration._starts("sts", n)] == [
                 double_factorial[n] * m_closed(c) for c in types]
             if n <= 13:   # 945 matchings of 10 points
                 by_type = collections.Counter(
@@ -268,13 +270,41 @@ class TestPinnedStarts:
     @pytest.mark.parametrize("n", [7, 9, 13, 15])
     def test_sts_starts_fix_one_matching_of_each_type(self, n):
         # point 2's other triples {2, a, mu(a)}: read mu off each start state
-        for start, parts in zip(enumeration._starts("sts", n),
-                                enumeration._cycle_types((n - 3) // 2)):
-            covered = start[2]
+        for (fixed, _), parts in zip(enumeration._starts("sts", n),
+                                     enumeration._cycle_types((n - 3) // 2)):
+            covered = enumeration._start("sts", n, fixed)[2]
             mu = {a: next(b for b in range(4, n + 1) if covered[a] >> b & 1 and b != a ^ 1)
                   for a in range(4, n + 1)}
             assert all(covered[2] >> a & 1 for a in range(3, n + 1))
             assert self._matching_type(n, mu) == parts
+
+    @pytest.mark.parametrize("kind, n", [("sts", 13), ("latin", 6), ("1f-labeled", 8)])
+    def test_leaves_do_not_depend_on_the_representative(self, kind, n):
+        # T(c) counts the designs through a start's parts, so the parts moved
+        # by a symmetry that keeps the first part give the same leaves
+        def leaves(parts):
+            kernel, args, state, depth, full_depth = enumeration._start(kind, n, parts)
+            return kernel(*args, state, depth, full_depth, enumeration._Budget(None), None, None)
+
+        rng = random.Random(n)
+        moved = 0
+        for parts, _ in enumeration._starts(kind, n):
+            if kind == "sts":   # fix 1, 2, 3 and map point 1's star onto itself
+                sigma = {1: 1, 2: 2, 3: 3}
+                pairs = [(j, j + 1) for j in range(4, n, 2)]
+                for j, pair in zip(range(4, n, 2), rng.sample(pairs, len(pairs))):
+                    sigma[j], sigma[j + 1] = rng.sample(pair, 2)
+                relabeled = tuple(tuple(sigma[x] for x in triple) for triple in parts)
+            elif kind == "latin":   # one permutation of the columns and the symbols
+                sigma = rng.sample(range(n), n)
+                relabeled = tuple((r, n + sigma[c - n], sigma[v - 1] + 1) for r, c, v in parts)
+            else:   # fix vertices 1 and 2, and color c becomes sigma(c+1)-1
+                sigma = [0, 1, 2, *rng.sample(range(3, n + 1), n - 2)]
+                relabeled = tuple((*sorted((sigma[a], sigma[b])), sigma[v + 1] - 1)
+                                  for a, b, v in parts)
+            moved += set(relabeled) != set(parts)
+            assert leaves(relabeled) == leaves(parts)
+        assert moved
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_sts_13_and_its_orbit_counting_identity(self, jobs, split_counts):
@@ -463,7 +493,7 @@ class TestPools:
     def test_latin_pool_is_the_full_search(self, n):
         # derived from the reduced squares, the pool is what a collect pass
         # of the full labeled search lists, in the same order
-        kernel, args, state, depth, full_depth, _ = enumeration._start("latin", n, pinned=False)
+        kernel, args, state, depth, full_depth = enumeration._start("latin", n)
         paths = []
         kernel(*args, state, depth, full_depth, enumeration._Budget(None), paths, [])
         want = [LatinSquare(n=n, rows=tuple(tuple(p[r * n:(r + 1) * n]) for r in range(n)))

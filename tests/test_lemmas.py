@@ -20,7 +20,7 @@ from designcount.entropylab import (
     verify_position_law,
     verify_suite,
 )
-from designcount.entropylab import lemmas
+from designcount.entropylab import lemmas, rates
 from designcount.entropylab.lemmas import verdicts_to_csv, verdicts_to_json
 
 from oracles import FANO
@@ -162,6 +162,13 @@ def test_exact_m_matches_order_enumeration(variant):
             assert v.samples == len(want)
 
 
+def _star_order_n(variant, X, vo, keys, p, j):
+    """N of the pair (vo[b, p], j) in each reveal b, its star sorted by keys."""
+    steps = rates.reveal_steps(variant, np.array([X.table]), np.zeros(len(vo), np.intp), vo, keys)
+    _, star, _, n_avail = next(itertools.islice(steps, p, None))
+    return n_avail[star == j]
+
+
 @pytest.mark.parametrize("variant,vertex_orders", [
     ("1f", [(1, 2, 3, 4, 5, 6), (4, 2, 6, 1, 5, 3)]),
     ("sts", [(1, 2, 3, 4, 5, 6, 7), (5, 3, 7, 1, 6, 2, 4)]),
@@ -180,7 +187,7 @@ def test_exact_n_law_matches_star_order_enumeration(variant, vertex_orders):
             star = forward[perms]
             for j in forward:
                 j = int(j)
-                got = lemmas._pair_values(variant, X, np.tile(vo, (len(perms), 1)), p, j, keys)[1]
+                got = _star_order_n(variant, X, np.tile(vo, (len(perms), 1)), keys, p, j)
                 if variant == "1f":
                     verdicts = verify_N_law("1f", X, vo, i, j)
                     for v in verdicts:
