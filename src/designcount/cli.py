@@ -48,25 +48,33 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+# a line is parsed by one call of the C scanner: json.loads adds a Python layer
+_SCAN = json.JSONDecoder().scan_once
+
+
 def _append_cache(path: str, entry: dict, key_fields: tuple[str, ...],
                   value_fields: tuple[str, ...]) -> None:
-    """Append one JSON line; fail loudly if a matching key disagrees."""
+    """Append one JSON line; fail loudly if a matching key disagrees.
+
+    The file is read at once, with universal newlines.  Every non-blank
+    line, stripped, must be one JSON object and nothing after it."""
+    key = tuple(map(entry.get, key_fields))
     with open(path, "a+", encoding="utf-8", errors="replace") as f:
         fcntl.flock(f, fcntl.LOCK_EX)
         try:
             f.seek(0)
-            for lineno, line in enumerate(f, 1):
+            for lineno, line in enumerate(f.read().split("\n"), 1):
                 line = line.strip()
                 if not line:
                     continue
                 try:
-                    old = json.loads(line)
-                except json.JSONDecodeError:
-                    old = None
-                if not isinstance(old, dict):
+                    old, end = _SCAN(line, 0)
+                except (StopIteration, json.JSONDecodeError):
+                    old = end = None
+                if end != len(line) or not isinstance(old, dict):
                     raise DesignError(
                         f"cache {path}: line {lineno} is not a JSON object")
-                if all(old.get(k) == entry.get(k) for k in key_fields):
+                if tuple(map(old.get, key_fields)) == key:
                     for v in value_fields:
                         if old.get(v) != entry.get(v):
                             raise CacheMismatchError(

@@ -19,7 +19,7 @@ import json
 from collections import deque
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import chain, repeat
+from itertools import chain, combinations, repeat
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -321,6 +321,23 @@ def lex_ranks(digits: np.ndarray, base: int):
     return order, first, ids
 
 
+def _distinct_rows(cells: np.ndarray, base: int):
+    """The distinct rows of a nonempty (N, r, c) array of digits
+    0..base-1, as tuples in order; the index of each row among them
+    (``lex_ranks``); and (k, j) for the first design k equal to an earlier
+    one j, a design's code being its rows' indices, else None."""
+    rows = cells.reshape(-1, cells.shape[2])
+    order, first, ids = lex_ranks(rows, base)
+    table = tuple(map(tuple, rows[order[first]].tolist()))
+    order, first, _ = lex_ranks(ids.reshape(len(cells), -1), len(table))
+    if first.all():
+        return table, ids, None
+    # the earliest repeat is the second of its run, after the first copy
+    later = np.flatnonzero(~first)
+    k = later[np.argmin(order[later])]
+    return table, ids, (int(order[k]), int(order[k - 1]))
+
+
 def latin_squares(n: int, cells) -> tuple[LatinSquare, ...]:
     """Check an (N, n, n) integer array of squares and build them.
 
@@ -358,16 +375,9 @@ def latin_squares(n: int, cells) -> tuple[LatinSquare, ...]:
         latin = ((by_row == full) & (by_col == full)).all(axis=1)
         if not latin.all():
             raise SquareError(start + int(np.argmin(latin)))
-    rows = cells.reshape(-1, n)
-    order, first, ids = lex_ranks(rows, n + 1)
-    table = tuple(map(tuple, rows[order[first]].tolist()))
-    order, first, _ = lex_ranks(ids.reshape(-1, n), len(table))
-    if not first.all():
-        # the earliest repeat is the second of its run, after the first copy
-        later = np.flatnonzero(~first)
-        k = later[np.argmin(order[later])]
-        raise SquareError(int(order[k]), repeats=int(order[k - 1]))
-    del order, first   # freed before the build, whose peak is the pool itself
+    table, ids, repeats = _distinct_rows(cells, n + 1)
+    if repeats is not None:
+        raise SquareError(*repeats)
 
     row, items, new = table.__getitem__, [], object.__new__
     set_n, set_rows = LatinSquare.n.__set__, LatinSquare.rows.__set__
@@ -449,74 +459,174 @@ def from_json_dict(d: Mapping) -> TripleSystem | EdgeColoring | LatinSquare:
         raise DesignError(f"malformed {kind} design: {e!r}") from None
 
 
-# json.dumps with options builds a new encoder per call; one is enough
-_ENCODER = json.JSONEncoder(separators=(",", ":"), sort_keys=True)
-# per n, the encoder's output for a Latin square with %d for each entry
-_LATIN_FORMATS: dict[int, str] = {}
+# per (kind, n), what dumps writes for a design with %d for each entry
+_FORMATS: dict[tuple[str, int], str] = {}
 
 
-def _latin_format(n: int) -> str:
-    row = "[" + ",".join(["%d"] * n) + "]"
-    return '{"kind":"latin","n":%d,"rows":[%s]}' % (n, ",".join([row] * n))
+def _format(kind: str, n: int) -> str:
+    """The encoder's line for a design of ``kind`` at n with %d for each
+    entry: a Latin square's rows, a triple system's sorted triples, or the
+    colors of the edges {i, j}, i < j, in lexicographic order."""
+    n = int(n)   # as %d writes it, for any int-like n
+    parts = ({"rows": [["%d"] * n] * n} if kind == "latin" else
+             {"triples": [["%d"] * 3] * (n * (n - 1) // 6)} if kind == "sts" else
+             {"colors": [[i, j, "%d"] for i, j in combinations(range(1, n + 1), 2)]})
+    line = json.dumps({"kind": kind, "n": n, **parts}, separators=(",", ":"), sort_keys=True)
+    return line.replace('"%d"', "%d")
 
 
 def dumps(obj: TripleSystem | EdgeColoring | LatinSquare) -> str:
+    """The design as one JSON line, keys sorted and no spaces; the entries
+    are ints, which %d writes as the encoder does."""
     if isinstance(obj, LatinSquare):
-        # its entries are ints, which %d writes as the encoder does
-        form = _LATIN_FORMATS.get(obj.n) or _LATIN_FORMATS.setdefault(obj.n, _latin_format(obj.n))
-        return form % tuple(chain.from_iterable(obj.rows))
-    return _ENCODER.encode(to_json_dict(obj))
+        kind, entries = "latin", chain.from_iterable(obj.rows)
+    elif isinstance(obj, TripleSystem):
+        kind, entries = "sts", chain.from_iterable(obj.sorted_triples())
+    elif isinstance(obj, EdgeColoring):
+        kind, entries = "1f", chain.from_iterable(r[i + 1:] for i, r in enumerate(obj.table[1:], 1))
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
+    form = _FORMATS.get((kind, obj.n)) or _FORMATS.setdefault((kind, obj.n), _format(kind, obj.n))
+    return form % tuple(entries)
 
 
 def loads(text: str) -> TripleSystem | EdgeColoring | LatinSquare:
     return from_json_dict(json.loads(text))
 
 
-def _latin_template(n: int) -> np.ndarray:
-    """One ``dumps`` line of an order-n square and its newline as uint8
-    bytes, with a 0 byte for each entry."""
-    return np.frombuffer((_latin_format(n).replace("%d", "\0") + "\n").encode(), np.uint8)
+# ---------------------------------------------------------------------------
+# Arrays of designs
+# ---------------------------------------------------------------------------
+# A design's entries are the values its dumps line writes, in order; its
+# cells are its rows as a square, or its ``table``.
+
+def _edges(n: int):
+    """The endpoints i and j of the edges {i, j} of K_n, i < j, in order."""
+    i, j = np.triu_indices(n, 1)
+    return i + 1, j + 1
 
 
-def canonical_latin_cells(n: int, text: str) -> np.ndarray | None:
-    """The cells of a text in exactly the form ``dumps`` gives order-n
-    squares, one a line and each line ending in a newline, as an
-    (N, n, n) uint8 array; None for any other text.
+def bulk_designs(kind: str, n: int, entries) -> tuple[tuple, np.ndarray]:
+    """The designs of ``kind`` ("sts", "1f" or "latin") at n whose ``dumps``
+    entries are the rows of an (N, E) integer array, and their cells.
+
+    Squares go through ``latin_squares``.  Triple systems and colorings are
+    written into (N, n+1, n+1) tables, int8 below n = 128, and checked
+    there as the validators would: points in 1..n and every pair covered,
+    which n(n-1)/6 triples can do only with three distinct pairs each, so
+    once each; colors in 1..n-1, distinct at each vertex; no table equal to
+    an earlier one.  A fault raises a DesignError that does not name it.
+    The designs are then built with the cyclic GC paused, as
+    ``latin_squares`` does.
+    """
+    entries = np.asarray(entries)
+    if kind == "latin":
+        cells = entries.reshape(len(entries), n, n)
+        return latin_squares(n, cells), cells
+    if type(n) is not int or not (sts_feasible if kind == "sts" else one_factorization_feasible)(n):
+        raise DesignError(f"no {kind} design at n={n!r}")
+    low, high = 1, n if kind == "sts" else n - 1
+    if not ((entries >= low) & (entries <= high)).all():
+        raise DesignError(f"a {kind} entry lies outside {low}..{high}")
+    tables = np.zeros((len(entries), n + 1, n + 1), np.int8 if n < 128 else np.int64)
+    if kind == "sts":
+        triples = entries.reshape(len(entries), n * (n - 1) // 6, 3)
+        a, b, c = triples.transpose(2, 0, 1)
+        d = np.arange(len(entries))[:, None]
+        for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+            tables[d, x, y] = tables[d, y, x] = z
+        # zero just on the diagonal: every pair covered
+        valid = ((tables[:, 1:, 1:] == 0) == np.eye(n, dtype=bool)).all()
+    else:
+        i, j = _edges(n)
+        tables[:, i, j] = tables[:, j, i] = entries
+        # a row holds 0 twice (column 0 and the diagonal) and, when proper, 1..n-1
+        valid = (np.sort(tables[:, 1:], axis=2) == np.r_[0, :n]).all()
+    if not valid:
+        raise DesignError(f"a row is not a {kind} design")
+    if not len(tables):
+        return (), tables
+    table, ids, repeats = _distinct_rows(tables, n + 1)
+    if repeats is not None:
+        raise DesignError(f"{kind} design {repeats[0]} repeats design {repeats[1]}")
+
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        # the maps run in C, and equal rows are one shared tuple
+        rows = zip(*[map(table.__getitem__, ids.tolist())] * (n + 1))
+        if kind == "sts":
+            parts = map(frozenset, map(map, repeat(frozenset), triples.tolist()))
+            items = tuple(map(TripleSystem, repeat(n), parts, rows))
+        else:
+            items = tuple(map(EdgeColoring, repeat(n), rows))
+    finally:
+        if enabled:
+            gc.enable()
+    return items, tables
+
+
+def _template(kind: str, n: int) -> np.ndarray:
+    """One ``dumps`` line of ``kind`` at n and its newline as uint8 bytes,
+    with a 0 byte for each entry."""
+    return np.frombuffer((_format(kind, n).replace("%d", "\0") + "\n").encode(), np.uint8)
+
+
+def canonical_entries(kind: str, n: int, text: str) -> np.ndarray | None:
+    """The entries of a text in the form ``dumps`` gives designs of
+    ``kind`` at n, one a line and each line ending in a newline, as an
+    (N, E) int8 array; None for any other text.
 
     Only orders 1..9 qualify, whose entries are one digit each: the text
-    is then an (N, line length) byte array whose columns outside the
-    entries equal the template and whose entry columns hold 0-9.  The
-    cells are not checked for the Latin property.
+    is then an (N, line length) byte array whose bytes outside the entries
+    equal the template's and whose entries are 0-9.  Each chunk of
+    ``BULK_CHUNK`` lines is checked with one subtraction and one
+    comparison.  The entries are not checked as designs.
     """
-    if not 1 <= n <= 9:
+    if not 1 <= n <= 9 or not text.isascii():
         return None
-    template = _latin_template(n)
-    data = np.frombuffer(text.encode(), np.uint8)
+    template = _template(kind, n)
+    data = np.frombuffer(text.encode("ascii"), np.uint8)
     if len(data) % len(template):
         return None
     lines = data.reshape(-1, len(template))
-    entry = template == 0
-    cells = lines[:, entry] - np.uint8(ord("0"))
-    if not ((lines[:, ~entry] == template[~entry]).all() and (cells <= 9).all()):
-        return None
-    return cells.reshape(-1, n, n)
-
-
-def canonical_latin_text(cells: np.ndarray) -> str:
-    """What ``dumps`` writes for each square of an (N, n, n) integer array
-    with entries 1..9, one a line: the inverse of ``canonical_latin_cells``.
-
-    The digits fill the template's entry columns ``BULK_CHUNK`` squares at
-    a time, and each chunk becomes a string at once, so no byte array of
-    the whole text is made.
-    """
-    n = cells.shape[1]
-    template = _latin_template(n)
     entry = np.flatnonzero(template == 0)
-    block = np.tile(template, (min(len(cells), BULK_CHUNK), 1))
+    # a line less ``base`` is 0 outside the entries and 0-9 at them, at most ``top``
+    base, top = template.copy(), np.zeros_like(template)
+    base[entry], top[entry] = ord("0"), 9
+    entries = np.empty((len(lines), len(entry)), np.int8)
+    for start in range(0, len(lines), BULK_CHUNK):
+        part = lines[start:start + BULK_CHUNK] - base
+        if (part > top).any():
+            return None
+        entries[start:start + len(part)] = part[:, entry]
+    return entries
+
+
+def canonical_text(kind: str, n: int, cells: np.ndarray) -> str:
+    """What ``dumps`` writes for each design of an array of cells, one a
+    line, when every entry is one digit (n <= 9).
+
+    A triple system's sorted triples are the pairs i < j of its table,
+    in order, whose third point k exceeds j.  The digits fill the
+    template's entries ``BULK_CHUNK`` designs at a time, and each chunk
+    becomes a string at once, so no byte array of the whole text is made.
+    """
+    if kind == "latin":
+        entries = cells.reshape(len(cells), n * n)
+    else:
+        i, j = _edges(n)
+        entries = cells[:, i, j]
+        if kind == "sts":
+            keep = entries > j
+            at = np.nonzero(keep)[1]
+            entries = np.stack([i[at], j[at], entries[keep]], 1).reshape(len(cells), len(i))
+    template = _template(kind, n)
+    entry = np.flatnonzero(template == 0)
+    block = np.tile(template, (min(len(entries), BULK_CHUNK), 1))
     chunks = []
-    for start in range(0, len(cells), BULK_CHUNK):
-        part = cells[start:start + BULK_CHUNK].reshape(-1, n * n)
+    for start in range(0, len(entries), BULK_CHUNK):
+        part = entries[start:start + BULK_CHUNK]
         lines = block[:len(part)]
         lines[:, entry] = part + ord("0")
         chunks.append(str(lines.data, "ascii"))

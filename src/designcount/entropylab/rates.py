@@ -207,7 +207,9 @@ def entropy_upper_estimate(variant: str, n: int, samples: int,
     samples=0 switches to the exact mean over sets (`_set_histogram`),
     refused above EXACT_CAP terms (1f n=6 and sts n=7 run, sts n=9 not).
     Designs are drawn uniformly from the complete pool; pass ``pool``
-    to reuse one already enumerated.
+    to reuse one already enumerated.  The kernels read the designs'
+    tables from the pool's ``cells``, as int64, or from the items of a
+    pool that keeps none.
     """
     if variant not in ("1f", "sts"):
         raise DesignError(f"unknown variant {variant!r}")
@@ -218,7 +220,8 @@ def entropy_upper_estimate(variant: str, n: int, samples: int,
         raise DesignError(f"pool holds {pool.kind} n={pool.n}, wanted {kind} n={n}")
     if len(pool) == 0:
         raise EmptyPoolError(f"no designs to sample at n={n}")
-    tables = np.array([x.table for x in pool.items])
+    tables = (pool.cells if pool.cells is not None
+              else np.array([x.table for x in pool.items])).astype(np.int64)
 
     if samples == 0:
         terms = len(pool) * n * (n - 1) * 3 ** (n - 2)

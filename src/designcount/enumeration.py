@@ -40,9 +40,11 @@ count at large n stops without listing every cycle type.
 Triple-system and coloring pools collect every labeled design from the
 search with no part fixed; the Latin pool expands the reduced squares
 (the parts ``_reduced(n)`` fixed) by row and column permutations
-(``_latin_cells``) and keeps that array, which ``pool_to_jsonl`` writes
-in bulk.  ``first_design`` stops the unfixed search at its first leaf,
-which is the pool's first item.
+(``_latin_cells``).  Either way a pool is one array of its designs'
+``dumps`` entries, which ``core.bulk_designs`` checks and builds, and it
+keeps the designs' cells, which ``pool_to_jsonl`` writes in bulk.
+``first_design`` stops the unfixed search at its first leaf, which is
+the pool's first item.
 
 Both kernels stop at a depth ``cut``, where they append the choice path
 to ``sink`` (if given) and count 1.  At the full depth that counts or
@@ -74,17 +76,15 @@ from .core import (
     LatinSquare,
     SquareError,
     TripleSystem,
-    canonical_latin_cells,
-    canonical_latin_text,
+    bulk_designs,
+    canonical_entries,
+    canonical_text,
     dumps,
-    latin_squares,
     lex_ranks,
     loads,
     one_factorization_feasible,
     sts_feasible,
     to_json_dict,
-    validate_edge_coloring,
-    validate_triple_system,
 )
 
 
@@ -137,9 +137,12 @@ def map_tasks(fn, tasks: list, jobs: int) -> list:
 class Pool:
     """A complete, duplicate-free list of validated designs.
 
-    ``cells``, when set, is the (N, n, n) array of Latin squares, entries
-    1..9, that the items were built from; ``pool_to_jsonl`` writes it
-    without reading the items.
+    ``cells``, when set, holds the items' values as one int8 array: the
+    (N, n, n) Latin squares, or the (N, n+1, n+1) ``table`` of each triple
+    system or coloring.  ``pool_to_jsonl`` writes it without reading the
+    items, and ``entropy_upper_estimate`` reads the tables.  A pool built,
+    or read from text, in bulk sets it; one read line by line or made by
+    hand need not.
     """
 
     kind: str
@@ -470,17 +473,12 @@ def _pool_feasible(kind: str, n: int) -> bool:
         raise DesignError(f"unknown pool kind {kind!r}")
     if n > POOL_GATES[kind]:
         raise PoolTooLargeError(f"{kind} pool gated at n <= {POOL_GATES[kind]}, got {n}")
-    return _feasible("1f" if kind == "1f-labeled" else kind, n)
+    return _feasible(_family(kind), n)
 
 
-def _designs(kind: str, n: int, paths) -> tuple:
-    """The validated designs of leaf paths of the full search of ``kind``."""
-    if kind == "latin":   # the symbols of the cells in row-major order
-        return latin_squares(n, np.array(paths, np.int8).reshape(-1, n, n))
-    if kind == "sts":
-        return tuple(validate_triple_system(n, triples) for triples in paths)
-    edges = list(combinations(range(1, n + 1), 2))
-    return tuple(validate_edge_coloring(n, dict(zip(edges, colors))) for colors in paths)
+def _family(kind: str) -> str:
+    """The design family, and JSON kind, of the designs in a pool of ``kind``."""
+    return "1f" if kind == "1f-labeled" else kind
 
 
 def enumerate_pool(kind: str, n: int) -> Pool:
@@ -490,20 +488,21 @@ def enumerate_pool(kind: str, n: int) -> Pool:
     colorings are one collect pass of the full labeled search, which
     appends each leaf where the count adds it, so the pool's size is the
     count; Latin squares are derived from the reduced ones
-    (``_latin_cells``), in the order the full search would list them,
-    and the pool keeps their array as ``cells``.  Every element passes
-    the core validators.
+    (``_latin_cells``), in the order the full search would list them.
+    Either way the designs' entries are one array, which ``bulk_designs``
+    checks as the core validators would and builds, and the pool keeps
+    the designs' cells.
     """
     if not _pool_feasible(kind, n):
         return Pool(kind, n, ())
     if kind == "latin":
-        cells = _latin_cells(n)
-        return Pool(kind, n, latin_squares(n, cells), cells)
-
-    kernel, args, state, depth, full_depth = _start(kind, n)
-    paths: list = []
-    kernel(*args, state, depth, full_depth, _Budget(None), paths, [])
-    return Pool(kind, n, _designs(kind, n, paths))
+        entries = _latin_cells(n).reshape(-1, n * n)
+    else:   # a leaf path's values are the design's ``dumps`` entries
+        kernel, args, state, depth, full_depth = _start(kind, n)
+        paths: list = []
+        kernel(*args, state, depth, full_depth, _Budget(None), paths, [])
+        entries = np.array(paths, np.int8).reshape(len(paths), -1)
+    return Pool(kind, n, *bulk_designs(_family(kind), n, entries))
 
 
 class _FirstLeaf(Exception):
@@ -529,7 +528,7 @@ def first_design(kind: str, n: int):
     try:
         kernel(*args, state, depth, full_depth, _Budget(None), _FirstLeafSink(), [])
     except _FirstLeaf as leaf:
-        return _designs(kind, n, leaf.args)[0]
+        return bulk_designs(_family(kind), n, np.array(leaf.args, np.int8).reshape(1, -1))[0][0]
 
 
 def _latin_cells(n: int) -> np.ndarray:
@@ -573,9 +572,10 @@ def sample_uniform(pool: Pool, seed: int, count: int) -> list:
 
 def pool_to_jsonl(pool: Pool) -> str:
     """One JSON object per line, in enumeration order: ``dumps`` of each
-    item, or the same text written in bulk from the pool's ``cells``."""
+    item, or the same text written in bulk from the pool's ``cells``
+    (``canonical_text``)."""
     if pool.cells is not None:
-        return canonical_latin_text(pool.cells)
+        return canonical_text(_family(pool.kind), pool.n, pool.cells)
     return "".join(dumps(obj) + "\n" for obj in pool.items)
 
 
@@ -584,21 +584,27 @@ def pool_from_jsonl(kind: str, n: int, text: str) -> Pool:
 
     Each non-blank line must be a JSON object holding a valid design of
     the pool's kind and n, and no design may appear twice: the first bad
-    line, else the first line equal to an earlier one, is named.  A latin
-    text as `pool_to_jsonl` writes it (``canonical_latin_cells``), or with
-    CRLF line ends, which ``splitlines`` numbers alike, is checked and
-    built as one array, with the same result, and the pool keeps that
-    array as ``cells``.
+    line, else the first line equal to an earlier one, is named.  A text
+    in the form `pool_to_jsonl` writes (``canonical_entries``), or that
+    form with CRLF line ends, which ``splitlines`` numbers alike, is read
+    as one array and checked and built by ``bulk_designs``, with the same
+    result, and the pool keeps the designs' cells.  A fault in such a
+    text names its line at once for squares; for triple systems and
+    colorings the text is loaded again line by line, which names it.
     """
     if kind not in _POOL_TYPES:
         raise DesignError(f"unknown pool kind {kind!r}")
-    cells = canonical_latin_cells(n, text.replace("\r\n", "\n")) if kind == "latin" else None
-    if cells is not None:
+    entries = canonical_entries(_family(kind), n,
+                                text.replace("\r\n", "\n") if "\r" in text else text)
+    if entries is not None:
         try:
-            return Pool(kind, n, latin_squares(n, cells), cells)
+            return Pool(kind, n, *bulk_designs(_family(kind), n, entries))
         except SquareError as e:   # square k is on line k + 1
             fault = f": {NOT_LATIN}" if e.repeats is None else f" repeats line {e.repeats + 1}"
             raise DesignError(f"pool line {e.index + 1}{fault}") from None
+        except DesignError:   # of a table: the loader below names the line
+            if kind == "latin":
+                raise
     items = [(number, _load_line(kind, n, number, line))
              for number, line in enumerate(text.splitlines(), 1) if line.strip()]
     first_line: dict = {}

@@ -13,6 +13,7 @@ import pytest
 import designcount
 from designcount import cli
 from designcount.cli import main
+from designcount.core import DesignError
 
 
 def run(capsys, *argv):
@@ -485,6 +486,56 @@ class TestCache:
         assert self.count(capsys, cache)[2] == want
         cache.write_text(cache.read_text().replace('"31"', '"30"'))
         assert self.count(capsys, cache)[2] == want.replace("'31'", "'32'")
+
+    @staticmethod
+    def _line_by_line(path, entry, key_fields, value_fields):
+        """The cache check as a line iterator and ``json.loads``, the oracle of
+        ``cli._append_cache``."""
+        with open(path, "a+", encoding="utf-8", errors="replace") as f:
+            f.seek(0)
+            for lineno, line in enumerate(f, 1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    old = json.loads(line)
+                except json.JSONDecodeError:
+                    old = None
+                if not isinstance(old, dict):
+                    raise DesignError(f"cache {path}: line {lineno} is not a JSON object")
+                if all(old.get(k) == entry.get(k) for k in key_fields):
+                    for v in value_fields:
+                        if old.get(v) != entry.get(v):
+                            raise cli.CacheMismatchError(
+                                f"cache {path}: key "
+                                f"{ {k: entry.get(k) for k in key_fields} } stored "
+                                f"{v}={old.get(v)!r}, recomputed {entry.get(v)!r}")
+            f.write(json.dumps(entry, sort_keys=False, separators=(",", ":")) + "\n")
+
+    @pytest.mark.parametrize("data", [
+        b"", b"\n\n  \n", b'{"kind":"sts","n":7,"labeled":null,"count":"30"}\n',
+        b'{"kind":"sts","n":7,"labeled":null,"count":"29"}\n',
+        b'{"kind":"sts","n":7,"labeled":null}\n', b'{"kind":"sts","n":7,"count":"29"}\n',
+        b'{"kind":"sts",\n"n":7}\n', b'{"a":1} {"b":2}\n', b'{"a":1}x\n', b"[1,2]\n",
+        b"NaN\n", b'{"n":NaN,"kind":"sts"}\n', b'"text"\n', b"\xff\xfe\n",
+        b'{"kind":"\xff"}\n', b'\xef\xbb\xbf{"kind":"sts"}\n', b'{"a":"\\ud800"}\n',
+        b'{"a":[{"b":{}}]}\r\n{"kind"\r', b'{"kind":"sts","n":7,"labeled":null,"count":"30"}\r',
+        b'{"a":1}\x1c{"b":2}\n', '{"a":1}\u2028\n{"b":2}\n'.encode(), b"{}\n}\n", b"{\n",
+        b'{"a":1}}\n', b'{"a":01}\n', b'{"a":1,}\n', b" \t{}\t \n",
+    ])
+    def test_one_read_against_the_line_iterator(self, tmp_path, data):
+        entry = {"kind": "sts", "n": 7, "labeled": None, "count": "30", "nodes": 4}
+        outcomes = []
+        for append in (cli._append_cache, self._line_by_line):
+            path = tmp_path / f"{append.__name__}.jsonl"
+            path.write_bytes(data)
+            try:
+                append(str(path), entry, ("kind", "n", "labeled"), ("count",))
+            except DesignError as e:
+                outcomes.append((type(e), str(e).replace(str(path), "PATH")))
+            else:
+                outcomes.append(path.read_bytes())
+        assert outcomes[0] == outcomes[1]
 
     def test_partial_counts_not_cached(self, capsys, tmp_path):
         cache = str(tmp_path / "cache.jsonl")

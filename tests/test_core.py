@@ -480,12 +480,9 @@ class TestLatinSquaresInBulk:
                 gc.enable()
 
     def test_dumps_template_matches_the_encoder(self):
-        # two-digit symbols from n = 10
-        rnd = random.Random(5)
-        for n in range(1, 13):
-            for _ in range(5):
-                sq = LatinSquare(n=n, rows=tuple(map(tuple, _random_latin(rnd, n))))
-                assert dumps(sq) == core._ENCODER.encode(to_json_dict(sq))
+        # every kind, with two-digit entries from n = 10
+        for x in _relabeled_designs(random.Random(5)):
+            assert dumps(x) == json.dumps(to_json_dict(x), separators=(",", ":"), sort_keys=True)
 
     @pytest.mark.parametrize("chunk", [1, 3, 4096])
     def test_bulk_text_is_dumps_line_by_line(self, monkeypatch, chunk):
@@ -496,11 +493,96 @@ class TestLatinSquaresInBulk:
             for count in (0, 1, 7):
                 cells = np.array([_random_latin(rnd, n) for _ in range(count)],
                                  np.int8).reshape(count, n, n)
-                text = core.canonical_latin_text(cells)
+                text = core.canonical_text("latin", n, cells)
                 assert text == "".join(
                     dumps(LatinSquare(n=n, rows=tuple(map(tuple, rows)))) + "\n"
                     for rows in cells.tolist())
-                assert (core.canonical_latin_cells(n, text) == cells).all()
+                assert (core.canonical_entries("latin", n, text) == cells.reshape(count, n * n)).all()
+
+
+# STS(13) from the base blocks {0,1,4} and {0,2,7} mod 13
+CYCLIC_13 = [tuple((t + s) % 13 + 1 for t in block) for block in ((0, 1, 4), (0, 2, 7))
+             for s in range(13)]
+
+
+def _relabeled_designs(rnd, kinds=("latin", "sts", "1f"), orders=range(1, 14)):
+    """Five random relabelings of a design of each kind at each order given
+    that has one: random squares, and triple systems and colorings with
+    their points permuted."""
+    systems = {1: [], 3: [(1, 2, 3)], 7: FANO, 13: CYCLIC_13,
+               9: enumerate_pool("sts", 9).items[417].sorted_triples()}
+    designs = []
+    for n in orders:
+        for _ in range(5):
+            p = [0, *rnd.sample(range(1, n + 1), n)]
+            if "latin" in kinds and n <= 12:
+                designs.append(LatinSquare(n=n, rows=tuple(map(tuple, _random_latin(rnd, n)))))
+            if "sts" in kinds and n in systems:
+                designs.append(validate_triple_system(n, [[p[v] for v in t] for t in systems[n]]))
+            if "1f" in kinds and one_factorization_feasible(n):
+                designs.append(validate_edge_coloring(
+                    n, {(p[i], p[j]): c for (i, j), c in circle_coloring(n).items()}))
+    return designs
+
+
+class TestTablesInBulk:
+    """``bulk_designs`` and the canonical text of triple systems and
+    colorings against the per-design validators and ``dumps``."""
+
+    @pytest.mark.parametrize("kind, n", [("sts", 1), ("sts", 3), ("sts", 7), ("sts", 9),
+                                         ("sts", 13), ("1f", 2), ("1f", 4), ("1f", 6),
+                                         ("1f", 8), ("1f", 10)])
+    def test_designs_tables_and_text(self, kind, n):
+        designs = list(dict.fromkeys(_relabeled_designs(random.Random(n), [kind], [n])))
+        # the entries: each sorted triple's points, or the color of each edge i < j
+        docs = [to_json_dict(x) for x in designs]
+        entries = np.array([[v for t in d["triples"] for v in t] if kind == "sts"
+                            else [c for _, _, c in d["colors"]] for d in docs], np.int64)
+        items, cells = core.bulk_designs(kind, n, entries)
+        assert items == tuple(designs) and cells.dtype == np.int8
+        assert (cells == np.array([x.table for x in designs])).all()
+        if n > 9:   # two-digit entries have no canonical text
+            return
+        text = core.canonical_text(kind, n, cells)
+        assert text == "".join(dumps(x) + "\n" for x in designs)
+        assert (core.canonical_entries(kind, n, text) == entries).all()
+
+    def test_triples_in_any_order_are_one_design(self):
+        fano = validate_triple_system(7, FANO)
+        shuffled = [[t[2], t[0], t[1]] for t in reversed(FANO)]
+        items, cells = core.bulk_designs("sts", 7, np.array([shuffled]).reshape(1, -1))
+        assert items == (fano,) and (cells[0] == fano.table).all()
+
+    @pytest.mark.parametrize("kind, n, entries", [
+        ("sts", 7, [[1, 2, 3], [1, 4, 5], [1, 6, 7], [2, 4, 6], [2, 5, 7], [3, 4, 7], [3, 5, 5]]),
+        ("sts", 7, [[1, 2, 3], [1, 4, 5], [1, 6, 7], [2, 4, 6], [2, 5, 7], [3, 4, 7], [3, 5, 8]]),
+        ("sts", 7, [[1, 2, 3], [1, 4, 5], [1, 6, 7], [2, 4, 6], [2, 5, 7], [3, 4, 7], [3, 4, 6]]),
+        ("sts", 7, [[1, 2, 3], [1, 4, 5], [1, 6, 7], [2, 4, 6], [2, 5, 7], [3, 4, 7], [0, 5, 6]]),
+        ("sts", 5, [[1, 2, 3], [1, 4, 5], [2, 4, 5]]),
+        ("sts", 0, []),
+        ("1f", 4, [1, 2, 3, 3, 2, 2]),
+        ("1f", 4, [1, 2, 3, 3, 2, 0]),
+        ("1f", 4, [1, 2, 3, 3, 2, 4]),
+        ("1f", 3, [1, 2, 1]),
+        ("1f", 1, []),
+    ])
+    def test_faults_raise_and_restore_the_garbage_collector(self, kind, n, entries):
+        entries = np.array([entries], np.int64).reshape(1, -1)
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            try:
+                with pytest.raises(DesignError):
+                    core.bulk_designs(kind, n, entries)
+                assert gc.isenabled() == enabled
+            finally:
+                gc.enable()
+
+    def test_a_repeat_raises(self):
+        fano = np.array([FANO, FANO[::-1]]).reshape(2, -1)
+        with pytest.raises(DesignError, match="^sts design 1 repeats design 0$"):
+            core.bulk_designs("sts", 7, fano)
+        assert gc.isenabled()
+        assert core.bulk_designs("sts", 7, fano[:0])[0] == ()
 
 
 class TestFeasibility:

@@ -2,6 +2,7 @@
 
 import collections
 import functools
+import gc
 import hashlib
 import itertools
 import json
@@ -21,6 +22,7 @@ from designcount.core import (
     loads,
     to_json_dict,
     to_latin_cube,
+    validate_edge_coloring,
     validate_triple_system,
 )
 from designcount.enumeration import (
@@ -627,7 +629,7 @@ class TestLatinLoader:
         line = "{" if bad == "not JSON" else json.dumps(d, separators=(",", ":"), sort_keys=True)
         text = "\n".join(lines[:119] + [line] + lines[120:]) + "\n"
         bulk = len(lines) == 162 and bad in ("0", "6", "not Latin")
-        assert (core.canonical_latin_cells(5, text) is not None) == bulk
+        assert (core.canonical_entries("latin", 5, text) is not None) == bulk
         got = self._error(pool_from_jsonl, text)
         assert got.startswith(message) and got == self._error(_per_object_load, text)
 
@@ -682,17 +684,17 @@ class TestLatinLoader:
     def test_valid_non_canonical_texts_load_the_same(self):
         text = pool_to_jsonl(enumerate_pool("latin", 4))
         want = pool_from_jsonl("latin", 4, text).items
-        assert core.canonical_latin_cells(4, text) is not None and len(want) == 576
+        assert core.canonical_entries("latin", 4, text) is not None and len(want) == 576
         spaced = "".join(json.dumps(json.loads(line)) + "\n" for line in text.splitlines())
         for other in (spaced, text.replace("\n", "\r\n"), text[:-1], "\n" + text):
-            assert core.canonical_latin_cells(4, other) is None
+            assert core.canonical_entries("latin", 4, other) is None
             assert pool_from_jsonl("latin", 4, other).items == want
         # order 10 has two-digit entries, so no text of it is canonical
         cyclic = [tuple((r + c) % 10 + 1 for c in range(10)) for r in range(10)]
         squares = [LatinSquare(n=10, rows=tuple(cyclic[r] for r in p))
                    for p in (range(10), reversed(range(10)))]
         text = "".join(dumps(s) + "\n" for s in squares)
-        assert core.canonical_latin_cells(10, text) is None
+        assert core.canonical_entries("latin", 10, text) is None
         assert pool_from_jsonl("latin", 10, text).items == tuple(squares)
 
     def test_byte_mutations_and_copied_lines(self):
@@ -713,7 +715,7 @@ class TestLatinLoader:
                 chars[at] = (rng.choice(list("0123456789{}[],:\n \r")) if rng.random() < 0.7
                              else chr(rng.integers(256)))
             text = "".join(chars)
-            bulk += core.canonical_latin_cells(4, text) is not None
+            bulk += core.canonical_entries("latin", 4, text) is not None
             try:
                 want = _per_object_load("latin", 4, text, cached)
             except DesignError as e:
@@ -753,8 +755,10 @@ class TestLatinWriter:
         for kind, n in (("sts", 7), ("1f-labeled", 4)):
             pool = enumerate_pool(kind, n)
             back = pool_from_jsonl(kind, n, pool_to_jsonl(pool))
-            assert pool.cells is None and back.cells is None
-            assert pool_to_jsonl(back) == _per_object_dump(back) == pool_to_jsonl(pool)
+            assert pool.cells is not None and back.cells is not None
+            by_hand = Pool(kind, n, pool.items)
+            assert by_hand.cells is None and by_hand == pool
+            assert pool_to_jsonl(by_hand) == _per_object_dump(back) == pool_to_jsonl(pool)
 
     @pytest.mark.parametrize("n", [10, 11])
     def test_orders_above_nine_dump_and_load_line_by_line(self, n):
@@ -766,6 +770,111 @@ class TestLatinWriter:
         assert text == "".join(dumps(x) + "\n" for x in squares)
         back = pool_from_jsonl("latin", n, text)
         assert back.cells is None and back.items == squares
+
+
+def _validated(kind, n, path):
+    """A leaf path of the full search through the per-design validator."""
+    if kind == "sts":
+        return validate_triple_system(n, path)
+    return validate_edge_coloring(n, dict(zip(itertools.combinations(range(1, n + 1), 2), path)))
+
+
+class TestTablePools:
+    """Triple-system and coloring pools, built, written and read as one
+    array, against the per-design validators, ``dumps`` and the line-by-line
+    loader."""
+
+    @pytest.mark.parametrize("kind, n", [("sts", 1), ("sts", 3), ("sts", 7), ("sts", 9),
+                                         ("1f-labeled", 2), ("1f-labeled", 4), ("1f-labeled", 6)])
+    def test_bulk_builders_against_the_validators(self, kind, n):
+        kernel, args, state, depth, full_depth = enumeration._start(kind, n)
+        paths = []
+        kernel(*args, state, depth, full_depth, enumeration._Budget(None), paths, [])
+        want = tuple(_validated(kind, n, path) for path in paths)
+        pool = enumerate_pool(kind, n)
+        assert pool.items == want and pool.cells.dtype == np.int8
+        assert (pool.cells == np.array([x.table for x in want])).all()
+        assert enumeration.first_design(kind, n) == want[0]
+        text = pool_to_jsonl(pool)
+        assert text == _per_object_dump(pool) == pool_to_jsonl(Pool(kind, n, want))
+        for loaded in (pool_from_jsonl(kind, n, text),
+                       pool_from_jsonl(kind, n, text.replace("\n", "\r\n"))):
+            assert loaded == pool and (loaded.cells == pool.cells).all()
+
+    @pytest.fixture(scope="class")
+    def lines(self):
+        return {kind: pool_to_jsonl(enumerate_pool(kind, n)).splitlines(keepends=True)
+                for kind, n in (("sts", 9), ("1f-labeled", 6))}
+
+    @staticmethod
+    def _outcome(kind, n, text):
+        """The loaded items, or the message the loader raised; the GC is as
+        it was either way."""
+        enabled = gc.isenabled()
+        try:
+            return pool_from_jsonl(kind, n, text).items
+        except DesignError as e:
+            return str(e)
+        finally:
+            assert gc.isenabled() == enabled
+
+    @pytest.mark.parametrize("kind, fault, message", [
+        ("sts", "repeated pair", "pool line 401: pair (1, 3) is covered more than once"),
+        ("sts", "vertex 0", "pool line 401: vertex label 0 outside 1..9"),
+        ("sts", "duplicated line", "pool line 401 repeats line 101"),
+        ("sts", "triples out of order", "pool line 401 repeats line 101"),
+        ("1f-labeled", "color clash", "pool line 401: two edges at vertex 1 share color 5"),
+        ("1f-labeled", "color 0", "pool line 401: color 0 outside 1..5"),
+        ("1f-labeled", "duplicated line", "pool line 401 repeats line 101"),
+        ("1f-labeled", "edges out of order", "pool line 401 repeats line 101"),
+    ])
+    def test_a_corrupt_line_is_named_as_line_by_line(self, lines, kind, fault, message):
+        n = 9 if kind == "sts" else 6
+        lines = list(lines[kind])
+        line, doc = lines[400], json.loads(lines[100])
+        if fault == "repeated pair":     # its first triple {1, 2, k} becomes {1, 2, k'}
+            k = int(line[line.index("[[") + 6])
+            line = line.replace(f"[[1,2,{k}]", f"[[1,2,{4 if k == 3 else 3}]", 1)
+        elif fault == "vertex 0":
+            line = line[:-5] + "0" + line[-4:]
+        elif fault == "color clash":     # edge {1, 2} takes edge {1, 3}'s color
+            line = line[:16] + line[24] + line[17:]
+        elif fault == "color 0":
+            line = line[:16] + "0" + line[17:]
+        elif fault == "duplicated line":
+            line = lines[100]
+        elif fault == "triples out of order":
+            doc["triples"] = [t[::-1] for t in doc["triples"][::-1]]
+            line = json.dumps(doc, separators=(",", ":"), sort_keys=True) + "\n"
+        else:
+            doc["colors"] = doc["colors"][::-1]
+            line = json.dumps(doc, separators=(",", ":"), sort_keys=True) + "\n"
+        assert line != lines[400]
+        lines[400] = line
+        text = "".join(lines)
+        bulk = fault != "edges out of order"   # any other line keeps the template
+        assert (core.canonical_entries(enumeration._family(kind), n, text) is not None) == bulk
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            try:
+                got = self._outcome(kind, n, text)
+                # a lone carriage return sends the copy line by line
+                assert got == message == self._outcome(kind, n, text.replace("\n", "\r"))
+            finally:
+                gc.enable()
+        assert self._outcome(kind, n, text) == message
+
+    def test_valid_non_canonical_lines_load_the_same(self, lines):
+        for kind, n in (("sts", 9), ("1f-labeled", 6)):
+            pool = pool_from_jsonl(kind, n, "".join(lines[kind]))
+            docs = [json.loads(line) for line in lines[kind]]
+            for doc in docs[::97]:
+                for key in ("triples", "colors"):
+                    doc.get(key, []).reverse()
+            text = "".join(json.dumps(d, separators=(",", ":"), sort_keys=True) + "\n"
+                           for d in docs)
+            again = pool_from_jsonl(kind, n, text)
+            assert again == pool and (again.cells is None) == (kind == "1f-labeled")
 
 
 class TestSampling:

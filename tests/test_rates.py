@@ -9,6 +9,7 @@ import pytest
 from designcount.core import DesignError
 from designcount.enumeration import (
     EmptyPoolError,
+    Pool,
     count_one_factorizations,
     count_triple_systems,
     enumerate_pool,
@@ -151,6 +152,18 @@ class TestMonteCarloEstimates:
         a = entropy_upper_estimate("sts", 7, samples=500, seed=1, pool=pool)
         b = entropy_upper_estimate("sts", 7, samples=500, seed=1)
         assert a.estimate == b.estimate and a.se == b.se
+
+    @pytest.mark.parametrize("variant, kind, n", [("sts", "sts", 7), ("1f", "1f-labeled", 4)])
+    def test_a_pool_without_cells_reads_its_items(self, variant, kind, n):
+        # the estimator reads the cells as int64, or the items' tables when
+        # there are none (a pool loaded line by line or made by hand)
+        pool = enumerate_pool(kind, n)
+        assert (pool.cells.astype(np.int64) == np.array([x.table for x in pool.items])).all()
+        by_hand = Pool(kind, n, pool.items)
+        for samples in (0, 300):
+            a, b = (entropy_upper_estimate(variant, n, samples, seed=4, pool=p)
+                    for p in (pool, by_hand))
+            assert (a.estimate, a.se) == (b.estimate, b.se)
 
     def test_rejects_a_pool_of_another_kind_or_n(self):
         pool = enumerate_pool("sts", 7)
