@@ -5,7 +5,9 @@ covering every unordered pair exactly once.  A 1-factorization of K_n is
 stored as a proper edge coloring with colors 1..n-1 (each color class is
 a perfect matching).  Both embed into symmetric Latin squares, and those
 embeddings are provided here together with validation and a small JSON
-interchange format used by every other module.
+interchange format used by every other module.  ``bulk_designs`` checks
+and builds an array of designs of any kind at once; the first faulty or
+repeated design raises ``BulkError``, which names it by its index.
 
 Conventions: vertices are labeled 1..n, colors 1..n-1, and unordered
 pairs are keyed as (min, max).  All types are immutable after
@@ -73,14 +75,14 @@ class SameVertexError(DesignError):
 NOT_LATIN = "matrix is not a Latin square"
 
 
-class SquareError(DesignError):
-    """Square ``index`` of an array of squares is not a Latin square or,
-    when ``repeats`` is set, equals the earlier square ``repeats``."""
+class BulkError(DesignError):
+    """Design ``index`` of an array of designs is not one or, when
+    ``repeats`` is set, equals the earlier design ``repeats``."""
 
-    def __init__(self, index: int, repeats: int | None = None):
+    def __init__(self, kind: str, index: int, repeats: int | None = None):
         self.index, self.repeats = index, repeats
-        super().__init__(f"square {index}: {NOT_LATIN}" if repeats is None
-                         else f"square {index} repeats square {repeats}")
+        super().__init__(f"{kind} design {index} is not valid" if repeats is None
+                         else f"{kind} design {index} repeats design {repeats}")
 
 
 # ---------------------------------------------------------------------------
@@ -338,65 +340,6 @@ def _distinct_rows(cells: np.ndarray, base: int):
     return table, ids, (int(order[k]), int(order[k - 1]))
 
 
-def latin_squares(n: int, cells) -> tuple[LatinSquare, ...]:
-    """Check an (N, n, n) integer array of squares and build them.
-
-    Every row and column must hold 1..n once each, and no square may
-    equal an earlier one; the first square that is not Latin, else the
-    first that repeats an earlier one, raises ``SquareError``.  The Latin
-    check ORs bit e for each entry e, bit 0 for one outside 1..n, along
-    every row and column (uint16 masks below n = 16, uint64 below 64,
-    Python ints above); a square repeats when its code in the ranks of
-    its rows (``lex_ranks``) equals an earlier one.  The squares are then
-    built as ``LatinSquare`` objects without running their checks again,
-    ``BULK_CHUNK`` at a time, and equal rows are one shared tuple.  The
-    cyclic GC is paused meanwhile: the objects hold no cycles, and it
-    would otherwise scan the growing pool again and again.
-    """
-    _check_n("latin", n)
-    cells = np.asarray(cells)
-    if (cells.ndim != 3 or cells.shape[1:] != (n, n)
-            or not np.issubdtype(cells.dtype, np.integer)):
-        raise DesignError(f"expected an (N, {n}, {n}) integer array, "
-                          f"got {cells.dtype} {cells.shape}")
-    if not len(cells):
-        return ()
-    if n < 1:
-        raise SquareError(0)
-    masks = np.uint16 if n < 16 else np.uint64 if n < 64 else object
-    full = (1 << n + 1) - 2   # bits 1..n
-    for start in range(0, len(cells), BULK_CHUNK):
-        part = cells[start:start + BULK_CHUNK]
-        # zeroed before the shift, so no entry can wrap round to a symbol's bit
-        bits = np.ones((), masks) << np.where((part >= 1) & (part <= n), part, 0).astype(masks)
-        by_row, by_col = bits[:, :, 0], bits[:, 0]
-        for k in range(1, n):
-            by_row, by_col = by_row | bits[:, :, k], by_col | bits[:, k]
-        latin = ((by_row == full) & (by_col == full)).all(axis=1)
-        if not latin.all():
-            raise SquareError(start + int(np.argmin(latin)))
-    table, ids, repeats = _distinct_rows(cells, n + 1)
-    if repeats is not None:
-        raise SquareError(*repeats)
-
-    row, items, new = table.__getitem__, [], object.__new__
-    set_n, set_rows = LatinSquare.n.__set__, LatinSquare.rows.__set__
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for start in range(0, len(cells), BULK_CHUNK):
-            chunk = ids[start * n:(start + BULK_CHUNK) * n].tolist()
-            made = list(map(new, repeat(LatinSquare, len(chunk) // n)))
-            # the maps run in C; a deque of length 0 drains them
-            deque(map(set_n, made, repeat(n)), 0)
-            deque(map(set_rows, made, zip(*[map(row, chunk)] * n)), 0)
-            items += made
-    finally:
-        if enabled:
-            gc.enable()
-    return tuple(items)
-
-
 def to_latin_cube(obj: TripleSystem | EdgeColoring) -> LatinSquare:
     """Embed a design into its Latin-square matrix form.
 
@@ -506,64 +449,101 @@ def _edges(n: int):
     return i + 1, j + 1
 
 
-def bulk_designs(kind: str, n: int, entries) -> tuple[tuple, np.ndarray]:
+def bulk_designs(kind: str, n: int, entries) -> tuple[tuple, np.ndarray | None]:
     """The designs of ``kind`` ("sts", "1f" or "latin") at n whose ``dumps``
-    entries are the rows of an (N, E) integer array, and their cells.
+    entries are the rows of an (N, E) integer array, and their cells (None
+    for N = 0).
 
-    Squares go through ``latin_squares``.  Triple systems and colorings are
-    written into (N, n+1, n+1) tables, int8 below n = 128, and checked
-    there as the validators would: points in 1..n and every pair covered,
-    which n(n-1)/6 triples can do only with three distinct pairs each, so
-    once each; colors in 1..n-1, distinct at each vertex; no table equal to
-    an earlier one.  A fault raises a DesignError that does not name it.
-    The designs are then built with the cyclic GC paused, as
-    ``latin_squares`` does.
+    The cells are (N, n, n) squares, or (N, n+1, n+1) tables, int8 below
+    n = 128, for triple systems and colorings.  Each design is checked as
+    the validators would.  A square ORs bit e for each entry e, bit 0 for
+    one outside 1..n, along every row and column (uint16 masks below
+    n = 16, uint64 below 64, Python ints above), ``BULK_CHUNK`` squares at
+    a time.  A table needs points in 1..n and every pair covered, which
+    n(n-1)/6 triples can do only with three distinct pairs each, so once
+    each; or colors in 1..n-1, distinct at each vertex.  No design may
+    equal an earlier one: its code in the ranks of its rows
+    (``lex_ranks``) is compared.  The first design that fails a check,
+    else the first that repeats an earlier one, raises ``BulkError``; at
+    an n with no design, that is design 0.  The designs are then built
+    with the cyclic GC paused, squares ``BULK_CHUNK`` at a time without
+    running their checks again, and equal rows are one shared tuple.  The
+    objects hold no cycles, and the GC would otherwise scan the growing
+    pool again and again.
     """
+    _check_n(kind, n)
     entries = np.asarray(entries)
+    width = n * n if kind == "latin" else n * (n - 1) // 6 * 3 if kind == "sts" else n * (n - 1) // 2
+    if entries.shape[1:] != (width,) or not np.issubdtype(entries.dtype, np.integer):
+        raise DesignError(f"expected an (N, {width}) integer array, "
+                          f"got {entries.dtype} {entries.shape}")
+    if not len(entries):
+        return (), None
+    if not (n >= 1 if kind == "latin" else
+            sts_feasible(n) if kind == "sts" else one_factorization_feasible(n)):
+        raise BulkError(kind, 0)
     if kind == "latin":
         cells = entries.reshape(len(entries), n, n)
-        return latin_squares(n, cells), cells
-    if type(n) is not int or not (sts_feasible if kind == "sts" else one_factorization_feasible)(n):
-        raise DesignError(f"no {kind} design at n={n!r}")
-    low, high = 1, n if kind == "sts" else n - 1
-    if not ((entries >= low) & (entries <= high)).all():
-        raise DesignError(f"a {kind} entry lies outside {low}..{high}")
-    tables = np.zeros((len(entries), n + 1, n + 1), np.int8 if n < 128 else np.int64)
-    if kind == "sts":
-        triples = entries.reshape(len(entries), n * (n - 1) // 6, 3)
-        a, b, c = triples.transpose(2, 0, 1)
-        d = np.arange(len(entries))[:, None]
-        for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-            tables[d, x, y] = tables[d, y, x] = z
-        # zero just on the diagonal: every pair covered
-        valid = ((tables[:, 1:, 1:] == 0) == np.eye(n, dtype=bool)).all()
+        masks = np.uint16 if n < 16 else np.uint64 if n < 64 else object
+        full = (1 << n + 1) - 2   # bits 1..n
+        valid = np.empty(len(cells), bool)
+        for start in range(0, len(cells), BULK_CHUNK):
+            part = cells[start:start + BULK_CHUNK]
+            # zeroed before the shift, so no entry can wrap round to a symbol's bit
+            bits = np.ones((), masks) << np.where((part >= 1) & (part <= n), part, 0).astype(masks)
+            by_row, by_col = bits[:, :, 0], bits[:, 0]
+            for k in range(1, n):
+                by_row, by_col = by_row | bits[:, :, k], by_col | bits[:, k]
+            valid[start:start + len(part)] = ((by_row == full) & (by_col == full)).all(axis=1)
     else:
-        i, j = _edges(n)
-        tables[:, i, j] = tables[:, j, i] = entries
-        # a row holds 0 twice (column 0 and the diagonal) and, when proper, 1..n-1
-        valid = (np.sort(tables[:, 1:], axis=2) == np.r_[0, :n]).all()
-    if not valid:
-        raise DesignError(f"a row is not a {kind} design")
-    if not len(tables):
-        return (), tables
-    table, ids, repeats = _distinct_rows(tables, n + 1)
+        inside = (entries >= 1) & (entries <= (n if kind == "sts" else n - 1))
+        # a design with an entry outside is at fault already; 0 keeps its writes in its table
+        entries = np.where(inside, entries, 0)
+        cells = np.zeros((len(entries), n + 1, n + 1), np.int8 if n < 128 else np.int64)
+        if kind == "sts":
+            triples = entries.reshape(len(entries), n * (n - 1) // 6, 3)
+            a, b, c = triples.transpose(2, 0, 1)
+            d = np.arange(len(entries))[:, None]
+            for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+                cells[d, x, y] = cells[d, y, x] = z
+            # zero just on the diagonal: every pair covered
+            valid = ((cells[:, 1:, 1:] == 0) == np.eye(n, dtype=bool)).all(axis=(1, 2))
+        else:
+            i, j = _edges(n)
+            cells[:, i, j] = cells[:, j, i] = entries
+            # a row holds 0 twice (column 0 and the diagonal) and, when proper, 1..n-1
+            valid = (np.sort(cells[:, 1:], axis=2) == np.r_[0, :n]).all(axis=(1, 2))
+        valid &= inside.all(axis=1)
+    if not valid.all():
+        raise BulkError(kind, int(np.argmin(valid)))
+    table, ids, repeats = _distinct_rows(cells, n + 1)
     if repeats is not None:
-        raise DesignError(f"{kind} design {repeats[0]} repeats design {repeats[1]}")
+        raise BulkError(kind, *repeats)
 
+    row, items = table.__getitem__, []
     enabled = gc.isenabled()
     gc.disable()
     try:
-        # the maps run in C, and equal rows are one shared tuple
-        rows = zip(*[map(table.__getitem__, ids.tolist())] * (n + 1))
-        if kind == "sts":
-            parts = map(frozenset, map(map, repeat(frozenset), triples.tolist()))
-            items = tuple(map(TripleSystem, repeat(n), parts, rows))
+        # the maps run in C; a deque of length 0 drains one
+        if kind == "latin":
+            new, set_n, set_rows = object.__new__, LatinSquare.n.__set__, LatinSquare.rows.__set__
+            for start in range(0, len(cells), BULK_CHUNK):
+                chunk = ids[start * n:(start + BULK_CHUNK) * n].tolist()
+                made = list(map(new, repeat(LatinSquare, len(chunk) // n)))
+                deque(map(set_n, made, repeat(n)), 0)
+                deque(map(set_rows, made, zip(*[map(row, chunk)] * n)), 0)
+                items += made
         else:
-            items = tuple(map(EdgeColoring, repeat(n), rows))
+            rows = zip(*[map(row, ids.tolist())] * (n + 1))
+            if kind == "sts":
+                parts = map(frozenset, map(map, repeat(frozenset), triples.tolist()))
+                items += map(TripleSystem, repeat(n), parts, rows)
+            else:
+                items += map(EdgeColoring, repeat(n), rows)
     finally:
         if enabled:
             gc.enable()
-    return items, tables
+    return tuple(items), cells
 
 
 def _template(kind: str, n: int) -> np.ndarray:

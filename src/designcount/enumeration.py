@@ -43,6 +43,9 @@ search with no part fixed; the Latin pool expands the reduced squares
 (``_latin_cells``).  Either way a pool is one array of its designs'
 ``dumps`` entries, which ``core.bulk_designs`` checks and builds, and it
 keeps the designs' cells, which ``pool_to_jsonl`` writes in bulk.
+``pool_from_jsonl`` reads such a text back through the same builder; a
+design it names as faulty is one line, which is read again alone to
+name the fault, and a repeat is named at once.
 ``first_design`` stops the unfixed search at its first leaf, which is
 the pool's first item.
 
@@ -69,13 +72,13 @@ from itertools import combinations, permutations
 import numpy as np
 
 from .core import (
-    NOT_LATIN,
+    BulkError,
     CountResult,
     DesignError,
     EdgeColoring,
     LatinSquare,
-    SquareError,
     TripleSystem,
+    _check_n,
     bulk_designs,
     canonical_entries,
     canonical_text,
@@ -467,10 +470,11 @@ def count_latin_squares(n: int, config: SearchConfig | None = None) -> CountResu
 # ---------------------------------------------------------------------------
 
 def _pool_feasible(kind: str, n: int) -> bool:
-    """Whether the pool of ``kind`` at n holds designs; an unknown kind or
-    an n above ``POOL_GATES`` raises."""
+    """Whether the pool of ``kind`` at n holds designs; an unknown kind, an
+    n that is not an int or an n above ``POOL_GATES`` raises."""
     if kind not in POOL_GATES:
         raise DesignError(f"unknown pool kind {kind!r}")
+    _check_n(_family(kind), n)
     if n > POOL_GATES[kind]:
         raise PoolTooLargeError(f"{kind} pool gated at n <= {POOL_GATES[kind]}, got {n}")
     return _feasible(_family(kind), n)
@@ -588,23 +592,24 @@ def pool_from_jsonl(kind: str, n: int, text: str) -> Pool:
     in the form `pool_to_jsonl` writes (``canonical_entries``), or that
     form with CRLF line ends, which ``splitlines`` numbers alike, is read
     as one array and checked and built by ``bulk_designs``, with the same
-    result, and the pool keeps the designs' cells.  A fault in such a
-    text names its line at once for squares; for triple systems and
-    colorings the text is loaded again line by line, which names it.
+    result, and the pool keeps the designs' cells.  A repeat found there
+    is named at once; any other fault there is on one line, which alone
+    is read again by the line loader to name it (should it load, every
+    line is).
     """
     if kind not in _POOL_TYPES:
         raise DesignError(f"unknown pool kind {kind!r}")
-    entries = canonical_entries(_family(kind), n,
-                                text.replace("\r\n", "\n") if "\r" in text else text)
+    _check_n(_family(kind), n)
+    text_lf = text.replace("\r\n", "\n") if "\r" in text else text
+    entries = canonical_entries(_family(kind), n, text_lf)
     if entries is not None:
         try:
             return Pool(kind, n, *bulk_designs(_family(kind), n, entries))
-        except SquareError as e:   # square k is on line k + 1
-            fault = f": {NOT_LATIN}" if e.repeats is None else f" repeats line {e.repeats + 1}"
-            raise DesignError(f"pool line {e.index + 1}{fault}") from None
-        except DesignError:   # of a table: the loader below names the line
-            if kind == "latin":
-                raise
+        except BulkError as e:   # design k is on line k + 1, and the lines are equally long
+            if e.repeats is not None:
+                raise DesignError(f"pool line {e.index + 1} repeats line {e.repeats + 1}") from None
+            size = len(text_lf) // len(entries)
+            _load_line(kind, n, e.index + 1, text_lf[e.index * size:(e.index + 1) * size])
     items = [(number, _load_line(kind, n, number, line))
              for number, line in enumerate(text.splitlines(), 1) if line.strip()]
     first_line: dict = {}

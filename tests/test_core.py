@@ -16,18 +16,17 @@ from designcount.core import (
     NOT_LATIN,
     BadColorError,
     BadVertexError,
+    BulkError,
     ColorClashError,
     DesignError,
     DuplicatePairError,
     LatinSquare,
     MissingEdgeError,
     SameVertexError,
-    SquareError,
     UncoveredPairError,
     dumps,
     from_json_dict,
     is_latin,
-    latin_squares,
     loads,
     one_factorization_feasible,
     sts_feasible,
@@ -292,8 +291,14 @@ def test_lex_ranks_against_sorted_tuples(base, width):
     assert ids.dtype == np.int32 and ids.tolist() == list(map(distinct.index, rows))
 
 
+def _squares(n, cells):
+    """``bulk_designs`` of an (N, n, n) array of squares: the squares."""
+    return core.bulk_designs("latin", n, cells.reshape(len(cells), n * n))[0]
+
+
 class TestLatinSquaresInBulk:
-    """``latin_squares`` against ``is_latin`` and the ``LatinSquare`` checks."""
+    """``bulk_designs`` of squares against ``is_latin`` and the
+    ``LatinSquare`` checks."""
 
     def test_agrees_with_the_constructor_on_near_latin_arrays(self):
         rnd = random.Random(20261019)
@@ -307,14 +312,14 @@ class TestLatinSquaresInBulk:
                     want = LatinSquare(n=n, rows=tuple(map(tuple, rows)))
                 except DesignError as e:
                     assert str(e) == NOT_LATIN and not is_latin(rows)
-                    with pytest.raises(SquareError, match=f"^square 0: {NOT_LATIN}$") as info:
-                        latin_squares(n, np.array([rows], np.int8))
+                    with pytest.raises(BulkError, match="^latin design 0 is not valid$") as info:
+                        _squares(n, np.array([rows], np.int8))
                     assert (info.value.index, info.value.repeats) == (0, None)
                     rejected += 1
                     continue
                 assert is_latin(rows)
                 for dtype in (np.int8, np.uint8, np.int64):
-                    (got,) = latin_squares(n, np.array([rows], dtype))
+                    (got,) = _squares(n, np.array([rows], dtype))
                     assert got == want and hash(got) == hash(want)
                     assert pickle.dumps(got) == pickle.dumps(want)
                     assert type(got.rows[0][0]) is int
@@ -342,21 +347,21 @@ class TestLatinSquaresInBulk:
                 want = LatinSquare(n=n, rows=tuple(map(tuple, rows)))
             except DesignError as e:
                 assert str(e) == NOT_LATIN and not is_latin(rows)
-                with pytest.raises(SquareError, match=f"^square 0: {NOT_LATIN}$"):
-                    latin_squares(n, np.array([rows], np.int64))
+                with pytest.raises(BulkError, match="^latin design 0 is not valid$"):
+                    _squares(n, np.array([rows], np.int64))
                 rejected += 1
                 continue
             assert is_latin(rows)
             for dtype in (np.int8, np.uint64, np.int64):
-                (got,) = latin_squares(n, np.array([rows], dtype))
+                (got,) = _squares(n, np.array([rows], dtype))
                 assert got == want and type(got.rows[0][0]) is int
             if want not in accepted:
                 accepted.append(want)
         assert len(accepted) > 10 and rejected > 10   # both answers are exercised
         cells = np.array([x.rows for x in accepted], np.int64)
-        assert latin_squares(n, cells) == tuple(accepted)
-        with pytest.raises(SquareError, match=f"^square {len(accepted)} repeats square 3$"):
-            latin_squares(n, np.concatenate([cells, cells[3:4], cells[1:2]]))
+        assert _squares(n, cells) == tuple(accepted)
+        with pytest.raises(BulkError, match=f"^latin design {len(accepted)} repeats design 3$"):
+            _squares(n, np.concatenate([cells, cells[3:4], cells[1:2]]))
 
     @pytest.mark.parametrize("chunk", [1, 7])
     def test_faults_in_later_chunks_are_named_by_their_index(self, monkeypatch, chunk):
@@ -368,22 +373,22 @@ class TestLatinSquaresInBulk:
             if square not in squares:
                 squares.append(square)
         cells = np.array(squares, np.int64)
-        assert latin_squares(5, cells) == tuple(LatinSquare(n=5, rows=tuple(map(tuple, s)))
-                                                for s in squares)
+        assert _squares(5, cells) == tuple(LatinSquare(n=5, rows=tuple(map(tuple, s)))
+                                           for s in squares)
         repeats = cells.copy()
         repeats[26], repeats[29] = repeats[19], repeats[3]
-        with pytest.raises(SquareError, match="^square 26 repeats square 19$") as info:
-            latin_squares(5, repeats)
+        with pytest.raises(BulkError, match="^latin design 26 repeats design 19$") as info:
+            _squares(5, repeats)
         assert (info.value.index, info.value.repeats) == (26, 19)
         # a square that is not Latin is named before any repeat
         repeats[23, 2, 3], repeats[27, 0, 0] = 2 ** 40, 0
-        with pytest.raises(SquareError, match=f"^square 23: {NOT_LATIN}$") as info:
-            latin_squares(5, repeats)
+        with pytest.raises(BulkError, match="^latin design 23 is not valid$") as info:
+            _squares(5, repeats)
         assert (info.value.index, info.value.repeats) == (23, None)
 
     def test_equal_rows_are_one_tuple(self):
         pool = enumerate_pool("latin", 5)
-        again = latin_squares(5, pool.cells)
+        again = _squares(5, pool.cells)
         for squares in (pool.items, again):
             assert len({id(row) for square in squares for row in square.rows}) == 120
 
@@ -395,8 +400,8 @@ class TestLatinSquaresInBulk:
                 cells = np.array(squares, np.int64)
                 cells[bad, 0, 0] = n + 1 if bad == 17 else 0
                 cells[39, 1, 1] = -3
-                with pytest.raises(SquareError, match=f"^square {bad}: ") as info:
-                    latin_squares(n, cells)
+                with pytest.raises(BulkError, match=f"^latin design {bad} is not valid$") as info:
+                    _squares(n, cells)
                 assert info.value.index == bad
 
     def test_names_the_first_repeat_as_the_line_loader_did(self):
@@ -413,14 +418,15 @@ class TestLatinSquaresInBulk:
                     break
             cells = np.array([distinct[p] for p in picks], np.int8)
             if want is None:
-                assert len(latin_squares(4, cells)) == len(picks)
+                assert len(_squares(4, cells)) == len(picks)
                 continue
-            with pytest.raises(SquareError, match=f"^square {want[0]} repeats square {want[1]}$"):
-                latin_squares(4, cells)
+            with pytest.raises(BulkError,
+                               match=f"^latin design {want[0]} repeats design {want[1]}$"):
+                _squares(4, cells)
 
     def test_built_objects_equal_validated_ones(self):
         pool = enumerate_pool("latin", 4).items
-        again = latin_squares(4, np.array([x.rows for x in pool]))
+        again = _squares(4, np.array([x.rows for x in pool]))
         assert again == pool
         for got, want in zip(again, pool):
             fresh = LatinSquare(n=4, rows=want.rows)
@@ -442,23 +448,28 @@ class TestLatinSquaresInBulk:
         with pytest.raises(DesignError, match=NOT_LATIN):
             LatinSquare(n=3, rows=((1, 2, 3), (2, 3, 1), (3, 2, 1)))
 
-    def test_rejects_arrays_of_another_shape_or_type(self):
-        square = [[1, 2], [2, 1]]
-        for cells, what in ((np.array([square], float), "float64 (1, 2, 2)"),
-                            (np.array([square]) > 1, "bool (1, 2, 2)"),
-                            (np.array(square), "int64 (2, 2)"),
-                            (np.ones((1, 2, 3), int), "int64 (1, 2, 3)")):
+    @pytest.mark.parametrize("kind, n, design", [("latin", 2, [1, 2, 2, 1]), ("sts", 3, [1, 2, 3]),
+                                              ("1f", 4, [1, 2, 3, 3, 2, 1])])
+    def test_rejects_arrays_of_another_shape_or_type(self, kind, n, design):
+        # every kind takes an (N, E) integer array, E the entries of one design
+        e = len(design)
+        for entries, what in ((np.array([design], float), f"float64 (1, {e})"),
+                              (np.array([design]) > 1, f"bool (1, {e})"),
+                              (np.array(design), f"int64 ({e},)"),
+                              (np.ones((1, e + 1), int), f"int64 (1, {e + 1})"),
+                              (np.ones((1, 1, e), int), f"int64 (1, 1, {e})")):
             with pytest.raises(DesignError,
-                               match=re.escape(f"expected an (N, 2, 2) integer array, got {what}")):
-                latin_squares(2, cells)
-        with pytest.raises(DesignError, match="latin design: n must be an int, got True"):
-            latin_squares(True, np.ones((1, 1, 1), int))
+                               match=re.escape(f"expected an (N, {e}) integer array, got {what}")):
+                core.bulk_designs(kind, n, entries)
+        assert len(core.bulk_designs(kind, n, np.array([design]))[0]) == 1
+        with pytest.raises(DesignError, match=f"^{kind} design: n must be an int, got True$"):
+            core.bulk_designs(kind, True, np.ones((1, 1), int))
 
     def test_no_squares_and_order_zero(self):
-        assert latin_squares(3, np.empty((0, 3, 3), np.int8)) == ()
-        assert latin_squares(0, np.empty((0, 0, 0), np.int8)) == ()
-        with pytest.raises(SquareError, match="^square 0: "):
-            latin_squares(0, np.empty((1, 0, 0), np.int8))   # as LatinSquare(n=0, rows=())
+        assert _squares(3, np.empty((0, 3, 3), np.int8)) == ()
+        assert _squares(0, np.empty((0, 0, 0), np.int8)) == ()
+        with pytest.raises(BulkError, match="^latin design 0 is not valid$"):
+            _squares(0, np.empty((1, 0, 0), np.int8))   # as LatinSquare(n=0, rows=())
         with pytest.raises(DesignError, match=NOT_LATIN):
             LatinSquare(n=0, rows=())
 
@@ -468,13 +479,13 @@ class TestLatinSquaresInBulk:
             cells = np.array(cells)
             fails = len(cells) > 1
             assert gc.isenabled()
-            with pytest.raises(SquareError) if fails else contextlib.nullcontext():
-                latin_squares(2, cells)
+            with pytest.raises(BulkError) if fails else contextlib.nullcontext():
+                _squares(2, cells)
             assert gc.isenabled()
             gc.disable()
             try:
-                with pytest.raises(SquareError) if fails else contextlib.nullcontext():
-                    latin_squares(2, cells)
+                with pytest.raises(BulkError) if fails else contextlib.nullcontext():
+                    _squares(2, cells)
                 assert not gc.isenabled()
             finally:
                 gc.enable()
@@ -525,6 +536,19 @@ def _relabeled_designs(rnd, kinds=("latin", "sts", "1f"), orders=range(1, 14)):
     return designs
 
 
+def _entries(designs):
+    """The ``dumps`` entries of triple systems or colorings, one row each:
+    each sorted triple's points, or the color of each edge i < j."""
+    docs = [to_json_dict(x) for x in designs]
+    return np.array([[v for t in d["triples"] for v in t] if d["kind"] == "sts"
+                     else [c for _, _, c in d["colors"]] for d in docs], np.int64)
+
+
+# a design of each kind with one entry outside its range
+OUTSIDE = {"sts": [1, 2, 3, 1, 4, 5, 1, 6, 7, 2, 4, 6, 2, 5, 7, 3, 4, 7, 3, 5, 8],
+           "1f": [1, 2, 3, 3, 2, 0]}
+
+
 class TestTablesInBulk:
     """``bulk_designs`` and the canonical text of triple systems and
     colorings against the per-design validators and ``dumps``."""
@@ -534,10 +558,7 @@ class TestTablesInBulk:
                                          ("1f", 8), ("1f", 10)])
     def test_designs_tables_and_text(self, kind, n):
         designs = list(dict.fromkeys(_relabeled_designs(random.Random(n), [kind], [n])))
-        # the entries: each sorted triple's points, or the color of each edge i < j
-        docs = [to_json_dict(x) for x in designs]
-        entries = np.array([[v for t in d["triples"] for v in t] if kind == "sts"
-                            else [c for _, _, c in d["colors"]] for d in docs], np.int64)
+        entries = _entries(designs)
         items, cells = core.bulk_designs(kind, n, entries)
         assert items == tuple(designs) and cells.dtype == np.int8
         assert (cells == np.array([x.table for x in designs])).all()
@@ -576,6 +597,28 @@ class TestTablesInBulk:
                 assert gc.isenabled() == enabled
             finally:
                 gc.enable()
+        if n not in (7, 4):   # no design of kind at n, or one of another shape
+            return
+        v = list(_entries(enumerate_pool("1f-labeled" if kind == "1f" else kind, n).items[:4]))
+        fault, outside = entries[0], OUTSIDE[kind]
+
+        def named(*designs):
+            with pytest.raises(BulkError) as info:
+                core.bulk_designs(kind, n, np.array(designs))
+            assert gc.isenabled()
+            return info.value.index, info.value.repeats
+
+        # first, in the middle and last among valid designs
+        assert named(fault, *v) == (0, None)
+        assert named(*v[:2], fault, *v[2:]) == (2, None)
+        assert named(*v, fault) == (4, None)
+        # the first of two faults, whichever check finds each
+        assert named(v[0], fault, v[1], outside) == (1, None)
+        assert named(v[0], outside, v[1], fault) == (1, None)
+        # a fault before or after a repeat is named, not the repeat
+        assert named(v[0], v[1], v[0], fault) == (3, None)
+        assert named(v[0], fault, v[1], v[1]) == (1, None)
+        assert named(*v, v[2]) == (4, 2)
 
     def test_a_repeat_raises(self):
         fano = np.array([FANO, FANO[::-1]]).reshape(2, -1)

@@ -437,6 +437,18 @@ class TestPools:
         with pytest.raises(PoolTooLargeError, match="^latin pool gated at n <= 5, got 6$"):
             enumeration.first_design("latin", 6)
 
+    @pytest.mark.parametrize("kind, least", [("sts", 1.0), ("1f-labeled", 2.0), ("latin", 1.0)])
+    def test_an_n_that_is_not_an_int_is_refused(self, kind, least):
+        # True and a float equal an int n, but a pool of them would dump n as true or 4.0
+        message = f"{enumeration._family(kind)} design: n must be an int, got "
+        for n in (True, least, 4.0):
+            text = pool_to_jsonl(enumerate_pool(kind, int(max(n, least))))
+            for build in (enumerate_pool, enumeration.first_design,
+                          lambda kind, n: pool_from_jsonl(kind, n, text)):
+                with pytest.raises(DesignError) as info:
+                    build(kind, n)
+                assert type(info.value) is DesignError and str(info.value) == message + repr(n)
+
     def test_memory_bound(self, monkeypatch):
         # the gates are the only bound on a pool, and they fire before any search
         def no_search(*args):
@@ -779,6 +791,39 @@ def _validated(kind, n, path):
     return validate_edge_coloring(n, dict(zip(itertools.combinations(range(1, n + 1), 2), path)))
 
 
+def _corrupt(lines, at, fault):
+    """A pool text, its lines given with their ends, with ``fault`` put in
+    line ``at`` (counted from 0); a copied or reordered line copies line
+    ``at`` - 300."""
+    lines = list(lines)
+    line, doc = lines[at], json.loads(lines[at - 300])
+    if fault == "repeated pair":     # its first triple {1, 2, k} becomes {1, 2, k'}
+        k = int(line[line.index("[[") + 6])
+        line = line.replace(f"[[1,2,{k}]", f"[[1,2,{4 if k == 3 else 3}]", 1)
+    elif fault in ("vertex 0", "symbol 0"):
+        line = line[:-5] + "0" + line[-4:]
+    elif fault == "symbol 6":
+        line = line[:-5] + "6" + line[-4:]
+    elif fault == "not Latin":       # the first two entries of row 1 swap
+        i = line.index("[[") + 2
+        line = line[:i] + line[i + 2] + "," + line[i] + line[i + 3:]
+    elif fault == "color clash":     # edge {1, 2} takes edge {1, 3}'s color
+        line = line[:16] + line[24] + line[17:]
+    elif fault == "color 0":
+        line = line[:16] + "0" + line[17:]
+    elif fault == "duplicated line":
+        line = lines[at - 300]
+    elif fault == "triples out of order":
+        doc["triples"] = [t[::-1] for t in doc["triples"][::-1]]
+        line = json.dumps(doc, separators=(",", ":"), sort_keys=True) + "\n"
+    else:
+        doc["colors"] = doc["colors"][::-1]
+        line = json.dumps(doc, separators=(",", ":"), sort_keys=True) + "\n"
+    assert line != lines[at]
+    lines[at] = line
+    return "".join(lines)
+
+
 class TestTablePools:
     """Triple-system and coloring pools, built, written and read as one
     array, against the per-design validators, ``dumps`` and the line-by-line
@@ -830,28 +875,7 @@ class TestTablePools:
     ])
     def test_a_corrupt_line_is_named_as_line_by_line(self, lines, kind, fault, message):
         n = 9 if kind == "sts" else 6
-        lines = list(lines[kind])
-        line, doc = lines[400], json.loads(lines[100])
-        if fault == "repeated pair":     # its first triple {1, 2, k} becomes {1, 2, k'}
-            k = int(line[line.index("[[") + 6])
-            line = line.replace(f"[[1,2,{k}]", f"[[1,2,{4 if k == 3 else 3}]", 1)
-        elif fault == "vertex 0":
-            line = line[:-5] + "0" + line[-4:]
-        elif fault == "color clash":     # edge {1, 2} takes edge {1, 3}'s color
-            line = line[:16] + line[24] + line[17:]
-        elif fault == "color 0":
-            line = line[:16] + "0" + line[17:]
-        elif fault == "duplicated line":
-            line = lines[100]
-        elif fault == "triples out of order":
-            doc["triples"] = [t[::-1] for t in doc["triples"][::-1]]
-            line = json.dumps(doc, separators=(",", ":"), sort_keys=True) + "\n"
-        else:
-            doc["colors"] = doc["colors"][::-1]
-            line = json.dumps(doc, separators=(",", ":"), sort_keys=True) + "\n"
-        assert line != lines[400]
-        lines[400] = line
-        text = "".join(lines)
+        text = _corrupt(lines[kind], 400, fault)
         bulk = fault != "edges out of order"   # any other line keeps the template
         assert (core.canonical_entries(enumeration._family(kind), n, text) is not None) == bulk
         for enabled in (True, False):
@@ -875,6 +899,60 @@ class TestTablePools:
                            for d in docs)
             again = pool_from_jsonl(kind, n, text)
             assert again == pool and (again.cells is None) == (kind == "1f-labeled")
+
+
+class TestFaultsReadOneLine:
+    """A fault in a canonical text is named by reading its one line again,
+    a repeat at once."""
+
+    @pytest.fixture(scope="class")
+    def lines(self):
+        return {"latin": [dumps(LatinSquare(n=5, rows=tuple(map(tuple, s)))) + "\n"
+                          for s in enumeration._latin_cells(5)[::100].tolist()],
+                **{kind: pool_to_jsonl(enumerate_pool(kind, n)).splitlines(keepends=True)
+                   for kind, n in (("sts", 9), ("1f-labeled", 6))}}
+
+    @pytest.mark.parametrize("kind, fault, calls", [
+        ("latin", "not Latin", 1), ("latin", "symbol 0", 1), ("latin", "symbol 6", 1),
+        ("latin", "duplicated line", 0),
+        ("sts", "repeated pair", 1), ("sts", "vertex 0", 1), ("sts", "duplicated line", 0),
+        ("sts", "triples out of order", 0),
+        ("1f-labeled", "color clash", 1), ("1f-labeled", "color 0", 1),
+        ("1f-labeled", "duplicated line", 0),
+    ])
+    def test_one_line_is_read_again(self, lines, monkeypatch, kind, fault, calls):
+        n = {"latin": 5, "sts": 9, "1f-labeled": 6}[kind]
+        text = _corrupt(lines[kind], 401, fault)
+        assert core.canonical_entries(enumeration._family(kind), n, text) is not None
+        with pytest.raises(DesignError) as cr:   # a lone carriage return: line by line
+            pool_from_jsonl(kind, n, text.replace("\n", "\r"))
+        seen, load = [], enumeration._load_line
+
+        def load_line(*args):
+            seen.append(args[2])
+            return load(*args)
+
+        monkeypatch.setattr(enumeration, "_load_line", load_line)
+        with pytest.raises(DesignError) as bulk:
+            pool_from_jsonl(kind, n, text)
+        assert seen == [402] * calls
+        assert str(bulk.value) == str(cr.value) and str(cr.value).startswith("pool line 402")
+
+    @pytest.mark.parametrize("kind, n, line", [
+        ("sts", 5, '{"kind":"sts","n":5,"triples":[[1,2,3],[1,4,5],[2,4,5]]}'),
+        ("1f-labeled", 3, '{"colors":[[1,2,1],[1,3,2],[2,3,1]],"kind":"1f","n":3}'),
+    ])
+    def test_no_design_at_n(self, kind, n, line):
+        # an empty text is an empty pool, and in a text of the form dumps
+        # writes at n, line 1 is named
+        assert pool_from_jsonl(kind, n, "") == Pool(kind, n, ())
+        text = line + "\n" + line + "\n"
+        assert core.canonical_entries(enumeration._family(kind), n, text) is not None
+        with pytest.raises(DesignError) as bulk:
+            pool_from_jsonl(kind, n, text)
+        with pytest.raises(DesignError) as cr:
+            pool_from_jsonl(kind, n, text.replace("\n", "\r"))
+        assert str(bulk.value) == str(cr.value) and str(bulk.value).startswith("pool line 1: ")
 
 
 class TestSampling:
