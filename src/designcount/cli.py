@@ -4,8 +4,10 @@ Subcommands: count (exact enumeration), bounds (log-space bound
 evaluation), verify (reveal-law verdicts), entropy (chain-rule upper
 estimates).  Output goes to stdout in json, csv, or text form and never
 contains wall-clock fields, so a fixed seed and flag set produces
-byte-identical output across runs and across --jobs values.  Exit codes:
-0 success, 1 usage or validation error, 2 node budget exhausted.
+byte-identical output across runs and across --jobs values.  count and
+bounds run without numpy; verify and entropy import it when they run.
+Exit codes: 0 success, 1 usage or validation error, 2 node budget
+exhausted.
 
 The optional cache is a JSON-lines file appended under an exclusive
 advisory lock; a re-run whose key matches an existing entry must
@@ -32,9 +34,6 @@ from .enumeration import (
     count_one_factorizations,
     count_triple_systems,
 )
-from .entropylab import entropy_upper_estimate, verdicts_to_csv, verdicts_to_json
-from .entropylab.lemmas import verify_suite
-from .entropylab.rates import STREAM
 
 
 class CacheMismatchError(DesignError):
@@ -184,6 +183,8 @@ def _cmd_bounds(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_verify(args) -> int:
+    # verify and entropy alone load entropylab, and with it numpy
+    from .entropylab import verdicts_to_csv, verdicts_to_json, verify_suite
     verdicts = verify_suite(args.lemma, args.variant, args.n, args.mode,
                             samples=args.samples, seed=args.seed)
     if args.format == "json":
@@ -204,6 +205,7 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_entropy(args) -> int:
+    from .entropylab.rates import STREAM, entropy_upper_estimate
     t0 = time.perf_counter()
     est = entropy_upper_estimate(args.variant, args.n, args.samples,
                                  seed=args.seed, jobs=args.jobs)

@@ -8,6 +8,8 @@ embeddings are provided here together with validation and a small JSON
 interchange format used by every other module.  ``bulk_designs`` checks
 and builds an array of designs of any kind at once; the first faulty or
 repeated design raises ``BulkError``, which names it by its index.
+The array functions import numpy when they run, so the types, the
+validators and the counts load without it.
 
 Conventions: vertices are labeled 1..n, colors 1..n-1, and unordered
 pairs are keyed as (min, max).  All types are immutable after
@@ -23,8 +25,6 @@ from dataclasses import dataclass, field
 from functools import reduce
 from itertools import chain, combinations, repeat
 from typing import Iterable, Mapping, Sequence
-
-import numpy as np
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +309,7 @@ def lex_ranks(digits: np.ndarray, base: int):
     and each row's rank among the distinct rows (int32).  A row is sorted
     by its base-``base`` code: uint16 (which numpy sorts by radix) up to
     base**k = 2**16, int64 up to 2**63, a Python int above."""
+    import numpy as np
     top = base ** digits.shape[1]
     codes = np.empty(len(digits), np.uint16 if top <= 2 ** 16
                      else np.int64 if top <= 2 ** 63 else object)
@@ -328,6 +329,7 @@ def _distinct_rows(cells: np.ndarray, base: int):
     0..base-1, as tuples in order; the index of each row among them
     (``lex_ranks``); and (k, j) for the first design k equal to an earlier
     one j, a design's code being its rows' indices, else None."""
+    import numpy as np
     rows = cells.reshape(-1, cells.shape[2])
     order, first, ids = lex_ranks(rows, base)
     table = tuple(map(tuple, rows[order[first]].tolist()))
@@ -445,6 +447,7 @@ def loads(text: str) -> TripleSystem | EdgeColoring | LatinSquare:
 
 def _edges(n: int):
     """The endpoints i and j of the edges {i, j} of K_n, i < j, in order."""
+    import numpy as np
     i, j = np.triu_indices(n, 1)
     return i + 1, j + 1
 
@@ -471,6 +474,7 @@ def bulk_designs(kind: str, n: int, entries) -> tuple[tuple, np.ndarray | None]:
     objects hold no cycles, and the GC would otherwise scan the growing
     pool again and again.
     """
+    import numpy as np
     _check_n(kind, n)
     entries = np.asarray(entries)
     width = n * n if kind == "latin" else n * (n - 1) // 6 * 3 if kind == "sts" else n * (n - 1) // 2
@@ -549,6 +553,7 @@ def bulk_designs(kind: str, n: int, entries) -> tuple[tuple, np.ndarray | None]:
 def _template(kind: str, n: int) -> np.ndarray:
     """One ``dumps`` line of ``kind`` at n and its newline as uint8 bytes,
     with a 0 byte for each entry."""
+    import numpy as np
     return np.frombuffer((_format(kind, n).replace("%d", "\0") + "\n").encode(), np.uint8)
 
 
@@ -563,6 +568,7 @@ def canonical_entries(kind: str, n: int, text: str) -> np.ndarray | None:
     ``BULK_CHUNK`` lines is checked with one subtraction and one
     comparison.  The entries are not checked as designs.
     """
+    import numpy as np
     if not 1 <= n <= 9 or not text.isascii():
         return None
     template = _template(kind, n)
@@ -592,6 +598,7 @@ def canonical_text(kind: str, n: int, cells: np.ndarray) -> str:
     template's entries ``BULK_CHUNK`` designs at a time, and each chunk
     becomes a string at once, so no byte array of the whole text is made.
     """
+    import numpy as np
     if kind == "latin":
         entries = cells.reshape(len(cells), n * n)
     else:

@@ -3,8 +3,9 @@
 Each verifier compares a closed-form conditional law against a full
 enumeration (exact mode: arbitrary-precision rationals, zero tolerance)
 or against sampled frequencies (mc mode: estimate with a standard
-error, pass within 5 standard errors).  Both modes run the same code,
-and the M and N of a pair are read from the reveal kernel
+error, pass within 5 standard errors, for a mean at least the
+Bhatia-Davis bound over the values seen: `_passed`).  Both modes run
+the same code, and the M and N of a pair are read from the reveal kernel
 `rates.reveal_steps` (`reveal.py` stays the literal oracle).  mc mode
 feeds it seeded uniform draws, exact mode every order; M and N depend
 only on the vertices before the anchor and the star elements before
@@ -257,10 +258,24 @@ def _mean(counts, exact: bool, cond: dict):
     return total / count, se, count
 
 
-def _passed(observed, formula: Fraction, se: float | None) -> bool:
+def _passed(observed, formula: Fraction, se: float | None, counts=()) -> bool:
+    """Whether ``observed`` is the formula (exact mode) or within
+    ``MC_SIGMAS`` standard errors of it (mc mode).
+
+    For a mean with its ``counts``, the SE gated on is at least
+    sqrt((mu - lo)(hi - mu) / count): the Bhatia-Davis bound on the
+    variance at the formula's mean mu over the values lo..hi seen, when
+    mu lies between them.  A two-valued N drawn low has a small sample SE
+    as well as a low mean, so at ~100 samples 5 sample SEs fail a true
+    law about once in 10^4; the reported SE stays the sample's.
+    """
     if se is None:
         return observed == formula
-    return abs(observed - float(formula)) <= MC_SIGMAS * se + 1e-12
+    mu = float(formula)
+    seen = [v for v, c in enumerate(counts) if c]
+    if seen and seen[0] <= mu <= seen[-1]:
+        se = max(se, math.sqrt((mu - seen[0]) * (seen[-1] - mu) / sum(counts)))
+    return abs(observed - mu) <= MC_SIGMAS * se + 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -381,15 +396,15 @@ def _m_verdicts(variant, X, pairs, positions, mode, samples, seed):
                                        (n - 4) * (n - 5))
                 printed = None
             cond_keys = {"p": p, "i": i, "j": j}
-            observed, se, count = _mean(counts[t, p - 1] if 1 <= p <= n else (),
-                                        mode == "exact", cond_keys)
+            cell = counts[t, p - 1] if 1 <= p <= n else ()
+            observed, se, count = _mean(cell, mode == "exact", cond_keys)
             out.append(LemmaVerdict("exp-m" if variant == "1f" else "exp-m-2", variant, n,
                                     cond_keys, formula, observed, se,
-                                    passed=_passed(observed, formula, se), samples=count))
+                                    passed=_passed(observed, formula, se, cell), samples=count))
             if printed is not None:
                 out.append(LemmaVerdict(
                     "exp-m[printed]", variant, n, cond_keys, printed, observed, se,
-                    passed=_passed(observed, printed, se), samples=count,
+                    passed=_passed(observed, printed, se, cell), samples=count,
                     informational=True, note="printed denominator n-1; measured form uses n-3"))
     return out
 
@@ -454,9 +469,10 @@ def _n_verdicts(variant, X, vo, i, cases, mode, samples, seed):
         t = js.index(j)
         if variant == "sts":
             cond = {"i": i, "j": j, "q": q, "l": M[j], "m": m}
-            observed, se, count = _mean(counts[t, q - 1], exact, cond)
+            cell = counts[t, q - 1]
+            observed, se, count = _mean(cell, exact, cond)
             out.append(LemmaVerdict("n-law", "sts", n, cond, formulas[c], observed, se,
-                                    passed=_passed(observed, formulas[c], se), samples=count))
+                                    passed=_passed(observed, formulas[c], se, cell), samples=count))
             continue
         hist = counts[t].sum(axis=0)
         total = int(hist.sum())

@@ -47,7 +47,8 @@ keeps the designs' cells, which ``pool_to_jsonl`` writes in bulk.
 design it names as faulty is one line, which is read again alone to
 name the fault, and a repeat is named at once.
 ``first_design`` stops the unfixed search at its first leaf, which is
-the pool's first item.
+the pool's first item.  The pool and sampling functions import numpy
+when they run; the counts use none.
 
 Both kernels stop at a depth ``cut``, where they append the choice path
 to ``sink`` (if given) and count 1.  At the full depth that counts or
@@ -68,8 +69,6 @@ import os
 import time
 from dataclasses import dataclass, field, replace
 from itertools import combinations, permutations
-
-import numpy as np
 
 from .core import (
     BulkError,
@@ -418,8 +417,10 @@ def _count(kind: str, n: int, cfg: SearchConfig) -> CountResult:
 def _feasible(kind: str, n: int) -> bool:
     """Whether designs of kind "sts", "1f" or "latin" exist at n.
 
-    An n below the family's least order is an error, not an empty family.
+    An n that is not an int, or is below the family's least order, is an
+    error, not an empty family.
     """
+    _check_n(kind, n)
     least = 2 if kind == "1f" else 1
     if n < least:
         raise DesignError(f"n must be >= {least}, got {n}")
@@ -474,10 +475,10 @@ def _pool_feasible(kind: str, n: int) -> bool:
     n that is not an int or an n above ``POOL_GATES`` raises."""
     if kind not in POOL_GATES:
         raise DesignError(f"unknown pool kind {kind!r}")
-    _check_n(_family(kind), n)
+    feasible = _feasible(_family(kind), n)
     if n > POOL_GATES[kind]:
         raise PoolTooLargeError(f"{kind} pool gated at n <= {POOL_GATES[kind]}, got {n}")
-    return _feasible(_family(kind), n)
+    return feasible
 
 
 def _family(kind: str) -> str:
@@ -497,6 +498,7 @@ def enumerate_pool(kind: str, n: int) -> Pool:
     checks as the core validators would and builds, and the pool keeps
     the designs' cells.
     """
+    import numpy as np
     if not _pool_feasible(kind, n):
         return Pool(kind, n, ())
     if kind == "latin":
@@ -526,6 +528,7 @@ def first_design(kind: str, n: int):
     collect from, and that lists Latin squares in pool order, stopped at
     its first leaf; the kind and gate checks are the pool's.
     """
+    import numpy as np
     if not _pool_feasible(kind, n):
         return None
     kernel, args, state, depth, full_depth = _start(kind, n)
@@ -548,6 +551,7 @@ def _latin_cells(n: int) -> np.ndarray:
     row of a square is a row of its reduced square with the columns
     permuted, so only those R(n) n! n rows are ranked.
     """
+    import numpy as np
     kernel, args, state, depth, full_depth = _start("latin", n, _reduced(n))
     inner: list = []
     kernel(*args, state, depth, full_depth, _Budget(None), inner, [])
@@ -566,6 +570,7 @@ def _latin_cells(n: int) -> np.ndarray:
 
 def sample_uniform(pool: Pool, seed: int, count: int) -> list:
     """Independent uniform draws from a complete pool, reproducible by seed."""
+    import numpy as np
     if len(pool) == 0:
         raise EmptyPoolError(f"pool {pool.kind} n={pool.n} is empty")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))

@@ -106,6 +106,34 @@ class TestCount:
                             "('concurrent.futures', 'multiprocessing') if m in sys.modules))")
         assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
 
+    def test_count_and_bounds_load_neither_numpy_nor_entropylab(self):
+        # numpy and the reveal kernel are imported by the functions and
+        # subcommands that use them
+        script = (
+            "import sys\n"
+            "from designcount import cli\n"
+            "from designcount.bounds import BOUND_NAMES\n"
+            "def loaded():\n"
+            "    return [m for m in ('numpy', 'designcount.entropylab') if m in sys.modules]\n"
+            "print(loaded())\n"
+            "cli.main(['count', '--object', 'latin', '--n', '5', '--jobs', '2'])\n"
+            "cli.main(['bounds', '--n', '16', '--list', ','.join(BOUND_NAMES)])\n"
+            "print(loaded())\n")
+        proc = fresh_python("-c", script)
+        lines = proc.stdout.splitlines()
+        assert proc.returncode == 0, proc.stderr
+        assert lines[0] == lines[-1] == "[]"
+        assert lines[1] == "latin n=5: 161280 [exact, 141 nodes]"
+
+    def test_verify_runs_in_a_fresh_process(self):
+        # entropy does in test_python_m_entry_point; this seed once drew an
+        # n-law cell low enough to fail on its sample SE (test_lemmas)
+        proc = fresh_python("-m", "designcount", "verify", "--lemma", "n-law", "--variant",
+                            "sts", "--n", "9", "--mode", "mc", "--samples", "2000",
+                            "--seed", "414706468")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.count(",True\n") == 112
+
     def test_bad_flag_exit_1(self, capsys):
         code, _, err = run(capsys, "count", "--object", "cube", "--n", "3")
         assert code == 1 and "error" in err

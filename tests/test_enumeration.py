@@ -126,6 +126,18 @@ class TestLatinCounts:
         assert count_latin_squares(5).count == oracles.oracle_count_latin_permanent(5)
 
 
+@pytest.mark.parametrize("kind, count", [("sts", count_triple_systems),
+                                         ("1f", count_one_factorizations),
+                                         ("latin", count_latin_squares)])
+@pytest.mark.parametrize("n", [True, 4.0, 7.0])
+def test_counts_refuse_an_n_that_is_not_an_int(kind, count, n):
+    # True and 4.0 equal an int n, so a count would report n as true or 4.0
+    with pytest.raises(DesignError) as info:
+        count(n)
+    assert type(info.value) is DesignError
+    assert str(info.value) == f"{kind} design: n must be an int, got {n!r}"
+
+
 @pytest.fixture
 def split_counts(monkeypatch):
     """Make every parallel count split into subtrees, however small."""

@@ -349,6 +349,49 @@ class TestNLawSts:
         pytest.fail("no qualifying order found")
 
 
+def _mc_fail_rate(samples, p, formula, gate_counts=True):
+    """The probability that a mean of ``samples`` draws of N, 3 with
+    probability p and 1 otherwise, fails against ``formula``: an exact
+    binomial sum over the number of 3s.  Without ``gate_counts`` the gate
+    is the sample SE alone; either way the rule never fails a draw the
+    sample SE passes."""
+    rate = 0.0
+    for threes in range(samples + 1):
+        cell = [0, samples - threes, 0, threes]
+        observed, se, _ = lemmas._mean(cell, False, {})
+        passed = lemmas._passed(observed, formula, se, cell)
+        assert passed or not lemmas._passed(observed, formula, se)
+        if not (passed if gate_counts else lemmas._passed(observed, formula, se)):
+            rate += math.comb(samples, threes) * p ** threes * (1 - p) ** (samples - threes)
+    return rate
+
+
+class TestMonteCarloGate:
+    @pytest.mark.parametrize("seed, cond, observed, se", [
+        (414706468, {"i": 1, "j": 7, "q": 5}, 1.1123595505617978, 0.04909342120816309),
+        (1782701719, {"i": 1, "j": 3, "q": 3}, 3.1714285714285713, 0.04244464872618328),
+        (1398616920, {"i": 7, "j": 5, "q": 5}, 1.1428571428571428, 0.048889111745746665),
+    ])
+    def test_a_low_draw_of_a_true_law_passes(self, seed, cond, observed, se):
+        # each seed once drew a cell of N in {1, 3} or {1, 4} low, and
+        # 5 sample SEs failed it; the law holds exactly (TestSuitesAndSerialization)
+        verdicts = verify_suite("n-law", "sts", 9, "mc", samples=2000, seed=seed)
+        cell, = [v for v in verdicts if cond.items() <= v.conditioning.items()]
+        assert (cell.observed, cell.se) == (observed, se)
+        assert all(v.passed for v in verdicts)
+
+    def test_false_failures_and_power_on_a_two_valued_mean(self):
+        # E[N] = 7/5 with N = 3 one time in 5, as in the cells above
+        law, p = Fraction(7, 5), 0.2
+        assert _mc_fail_rate(89, p, law, gate_counts=False) > 1e-4
+        for samples in (89, 175):
+            assert _mc_fail_rate(samples, p, law) < 2e-8
+        # a formula 0.3 off is caught about as often as by the sample SE
+        for wrong, power in ((law + Fraction(3, 10), 0.93), (law - Fraction(3, 10), 0.99)):
+            assert _mc_fail_rate(400, p, wrong) > power
+            assert _mc_fail_rate(400, p, wrong, gate_counts=False) > 0.98
+
+
 class TestSuitesAndSerialization:
     def test_dist_p_suite(self):
         verdicts = verify_suite("dist-p", "1f", 6, "exact")
