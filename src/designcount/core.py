@@ -490,7 +490,6 @@ def bulk_designs(kind: str, n: int, entries) -> tuple[tuple, np.ndarray | None]:
         cells = entries.reshape(len(entries), n, n)
         masks = np.uint16 if n < 16 else np.uint64 if n < 64 else object
         full = (1 << n + 1) - 2   # bits 1..n
-        valid = np.empty(len(cells), bool)
         for start in range(0, len(cells), BULK_CHUNK):
             part = cells[start:start + BULK_CHUNK]
             # zeroed before the shift, so no entry can wrap round to a symbol's bit
@@ -498,7 +497,9 @@ def bulk_designs(kind: str, n: int, entries) -> tuple[tuple, np.ndarray | None]:
             by_row, by_col = bits[:, :, 0], bits[:, 0]
             for k in range(1, n):
                 by_row, by_col = by_row | bits[:, :, k], by_col | bits[:, k]
-            valid[start:start + len(part)] = ((by_row == full) & (by_col == full)).all(axis=1)
+            valid = ((by_row == full) & (by_col == full)).all(axis=1)
+            if not valid.all():   # no later chunk is read
+                raise BulkError(kind, start + int(np.argmin(valid)))
     else:
         inside = (entries >= 1) & (entries <= (n if kind == "sts" else n - 1))
         # a design with an entry outside is at fault already; 0 keeps its writes in its table
@@ -518,8 +519,8 @@ def bulk_designs(kind: str, n: int, entries) -> tuple[tuple, np.ndarray | None]:
             # a row holds 0 twice (column 0 and the diagonal) and, when proper, 1..n-1
             valid = (np.sort(cells[:, 1:], axis=2) == np.r_[0, :n]).all(axis=(1, 2))
         valid &= inside.all(axis=1)
-    if not valid.all():
-        raise BulkError(kind, int(np.argmin(valid)))
+        if not valid.all():
+            raise BulkError(kind, int(np.argmin(valid)))
     table, ids, repeats = _distinct_rows(cells, n + 1)
     if repeats is not None:
         raise BulkError(kind, *repeats)

@@ -7,9 +7,10 @@ evaluates that sum exactly (small instances) or by Monte Carlo with a
 standard error.
 
 Both modes run one numpy kernel, `reveal_steps`, over batches of
-reveals: per vertex position it sorts every forward star by its keys,
-takes the prefix OR of the exposed values and counts M and N with a
-popcount; the lemma checks read M and N from the same kernel.  Exact
+reveals: per vertex position it sorts every forward star by its keys
+(stably), gathers with flat `take`s, ORs the exposed values along the
+star and counts M and N with a popcount; an sts pair is informative by
+a bit test.  The lemma checks read M and N from the same kernel.  Exact
 mode sums over sets, not orders (`_set_histogram`).  Monte Carlo
 sampling is organized in fixed-size blocks, each with its own substream
 spawned from (seed, block-index) and drawn CHUNK reveals at a time, and
@@ -80,40 +81,49 @@ def reveal_steps(variant: str, tables, d, vo, keys):
 
     Reveal b scans design ``tables[d[b]]`` in the vertex order ``vo[b]``
     (vertices 1..n); the star of the vertex ``i[b]`` at position p is its
-    forward neighbors ``vo[b, p+1:]`` sorted by ``keys[b, p, p+1:]`` (in
-    vertex order if keys is None), in ``star[b]``.  ``M[b, s]`` and ``N[b, s]``
-    are the sizes of Mset and Nset of the pair (i[b], star[b, s]) as
-    ``reveal.py`` defines them; N is 1 on trivial reveals, while M is left
-    unmasked, so it is the oracle's M only on informative pairs (uint8).
+    forward neighbors ``vo[b, p+1:]`` sorted by ``keys[b, p, p+1:]``, ties
+    (and keys None) in vertex order, in ``star[b]``.  ``M[b, s]`` and
+    ``N[b, s]`` are the sizes of Mset and Nset of the pair (i[b], star[b, s])
+    as ``reveal.py`` defines them; N is 1 on trivial reveals, while M is
+    left unmasked, so it is the oracle's M only on informative pairs (uint8).
+
+    Each gather is one ``take`` of flat indices: entry [b, c] of a C-order
+    (batch, w) array is flat entry b*w + c, and ``ravel``/``reshape`` copy
+    any other layout.  An sts pair (i, u) is informative when bit k, its
+    third point, is set in i's star after u.
     """
     batch, n = vo.shape
     full = (1 << (n if variant == "1f" else n + 1)) - 2   # colors 1..n-1 or points 1..n
+    rows = tables.reshape(-1, n + 1)                      # row k*(n+1) + v: design k, vertex v
+    at, at_vo = (np.arange(0, batch * w, w)[:, None] for w in (n + 1, n))
+    flat_vo = vo.ravel()
     # 1f: seen[v] holds the colors exposed at v by earlier vertices;
     # sts: seen[v] the t whose pair with v was closed by an earlier vertex.
     seen = np.zeros((batch, n + 1), np.int64)
-    earlier = np.zeros((batch, 1), np.int64)   # sts: vertices already scanned
+    flat_seen = seen.ravel()
+    scanned = np.zeros((batch, 1), np.int64)   # sts: i and the vertices before it
     for p in range(n - 1):
         i = vo[:, p:p + 1]
-        row = tables[d, i[:, 0]]                # value of {i, v} for every v
-        star = vo[:, p + 1:] if keys is None else np.take_along_axis(
-            vo[:, p + 1:], np.argsort(keys[:, p, p + 1:], axis=1), axis=1)
-        value = np.take_along_axis(row, star, axis=1)
-        closed = np.take_along_axis(seen, i, axis=1) | np.take_along_axis(seen, star, axis=1)
+        row = rows.take(d * (n + 1) + i[:, 0], axis=0)   # value of {i, v} for every v
+        star = vo[:, p + 1:] if keys is None else flat_vo.take(
+            at_vo + (p + 1) + np.argsort(keys[:, p, p + 1:], axis=1, kind="stable"))
+        cell = at + star
+        value = row.take(cell)
+        closed = flat_seen.take(at + i) | flat_seen.take(cell)
         if variant == "1f":
             m_avail = np.bitwise_count(full & ~closed)
             closed |= _exclusive_or_scan(1 << value)
             n_avail = np.bitwise_count(full & ~closed)
         else:
-            # informative only when {i,k} comes after {i,u} in i's star
-            slots = np.arange(star.shape[1])
-            rank = np.full((batch, n + 1), -1)
-            np.put_along_axis(rank, star, slots, axis=1)
-            informative = np.take_along_axis(rank, value, axis=1) > slots
-            closed |= earlier | (1 << i) | (1 << star)
+            scanned = scanned | (1 << i)
+            star_bits = 1 << star
+            before = _exclusive_or_scan(star_bits)   # the star before each u
+            closed |= scanned | star_bits
             m_avail = np.bitwise_count(full & ~closed)
-            closed |= _exclusive_or_scan((1 << star) | (1 << value))
-            n_avail = np.where(informative, np.bitwise_count(full & ~closed), 1)
-            earlier |= 1 << i
+            closed |= before | _exclusive_or_scan(1 << value)
+            n_avail = np.bitwise_count(full & ~closed)
+            # {i,u} is trivial when its third point is scanned or before u
+            np.putmask(n_avail, (scanned | before) >> value & 1, 1)
         yield i[:, 0], star, m_avail, n_avail
         # every v may be updated: scanned vertices are never read again and
         # row[i] = 0 only sets bit 0, which lies outside full
@@ -128,7 +138,7 @@ def _reveal_sums(variant: str, tables, d, vo, keys):
     logs = np.log(np.maximum(np.arange(vo.shape[1] + 1), 1))
     total = np.zeros(len(vo))
     for _, _, _, n_avail in reveal_steps(variant, tables, d, vo, keys):
-        total += logs[n_avail].sum(axis=1)   # popcounts are uint8: index, don't compute
+        total += logs.take(n_avail).sum(axis=1)   # popcounts are uint8: index, don't compute
     return total
 
 

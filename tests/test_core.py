@@ -386,6 +386,27 @@ class TestLatinSquaresInBulk:
             _squares(5, repeats)
         assert (info.value.index, info.value.repeats) == (23, None)
 
+    @pytest.mark.parametrize("fault", [1, 15, 27])   # chunks 0, 2 and 4 of five
+    def test_the_check_stops_at_the_first_chunk_with_a_fault(self, monkeypatch, fault):
+        monkeypatch.setattr(core, "BULK_CHUNK", 6)
+        rnd = random.Random(fault)
+        squares = []
+        while len(squares) < 30:
+            square = _random_latin(rnd, 5)
+            if square not in squares:
+                squares.append(square)
+        cells = np.array(squares, np.int64)
+        cells[fault, 1, 2] = cells[fault, 1, 3]
+        cells[29, 4, 4] = 0   # a later square that is not Latin either
+        cells[fault + 1] = cells[0]   # and a repeat after the fault
+        # the check reads each chunk with one np.where; count the chunks read
+        where, reads = np.where, []
+        monkeypatch.setattr(np, "where", lambda *a: reads.append(1) or where(*a))
+        with pytest.raises(BulkError, match=f"^latin design {fault} is not valid$") as info:
+            _squares(5, cells)
+        assert (info.value.index, info.value.repeats) == (fault, None)
+        assert len(reads) == fault // 6 + 1
+
     def test_equal_rows_are_one_tuple(self):
         pool = enumerate_pool("latin", 5)
         again = _squares(5, pool.cells)

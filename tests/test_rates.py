@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from designcount.core import DesignError
+from designcount.core import DesignError, validate_edge_coloring
 from designcount.enumeration import (
     EmptyPoolError,
     Pool,
@@ -25,6 +25,25 @@ from designcount.entropylab import (
 from designcount.entropylab import rates
 
 from oracles import oracle_entropy_over_orders
+
+# the round-robin 1-factorization of K_18: color c + 1 joins c to infinity (18)
+# and c - t to c + t (mod 17), with residue r as vertex r + 1
+K18 = validate_edge_coloring(18, {
+    tuple(sorted(((c - t) % 17 + 1, (c + t) % 17 + 1))) if t else (c + 1, 18): c + 1
+    for c in range(17) for t in range(9)})
+
+
+def _steps(*args):
+    """Every (i, star, M, N) that ``reveal_steps(*args)`` yields, with dtypes."""
+    return [tuple((x.dtype.str, x.tolist()) for x in step) for step in rates.reveal_steps(*args)]
+
+
+def _draws(tables, n, reveals, seed):
+    """Designs, vertex orders and star keys of seeded reveals, as the estimator draws them."""
+    rng = np.random.default_rng(seed)
+    return (rng.integers(len(tables), size=reveals),
+            rng.permuted(np.tile(np.arange(1, n + 1), (reveals, 1)), axis=1),
+            rng.random((reveals, n, n)))
 
 
 class TestBatchedKernel:
@@ -62,6 +81,36 @@ class TestBatchedKernel:
             for pair, (m_avail, n_avail) in kernel[b].items():
                 assert n_avail == sets[pair].N
                 assert sets[pair].trivial or m_avail == sets[pair].M
+
+    @pytest.mark.parametrize("variant,kind,n", [
+        ("sts", "sts", 9), ("1f", "1f-labeled", 6), ("1f", None, 18)])
+    def test_equal_keys_keep_vertex_order(self, variant, kind, n):
+        # a star sorts by its keys, ties in vertex order: all-zero keys read
+        # as keys None, and keys in {0, 1, 2} as the same keys with the
+        # position as a second key; at 1f 18 the first stars hold 17 > 16 vertices
+        tables = (np.array([K18.table]) if kind is None
+                  else enumerate_pool(kind, n).cells.astype(np.int64))
+        d, vo, keys = _draws(tables, n, 300 if kind else 20, n)
+        assert _steps(variant, tables, d, vo, np.zeros_like(keys)) == \
+            _steps(variant, tables, d, vo, None)
+        tied = np.floor(3 * keys)
+        assert _steps(variant, tables, d, vo, tied) == \
+            _steps(variant, tables, d, vo, tied * n + np.arange(n))
+
+    @pytest.mark.parametrize("variant,kind,n", [("sts", "sts", 9), ("1f", "1f-labeled", 6)])
+    def test_strided_inputs_read_as_contiguous_copies(self, variant, kind, n):
+        # the kernel gathers from flat C-order indices; views in another
+        # layout must read as their contiguous copies
+        tables = enumerate_pool(kind, n).cells.astype(np.int64)
+        d, vo, keys = _draws(tables, n, 300, n + 1)
+        big = np.zeros((2 * len(tables), n + 1, n + 1), np.int64)
+        big[::2] = tables
+        wide = np.zeros((len(vo), n, 2 * n))
+        wide[:, :, ::2] = keys
+        views = big[::2], np.repeat(d, 2)[::2], np.asfortranarray(vo), wide[:, :, ::2]
+        assert not any(x.flags.c_contiguous for x in views)
+        assert _steps(variant, *views) == _steps(variant, tables, d, vo, keys)
+        assert _steps(variant, *views[:3], None) == _steps(variant, tables, d, vo, None)
 
 
 class TestExactEvaluation:
@@ -190,6 +239,17 @@ class TestReproducibility:
         b = entropy_upper_estimate("sts", 7, samples=9_000, seed=3, jobs=1)
         assert requested == [3]                     # one worker per block
         assert (a.estimate, a.se) == (b.estimate, b.se)
+
+    @pytest.mark.parametrize("variant,n,seed,pinned", [
+        ("sts", 9, 11, "(7.868728912251259, 0.0039124383299511956)"),
+        ("sts", 9, 2026, "(7.872024735997517, 0.003912629958328047)"),
+        ("1f", 6, 11, "(7.871917642598412, 0.004174608499357292)"),
+        ("1f", 6, 2026, "(7.866067702567111, 0.004193534401816992)")])
+    def test_pinned_at_six_blocks(self, variant, n, seed, pinned):
+        # the bench's sample count: six blocks, merged in index order
+        for jobs in (1, 2):
+            est = entropy_upper_estimate(variant, n, 24576, seed=seed, jobs=jobs)
+            assert repr((est.estimate, est.se)) == pinned
 
     def test_seed_changes_result(self):
         a = entropy_upper_estimate("sts", 9, samples=3_000, seed=1)
