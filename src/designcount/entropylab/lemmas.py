@@ -5,8 +5,8 @@ enumeration (exact mode: arbitrary-precision rationals, zero tolerance)
 or against sampled frequencies (mc mode: estimate with a standard
 error, pass within 5 standard errors, for a mean at least the
 Bhatia-Davis bound over the values seen: `_passed`).  Both modes run
-the same code, and the M and N of a pair are read from the reveal kernel
-`rates.reveal_steps` (`reveal.py` stays the literal oracle).  mc mode
+the same code, and the M and N of a pair are read by `rates.pair_values`
+from the reveal kernel (`reveal.py` stays the literal oracle).  mc mode
 feeds it seeded uniform draws, exact mode every order; M and N depend
 only on the vertices before the anchor and the star elements before
 the pair, so for them exact mode feeds one order per such set,
@@ -53,7 +53,7 @@ import numpy as np
 
 from ..core import DesignError, EdgeColoring, TripleSystem
 from ..enumeration import first_design
-from .rates import CHUNK, reveal_steps, set_orders
+from .rates import CHUNK, pair_values, set_orders
 from .reveal import EmptyConditionError, TooLargeError, sample_reveal_order
 
 MAX_EXACT_N = 7        # items whose orders the exact position laws enumerate
@@ -180,25 +180,6 @@ def _gate(mode: str, size: int, limit: int, what: str) -> None:
         raise TooLargeError(f"exact mode gated at {what} <= {limit}, got {size}")
 
 
-def _pair_values(variant: str, X, vo: np.ndarray, at, j, rows=None):
-    """M and N of the pair (vo[b, at], j) in reveals b of design X, one per read.
-
-    Read r is reveal b = rows[r] (by default every reveal once), with its
-    own at[r] and j[r] (a scalar serves every read); j must follow
-    position at in the vertex order, and the star of vo[b, at] is read in
-    the order of the vertices after it.
-    """
-    rows = np.arange(len(vo)) if rows is None else rows
-    at, j = np.broadcast_to(at, rows.shape), np.broadcast_to(j, rows.shape)
-    m_out, n_out = np.zeros((2, len(rows)), np.int64)
-    steps = reveal_steps(variant, np.array([X.table]), np.zeros(len(vo), np.intp), vo, None)
-    for p, (_, star, m_avail, n_avail) in zip(range(at.max(initial=-1) + 1), steps):
-        r = np.flatnonzero(at == p)
-        slot = star[rows[r]] == j[r, None]   # one slot per read
-        m_out[r], n_out[r] = m_avail[rows[r]][slot], n_avail[rows[r]][slot]
-    return m_out, n_out
-
-
 def _pair_counts(variant: str, X, targets, sizes, mode: str, samples: int, seed: int,
                  vo=None, p=None):
     """Counts of M, or of N, by target, position of its head and value.
@@ -211,18 +192,19 @@ def _pair_counts(variant: str, X, targets, sizes, mode: str, samples: int, seed:
     ``counts[t, s, value]`` as Python ints, each read weighted by the
     orders it stands for.
     """
-    n = X.n
+    n, tables = X.n, np.array([X.table])
     m = n if vo is None else n - 1 - p
     js = np.array([j for j, _, _ in targets], np.intp)
     counts = np.zeros((len(targets), m, n + 1), object)
     for perms, rows, t, s, weight in _anchored(m, [(h, a) for _, h, a in targets], sizes,
                                        mode, samples, seed):
-        if vo is None:
-            values = _pair_values(variant, X, perms + 1, s, js[t], rows=rows)[0]
-        else:
-            # i's star in the order perms; step p reads no later vertex's star
-            orders = np.hstack([np.tile(vo[:p + 1], (len(perms), 1)), vo[p + 1:][perms]])
-            values = _pair_values(variant, X, orders, p, js[t], rows)[1]
+        # vertex orders read at s, or i's star in the order perms read at p
+        # (step p reads no later vertex's star)
+        orders = perms + 1 if vo is None else np.hstack(
+            [np.tile(vo[:p + 1], (len(perms), 1)), vo[p + 1:][perms]])
+        to = np.argsort(orders, axis=1)[rows, js[t] - 1]   # where j is in each read
+        values = pair_values(variant, tables, 0, orders, s if vo is None else p, to,
+                             rows)[0 if vo is None else 1]
         hits = np.bincount(np.ravel_multi_index((t, s, values), counts.shape),
                            minlength=counts.size).reshape(counts.shape)
         counts += hits.astype(object) * np.array(weight, object)[:, None]
@@ -444,8 +426,8 @@ def _n_verdicts(variant, X, vo, i, cases, mode, samples, seed):
     m = n - 1 - p
     js = list(dict.fromkeys(j for j, _ in cases))
     # M of each (i, j) in vo, which the order of i's star leaves unchanged
-    M = dict(zip(js, _pair_values(variant, X, np.array([vo]), p, js,
-                                  rows=np.zeros(len(js), np.intp))[0].tolist()))
+    M = dict(zip(js, pair_values(variant, np.array([X.table]), 0, np.array([vo]), p,
+                                 list(map(vo.index, js)), np.zeros(len(js), np.intp))[0].tolist()))
     formulas = []
     for j, q in cases if variant == "sts" else ():
         k = X.table[i][j]

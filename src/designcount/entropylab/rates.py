@@ -7,15 +7,15 @@ evaluates that sum exactly (small instances) or by Monte Carlo with a
 standard error.
 
 Both modes run one numpy kernel, `reveal_steps`, over batches of
-reveals: per vertex position it sorts every forward star by its keys
-(stably), gathers with flat `take`s, ORs the exposed values along the
-star and counts M and N with a popcount; an sts pair is informative by
-a bit test.  The lemma checks read M and N from the same kernel.  Exact
-mode sums over sets, not orders (`_set_histogram`).  Monte Carlo
-sampling is organized in fixed-size blocks, each with its own substream
-spawned from (seed, block-index) and drawn CHUNK reveals at a time, and
-block accumulators are merged in index order; the result is therefore
-byte-identical for any worker count, not just any schedule.
+reveals: per vertex position it reads the forward star in vertex order
+(each pair keeps the law of independent star orders, and so the mean;
+only the variance differs), gathers with flat `take`s, ORs the exposed
+values along the star and counts M and N with a popcount; an sts pair
+is informative by a bit test.  Exact mode and the lemma checks read
+pairs through `pair_values`; exact mode sums over sets (`_set_histogram`).
+Monte Carlo draws designs and vertex orders in fixed-size blocks, each
+with its own substream spawned from (seed, block-index), merged in index
+order: the result is byte-identical for any worker count, any schedule.
 
 `finite_sum_rate` evaluates the closed finite sums that the per-pair
 expectations produce and compares them against their limit log n - 1.
@@ -36,7 +36,7 @@ from .reveal import TooLargeError
 
 BLOCK_SIZE = 4096
 CHUNK = 512             # reveals drawn and evaluated together; bounds memory
-STREAM = 3              # version of the estimator's output, part of cache keys
+STREAM = 4              # version of the estimator's output, part of cache keys
 EXACT_CAP = 2_000_000   # pool x ordered pairs x sets (E, P): 3^(n-2) per pair
 
 
@@ -76,37 +76,39 @@ def _exclusive_or_scan(bits):
     return out
 
 
-def reveal_steps(variant: str, tables, d, vo, keys):
+def reveal_steps(variant: str, tables, d, vo):
     """Scan a batch of reveals, yielding ``(i, star, M, N)`` per vertex position.
 
     Reveal b scans design ``tables[d[b]]`` in the vertex order ``vo[b]``
-    (vertices 1..n); the star of the vertex ``i[b]`` at position p is its
-    forward neighbors ``vo[b, p+1:]`` sorted by ``keys[b, p, p+1:]``, ties
-    (and keys None) in vertex order, in ``star[b]``.  ``M[b, s]`` and
-    ``N[b, s]`` are the sizes of Mset and Nset of the pair (i[b], star[b, s])
-    as ``reveal.py`` defines them; N is 1 on trivial reveals, while M is
-    left unmasked, so it is the oracle's M only on informative pairs (uint8).
+    (vertices 1..n); the vertex ``i[b]`` at position p reads its star
+    ``star[b] = vo[b, p+1:]`` in vertex order.  ``M[b, s]`` and ``N[b, s]``
+    are the sizes of Mset and Nset of the pair (i[b], star[b, s]) as
+    ``reveal.py`` defines them; N is 1 on trivial reveals, while M is left
+    unmasked, so it is the oracle's M only on informative pairs (uint8).
+
+    That is the reveal law: a pair's N depends only on the set before i
+    and the order of i's star, which in a uniform vertex order is uniform
+    and independent of that set.  So each pair has its law under the
+    independent star orders of ``reveal.py``, and a sum over pairs its
+    mean; the sum's variance differs, the stars sharing one vertex order.
 
     Each gather is one ``take`` of flat indices: entry [b, c] of a C-order
-    (batch, w) array is flat entry b*w + c, and ``ravel``/``reshape`` copy
-    any other layout.  An sts pair (i, u) is informative when bit k, its
+    (batch, w) array is flat entry b*w + c, and ``reshape`` copies any
+    other layout.  An sts pair (i, u) is informative when bit k, its
     third point, is set in i's star after u.
     """
     batch, n = vo.shape
     full = (1 << (n if variant == "1f" else n + 1)) - 2   # colors 1..n-1 or points 1..n
     rows = tables.reshape(-1, n + 1)                      # row k*(n+1) + v: design k, vertex v
-    at, at_vo = (np.arange(0, batch * w, w)[:, None] for w in (n + 1, n))
-    flat_vo = vo.ravel()
+    at = np.arange(0, batch * (n + 1), n + 1)[:, None]
     # 1f: seen[v] holds the colors exposed at v by earlier vertices;
     # sts: seen[v] the t whose pair with v was closed by an earlier vertex.
     seen = np.zeros((batch, n + 1), np.int64)
     flat_seen = seen.ravel()
     scanned = np.zeros((batch, 1), np.int64)   # sts: i and the vertices before it
     for p in range(n - 1):
-        i = vo[:, p:p + 1]
+        i, star = vo[:, p:p + 1], vo[:, p + 1:]
         row = rows.take(d * (n + 1) + i[:, 0], axis=0)   # value of {i, v} for every v
-        star = vo[:, p + 1:] if keys is None else flat_vo.take(
-            at_vo + (p + 1) + np.argsort(keys[:, p, p + 1:], axis=1, kind="stable"))
         cell = at + star
         value = row.take(cell)
         closed = flat_seen.take(at + i) | flat_seen.take(cell)
@@ -130,14 +132,31 @@ def reveal_steps(variant: str, tables, d, vo, keys):
         seen |= 1 << row
 
 
-def _reveal_sums(variant: str, tables, d, vo, keys):
+def pair_values(variant: str, tables, d, vo, at, to, rows=None):
+    """M and N of the pair (vo[b, at], vo[b, to]) in reveals b of ``tables[d[b]]``.
+
+    Read r is reveal b = rows[r] (by default every reveal once) with its own
+    positions at[r] < to[r]; a scalar d, at or to serves them all.
+    """
+    rows = np.arange(len(vo)) if rows is None else rows
+    at, to = np.broadcast_to(at, rows.shape), np.broadcast_to(to, rows.shape)
+    m_out, n_out = np.zeros((2, len(rows)), np.int64)
+    steps = reveal_steps(variant, tables, d, vo)
+    for p, (_, star, m_avail, n_avail) in zip(range(at.max(initial=-1) + 1), steps):
+        r = np.flatnonzero(at == p)
+        cell = rows[r] * star.shape[1] + to[r] - p - 1   # star[b, s] is vo[b, p + 1 + s]
+        m_out[r], n_out[r] = m_avail.take(cell), n_avail.take(cell)
+    return m_out, n_out
+
+
+def _reveal_sums(variant: str, tables, d, vo):
     """Sum of log N over the ordered pairs of each reveal in a batch.
 
     A trivial reveal has N = 1 and adds log 1 = 0.
     """
     logs = np.log(np.maximum(np.arange(vo.shape[1] + 1), 1))
     total = np.zeros(len(vo))
-    for _, _, _, n_avail in reveal_steps(variant, tables, d, vo, keys):
+    for _, _, _, n_avail in reveal_steps(variant, tables, d, vo):
         total += logs.take(n_avail).sum(axis=1)   # popcounts are uint8: index, don't compute
     return total
 
@@ -151,8 +170,7 @@ def _mc_block(args):
     for start in range(0, count, CHUNK):
         size = min(CHUNK, count - start)
         x = _reveal_sums(variant, tables, rng.integers(len(tables), size=size),
-                         rng.permuted(np.tile(np.arange(1, n + 1), (size, 1)), axis=1),
-                         rng.random((size, n, n)))
+                         rng.permuted(np.tile(np.arange(1, n + 1), (size, 1)), axis=1))
         mean = float(x.mean())
         chunks.append((len(x), mean, float(((x - mean) ** 2).sum())))
     return functools.reduce(_merge, chunks)
@@ -202,10 +220,9 @@ def _set_histogram(variant: str, tables, pairs):
     for i, j in pairs:
         for orders, w in set_orders(n, (i - 1, j - 1)):
             e, f = (list(orders[0]).index(v - 1) for v in (i, j))   # alike in a batch
-            steps = reveal_steps(variant, tables, np.repeat(np.arange(len(tables)), len(orders)),
-                                 np.tile(orders + 1, (len(tables), 1)), None)
-            _, _, _, n_avail = next(itertools.islice(steps, e, None))
-            hist += w * np.bincount(n_avail[:, f - e - 1], minlength=n + 1)
+            n_avail = pair_values(variant, tables, np.repeat(np.arange(len(tables)), len(orders)),
+                                  np.tile(orders + 1, (len(tables), 1)), e, f)[1]
+            hist += w * np.bincount(n_avail, minlength=n + 1)
     return hist
 
 

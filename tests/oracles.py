@@ -5,9 +5,9 @@ the production counters: triple systems by literal pair-cover recursion
 over rescanned pair lists, 1-factorizations as sets/sequences of
 precomputed perfect matchings, Latin squares by brute force, by reduced
 squares times n!(n-1)!, and by a permanent-expansion (Ryser) of the
-last two rows.  The one exception is the order-enumeration entropy
-oracle, which feeds every reveal order through the reveal kernel (itself
-checked against the literal sets of reveal.py) and averages.
+last two rows.  The order-enumeration entropy oracle reads every reveal
+order, with independent star orders, through the literal sets of
+reveal.py, not through the reveal kernel.
 """
 
 from __future__ import annotations
@@ -16,9 +16,7 @@ import itertools
 import math
 from fractions import Fraction
 
-import numpy as np
-
-from designcount.entropylab import rates
+from designcount.entropylab import make_reveal_order, reveal_sets_1f, reveal_sets_sts
 
 FANO = [(1, 2, 3), (1, 4, 5), (1, 6, 7), (2, 4, 6), (2, 5, 7), (3, 4, 7), (3, 5, 6)]
 
@@ -329,21 +327,20 @@ def exact_position_distribution(n, condition, position_of):
     return {v: Fraction(c, total) for v, c in sorted(counts.items())}
 
 
-def oracle_entropy_over_orders(variant, tables, n):
+def oracle_entropy_over_orders(variant, designs, n):
     """Mean reveal sum over every design, vertex order and star order.
 
-    The exact estimate by order enumeration: designs x n! vertex orders x
-    prod m! star orders, so only tiny n (1f n=4: 1,728 reveals).
+    The exact estimate by order enumeration with independent star orders:
+    designs x n! vertex orders x prod m! star orders, each read pair by pair
+    through reveal.py, so only tiny n (1f n=4: 1,728 reveals).
     """
-    vertex_orders = np.array(list(itertools.permutations(range(1, n + 1))))
-    combos = list(itertools.product(*(itertools.permutations(range(n - 1 - p))
-                                      for p in range(n))))
-    # star_keys[c, p, p+1+s]: rank of forward slot s in star combination c
-    star_keys = np.zeros((len(combos), n, n))
-    for c, combo in enumerate(combos):
-        for p, perm in enumerate(combo):
-            star_keys[c, p, [p + 1 + s for s in perm]] = range(len(perm))
-    d, v, c = (a.ravel() for a in np.meshgrid(range(len(tables)), range(len(vertex_orders)),
-                                             range(len(combos)), indexing="ij"))
-    sums = rates._reveal_sums(variant, tables, d, vertex_orders[v], star_keys[c])
-    return math.fsum(sums) / len(sums)
+    reveal_sets = reveal_sets_1f if variant == "1f" else reveal_sets_sts
+    pairs = list(itertools.permutations(range(1, n + 1), 2))
+    logs = []
+    for X in designs:
+        for vo in itertools.permutations(range(1, n + 1)):
+            for stars in itertools.product(*(itertools.permutations(vo[p + 1:])
+                                             for p in range(n))):
+                order = make_reveal_order(n, vo, dict(zip(vo, stars)))
+                logs.extend(math.log(reveal_sets(X, order, i, j).N) for i, j in pairs)
+    return math.fsum(logs) * len(pairs) / len(logs)

@@ -331,9 +331,9 @@ class TestEntropy:
     @pytest.mark.parametrize("without_counts", [False, True])
     @pytest.mark.parametrize("variant, n, samples, digest", [
         ("sts", "7", "2000", "c3d68bc31ef988350ff849d325d449ce81a21b2a6fbd763d0d09b9d2c1892d53"),
-        ("sts", "9", "2000", "43049eacf3790fbd50c1f831a19bac921c77e7b760889d59e93915f20378fae4"),
+        ("sts", "9", "2000", "e85b125b369a5243d835cd7cf89b0d08f1f2e7ca314ed233417c35486049e61c"),
         ("1f", "4", "0", "e4ef000fe86165385753236262256acd7ca9d543f577de6cc0d56a9663d62987"),
-        ("1f", "6", "2000", "d4d938aabb41639d47dc9fe99ee781c57c4197dcf3b420920cca1222bad48652"),
+        ("1f", "6", "2000", "69b787fb15f42729a6094f6cfb6f2039ffbb3a5abc0e97ff03e3a7297d9666d7"),
     ])
     def test_log_count_comes_from_the_pool(self, capsys, monkeypatch, variant, n, samples,
                                            digest, without_counts):
@@ -417,11 +417,28 @@ class TestCache:
         assert code == 0
         lines = [json.loads(s) for s in cache.read_text().splitlines()]
         assert len(lines) == 2 and lines[0] == old
-        assert lines[1]["stream"] == 3 and lines[1]["estimate"] != 1.0
+        assert lines[1]["stream"] == 4 and lines[1]["estimate"] != 1.0
+
+    def test_a_stream_3_line_sits_beside_a_stream_4_one(self, capsys, tmp_path):
+        # stream 3 ordered each star by drawn keys; the same key under
+        # stream 4, stars in vertex order, is a new line, not a mismatch
+        cache = tmp_path / "cache.jsonl"
+        old = ('{"kind":"entropy","variant":"sts","n":9,"samples":4096,"seed":1,"stream":3,'
+               '"estimate":7.880687972613337,"se":0.009580262057535828,"version":"0.1.0",'
+               '"timestamp":"2026-10-19T12:00:00+00:00","runtime_seconds":0.05}')
+        cache.write_text(old + "\n")
+        code, out, err = run(capsys, "entropy", "--variant", "sts", "--n", "9",
+                             "--samples", "4096", "--seed", "1", "--cache", str(cache))
+        assert code == 0 and err == ""
+        lines = cache.read_text().splitlines()
+        assert len(lines) == 2 and lines[0] == old
+        new = json.loads(lines[1])
+        assert new["stream"] == 4 and new["estimate"] == json.loads(out)["estimate"]
+        assert new["estimate"] != json.loads(old)["estimate"]
 
     def test_exact_entries_of_the_order_enumeration_do_not_clash(self, capsys, tmp_path):
         # written by the order-enumerating estimator (stream 2), one ulp below log 6;
-        # the set sums give log 6 itself under stream 3
+        # the set sums give log 6 itself from stream 3 on
         cache = tmp_path / "cache.jsonl"
         old = ('{"kind":"entropy","variant":"1f","n":4,"samples":0,"seed":0,"stream":2,'
                '"estimate":1.7917594692280547,"se":0.0,"version":"0.1.0",'
@@ -432,7 +449,7 @@ class TestCache:
         assert code == 0 and err == ""
         lines = cache.read_text().splitlines()
         assert len(lines) == 2 and lines[0] == old
-        assert json.loads(lines[1])["stream"] == 3
+        assert json.loads(lines[1])["stream"] == 4
         assert json.loads(lines[1])["estimate"] == math.log(6)
 
     def test_corrupt_line_exit_1(self, capsys, tmp_path):

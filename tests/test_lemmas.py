@@ -15,6 +15,9 @@ from designcount.enumeration import PoolTooLargeError, enumerate_pool
 from designcount.entropylab import (
     EmptyConditionError,
     TooLargeError,
+    make_reveal_order,
+    reveal_sets_1f,
+    reveal_sets_sts,
     verify_M_expectation,
     verify_N_law,
     verify_position_law,
@@ -156,17 +159,20 @@ def test_exact_m_matches_order_enumeration(variant):
                 with pytest.raises(EmptyConditionError):
                     verify_M_expectation(variant, X, i, j, p, "exact")
                 continue
-            want = lemmas._pair_values(variant, X, orders[keep] + 1, p - 1, j)[0]
+            want = rates.pair_values(variant, np.array([X.table]), 0, orders[keep] + 1,
+                                     p - 1, pos[keep, j - 1])[0]
             v = verify_M_expectation(variant, X, i, j, p, "exact")[0]
             assert v.observed == Fraction(int(want.sum()), len(want)), (i, j, p)
             assert v.samples == len(want)
 
 
-def _star_order_n(variant, X, vo, keys, p, j):
-    """N of the pair (vo[b, p], j) in each reveal b, its star sorted by keys."""
-    steps = rates.reveal_steps(variant, np.array([X.table]), np.zeros(len(vo), np.intp), vo, keys)
-    _, star, _, n_avail = next(itertools.islice(steps, p, None))
-    return n_avail[star == j]
+def _star_order_n(variant, X, vo, p, stars, j):
+    """N of the pair (vo[p], j) read by reveal.py, one per order of vo[p]'s star in
+    ``stars``; every other star is read in vertex order."""
+    reveal_sets = reveal_sets_1f if variant == "1f" else reveal_sets_sts
+    others = {v: vo[q + 1:] for q, v in enumerate(vo)}
+    return np.array([reveal_sets(X, make_reveal_order(X.n, vo, {**others, vo[p]: star}),
+                                 vo[p], j).N for star in stars.tolist()])
 
 
 @pytest.mark.parametrize("variant,vertex_orders", [
@@ -177,23 +183,19 @@ def test_exact_n_law_matches_star_order_enumeration(variant, vertex_orders):
     # exact mode takes one star order per set of star elements before j;
     # every star order of i's forward star must give the same law
     X = FANO_TS if variant == "sts" else enumerate_pool("1f-labeled", 6).items[100]
-    n = X.n
     for vo in vertex_orders:
         for p in (0, 1):                       # i first, then i second
             i, forward = vo[p], np.array(vo[p + 1:])
-            perms = _all_orders(len(forward))
-            keys = np.zeros((len(perms), n, n))
-            keys[:, p, p + 1:] = np.argsort(perms, axis=1)
-            star = forward[perms]
+            star = forward[_all_orders(len(forward))]
             for j in forward:
                 j = int(j)
-                got = _star_order_n(variant, X, np.tile(vo, (len(perms), 1)), keys, p, j)
+                got = _star_order_n(variant, X, vo, p, star, j)
                 if variant == "1f":
                     verdicts = verify_N_law("1f", X, vo, i, j)
                     for v in verdicts:
                         assert v.observed == Fraction(int((got == v.conditioning["v"]).sum()),
-                                                      len(perms))
-                        assert v.samples == len(perms)
+                                                      len(star))
+                        assert v.samples == len(star)
                     continue
                 k = X.table[i][j]
                 if vo.index(k) < p:
