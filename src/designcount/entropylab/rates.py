@@ -11,11 +11,13 @@ reveals: per vertex position it reads the forward star in vertex order
 (each pair keeps the law of independent star orders, and so the mean;
 only the variance differs), gathers with flat `take`s, ORs the exposed
 values along the star and counts M and N with a popcount; an sts pair
-is informative by a bit test.  Exact mode and the lemma checks read
-pairs through `pair_values`; exact mode sums over sets (`_set_histogram`).
-Monte Carlo draws designs and vertex orders in fixed-size blocks, each
-with its own substream spawned from (seed, block-index), merged in index
-order: the result is byte-identical for any worker count, any schedule.
+is informative by a bit test.  Its arrays are (star cell, reveal).
+Exact mode and the lemma checks read pairs through `pair_values`; exact
+mode sums over sets (`_set_histogram`).  Monte Carlo draws designs and
+vertex orders in fixed-size blocks, each with its own substream spawned
+from (seed, block-index), merged in index order: the result is
+byte-identical for any worker count, any schedule, and below
+`SERIAL_READS` pair reads the blocks stay in this process.
 
 `finite_sum_rate` evaluates the closed finite sums that the per-pair
 expectations produce and compares them against their limit log n - 1.
@@ -38,6 +40,7 @@ BLOCK_SIZE = 4096
 CHUNK = 512             # reveals drawn and evaluated together; bounds memory
 STREAM = 4              # version of the estimator's output, part of cache keys
 EXACT_CAP = 2_000_000   # pool x ordered pairs x sets (E, P): 3^(n-2) per pair
+SERIAL_READS = 1 << 20  # pair reads, samples x n(n-1)/2, from which a worker pool pays
 
 
 @dataclass(frozen=True)
@@ -70,9 +73,11 @@ class RateValue:
 # ---------------------------------------------------------------------------
 
 def _exclusive_or_scan(bits):
-    """Row-wise OR of the entries before each column."""
-    out = np.zeros_like(bits)
-    np.bitwise_or.accumulate(bits[:, :-1], axis=1, out=out[:, 1:])
+    """``out[s] = bits[0] | ... | bits[s-1]`` for s = 0..len(bits), a row at
+    a time (``accumulate`` would run one inner loop per column)."""
+    out = np.zeros((len(bits) + 1, *bits.shape[1:]), bits.dtype)
+    for s, row in enumerate(bits):
+        np.bitwise_or(out[s], row, out=out[s + 1])
     return out
 
 
@@ -81,10 +86,11 @@ def reveal_steps(variant: str, tables, d, vo):
 
     Reveal b scans design ``tables[d[b]]`` in the vertex order ``vo[b]``
     (vertices 1..n); the vertex ``i[b]`` at position p reads its star
-    ``star[b] = vo[b, p+1:]`` in vertex order.  ``M[b, s]`` and ``N[b, s]``
-    are the sizes of Mset and Nset of the pair (i[b], star[b, s]) as
+    ``star[:, b] = vo[b, p+1:]`` in vertex order.  ``M[s, b]`` and ``N[s, b]``
+    are the sizes of Mset and Nset of the pair (i[b], star[s, b]) as
     ``reveal.py`` defines them; N is 1 on trivial reveals, while M is left
     unmasked, so it is the oracle's M only on informative pairs (uint8).
+    Position-major (w, batch) arrays let each scan and sum run whole rows.
 
     That is the reveal law: a pair's N depends only on the set before i
     and the order of i's star, which in a uniform vertex order is uniform
@@ -92,60 +98,61 @@ def reveal_steps(variant: str, tables, d, vo):
     independent star orders of ``reveal.py``, and a sum over pairs its
     mean; the sum's variance differs, the stars sharing one vertex order.
 
-    Each gather is one ``take`` of flat indices: entry [b, c] of a C-order
-    (batch, w) array is flat entry b*w + c, and ``reshape`` copies any
-    other layout.  An sts pair (i, u) is informative when bit k, its
-    third point, is set in i's star after u.
+    Each gather is one ``take`` of flat indices: entry [b, v] of the
+    C-order (batch, n+1) ``row`` is flat entry b*(n+1) + v, and
+    ``reshape`` copies any other layout.  For sts, ``upto[k]`` holds the
+    first k vertices of each order as bits: u = star[s] follows
+    ``upto[p+1+s]``, M counts out ``upto[p+1]`` and u, N ``upto[p+2+s]``,
+    and (i, u) is informative when its third point is not in ``upto[p+1+s]``.
     """
     batch, n = vo.shape
+    vt = np.ascontiguousarray(vo.T)                       # vt[p, b] = vo[b, p]
     full = (1 << (n if variant == "1f" else n + 1)) - 2   # colors 1..n-1 or points 1..n
     rows = tables.reshape(-1, n + 1)                      # row k*(n+1) + v: design k, vertex v
-    at = np.arange(0, batch * (n + 1), n + 1)[:, None]
+    at = np.arange(0, batch * (n + 1), n + 1)
     # 1f: seen[v] holds the colors exposed at v by earlier vertices;
-    # sts: seen[v] the t whose pair with v was closed by an earlier vertex.
-    seen = np.zeros((batch, n + 1), np.int64)
+    # sts: seen[v] the t whose pair with v was closed by an earlier vertex;
+    # both start with every bit outside full set (the sign bit too), so
+    # ~closed holds the open bits alone and is never negative
+    seen = np.full((batch, n + 1), ~full, np.int64)
     flat_seen = seen.ravel()
-    scanned = np.zeros((batch, 1), np.int64)   # sts: i and the vertices before it
+    upto = _exclusive_or_scan(1 << vt) if variant == "sts" else None
     for p in range(n - 1):
-        i, star = vo[:, p:p + 1], vo[:, p + 1:]
-        row = rows.take(d * (n + 1) + i[:, 0], axis=0)   # value of {i, v} for every v
+        i, star = vt[p], vt[p + 1:]
+        row = 1 << rows.take(d * (n + 1) + i, axis=0)   # bit of the value of {i, v}, every v
         cell = at + star
-        value = row.take(cell)
+        bits = row.take(cell)
         closed = flat_seen.take(at + i) | flat_seen.take(cell)
         if variant == "1f":
-            m_avail = np.bitwise_count(full & ~closed)
-            closed |= _exclusive_or_scan(1 << value)
-            n_avail = np.bitwise_count(full & ~closed)
+            m_avail = np.bitwise_count(~closed)
+            closed |= _exclusive_or_scan(bits)[:-1]
+            n_avail = np.bitwise_count(~closed)
         else:
-            scanned = scanned | (1 << i)
-            star_bits = 1 << star
-            before = _exclusive_or_scan(star_bits)   # the star before each u
-            closed |= scanned | star_bits
-            m_avail = np.bitwise_count(full & ~closed)
-            closed |= before | _exclusive_or_scan(1 << value)
-            n_avail = np.bitwise_count(full & ~closed)
-            # {i,u} is trivial when its third point is scanned or before u
-            np.putmask(n_avail, (scanned | before) >> value & 1, 1)
-        yield i[:, 0], star, m_avail, n_avail
+            m_avail = np.bitwise_count(~(closed | upto[p + 1] | 1 << star))
+            closed |= upto[p + 2:] | _exclusive_or_scan(bits)[:-1]
+            n_avail = np.bitwise_count(~closed)
+            np.putmask(n_avail, upto[p + 1:n] & bits, 1)   # third point before u: trivial
+        yield i, star, m_avail, n_avail
         # every v may be updated: scanned vertices are never read again and
-        # row[i] = 0 only sets bit 0, which lies outside full
-        seen |= 1 << row
+        # row[i], the value 0, only sets bit 0, which lies outside full
+        seen |= row
 
 
 def pair_values(variant: str, tables, d, vo, at, to, rows=None):
-    """M and N of the pair (vo[b, at], vo[b, to]) in reveals b of ``tables[d[b]]``.
+    """M and N (uint8) of the pair (vo[b, at], vo[b, to]) in reveals b of ``tables[d[b]]``.
 
     Read r is reveal b = rows[r] (by default every reveal once) with its own
     positions at[r] < to[r]; a scalar d, at or to serves them all.
     """
     rows = np.arange(len(vo)) if rows is None else rows
-    at, to = np.broadcast_to(at, rows.shape), np.broadcast_to(to, rows.shape)
-    m_out, n_out = np.zeros((2, len(rows)), np.int64)
+    cell = (np.asarray(to) - at - 1) * len(vo) + rows   # star[s, b] is vo[b, p + 1 + s]
     steps = reveal_steps(variant, tables, d, vo)
-    for p, (_, star, m_avail, n_avail) in zip(range(at.max(initial=-1) + 1), steps):
+    if np.ndim(at) == 0:   # every read at one step: no search, no scatter
+        return tuple(x.take(cell) for x in next(itertools.islice(steps, at, None))[2:])
+    m_out, n_out = np.zeros((2, len(rows)), np.uint8)
+    for p, (_, _, m_avail, n_avail) in zip(range(at.max(initial=-1) + 1), steps):
         r = np.flatnonzero(at == p)
-        cell = rows[r] * star.shape[1] + to[r] - p - 1   # star[b, s] is vo[b, p + 1 + s]
-        m_out[r], n_out[r] = m_avail.take(cell), n_avail.take(cell)
+        m_out[r], n_out[r] = m_avail.take(cell[r]), n_avail.take(cell[r])
     return m_out, n_out
 
 
@@ -157,7 +164,7 @@ def _reveal_sums(variant: str, tables, d, vo):
     logs = np.log(np.maximum(np.arange(vo.shape[1] + 1), 1))
     total = np.zeros(len(vo))
     for _, _, _, n_avail in reveal_steps(variant, tables, d, vo):
-        total += logs.take(n_avail).sum(axis=1)   # popcounts are uint8: index, don't compute
+        total += logs.take(n_avail).sum(axis=0)   # popcounts are uint8: index, don't compute
     return total
 
 
@@ -236,7 +243,8 @@ def entropy_upper_estimate(variant: str, n: int, samples: int,
     Designs are drawn uniformly from the complete pool; pass ``pool``
     to reuse one already enumerated.  The kernels read the designs'
     tables from the pool's ``cells``, as int64, or from the items of a
-    pool that keeps none.
+    pool that keeps none.  Monte Carlo starts ``jobs`` workers only from
+    ``SERIAL_READS`` pair reads up.
     """
     if variant not in ("1f", "sts"):
         raise DesignError(f"unknown variant {variant!r}")
@@ -264,6 +272,7 @@ def entropy_upper_estimate(variant: str, n: int, samples: int,
         raise DesignError("need at least 2 samples for a standard error")
     blocks = [(variant, tables, n, seed, b, min(BLOCK_SIZE, samples - start))
               for b, start in enumerate(range(0, samples, BLOCK_SIZE))]
+    jobs = 1 if samples * n * (n - 1) // 2 < SERIAL_READS else jobs
     count, mean, m2 = functools.reduce(_merge, map_tasks(_mc_block, blocks, jobs))
     se = math.sqrt(m2 / (count - 1) / count)
     return EntropyEstimate(variant, n, count, seed, mean, se, exact=False,

@@ -8,11 +8,13 @@ import pytest
 
 from designcount.core import DesignError, validate_edge_coloring
 from designcount.enumeration import (
+    POOL_GATES,
     EmptyPoolError,
     Pool,
     count_one_factorizations,
     count_triple_systems,
     enumerate_pool,
+    first_design,
 )
 from designcount.entropylab import (
     TooLargeError,
@@ -48,22 +50,29 @@ def _draws(tables, n, reveals, seed):
 
 class TestBatchedKernel:
     @pytest.mark.parametrize("variant,kind,n,reveals", [
-        ("sts", "sts", 7, 1000), ("sts", "sts", 9, 1000),
+        ("sts", "sts", 7, 1000), ("sts", "sts", 9, 1000), ("sts", "sts", 15, 20),
         ("1f", "1f-labeled", 4, 1000), ("1f", "1f-labeled", 6, 1000), ("1f", None, 18, 20)])
-    def test_matches_reveal_oracle(self, variant, kind, n, reveals):
+    def test_matches_reveal_oracle(self, variant, kind, n, reveals, monkeypatch):
         # the same seeded reveals through the batched kernel and through
         # the literal per-pair sets of reveal.py, each star in vertex order:
         # the sum of log N, and the M (informative pairs) and N (every pair)
-        # of each forward pair; at 1f 18 the first stars hold 17 > 16 vertices
-        designs = [K18] if kind is None else enumerate_pool(kind, n).items
+        # of each forward pair; at 1f 18 the first stars hold 17 > 16 vertices,
+        # at sts 15 (the search's first design, above the pool gate) 14 > 8
+        if kind is None:
+            designs = [K18]
+        elif n > POOL_GATES[kind]:
+            monkeypatch.setitem(POOL_GATES, kind, n)
+            designs = [first_design(kind, n)]
+        else:
+            designs = enumerate_pool(kind, n).items
         tables = np.array([x.table for x in designs])
         d, vo = _draws(tables, n, reveals, n)
         sums = rates._reveal_sums(variant, tables, d, vo)
         kernel = [{} for _ in range(reveals)]
         for i, star, m_avail, n_avail in rates.reveal_steps(variant, tables, d, vo):
             for b in range(reveals):
-                for s, j in enumerate(star[b]):
-                    kernel[b][int(i[b]), int(j)] = int(m_avail[b, s]), int(n_avail[b, s])
+                for s, j in enumerate(star[:, b]):
+                    kernel[b][int(i[b]), int(j)] = int(m_avail[s, b]), int(n_avail[s, b])
         reveal_sets = reveal_sets_1f if variant == "1f" else reveal_sets_sts
         pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
         for b in range(reveals):
@@ -236,13 +245,30 @@ class TestReproducibility:
         b = entropy_upper_estimate("1f", 6, samples=5_000, seed=7)
         assert (a.estimate, a.se) == (b.estimate, b.se)
 
-    def test_identical_across_jobs(self):
+    def test_identical_across_jobs(self, monkeypatch):
+        # with no serial threshold, jobs 2 and 8 run the three blocks in workers
+        monkeypatch.setattr(rates, "SERIAL_READS", 0)
         runs = [entropy_upper_estimate("sts", 7, samples=9_000, seed=3, jobs=j)
                 for j in (1, 2, 8)]
         assert len({(r.estimate, r.se) for r in runs}) == 1
 
-    def test_absurd_jobs_clamped(self, recording_executor):
+    def test_small_estimates_start_no_pool(self, recording_executor, monkeypatch):
+        # the bench's size, 24,576 samples, is below the threshold at sts 9
+        # (884,736 pair reads) and 1f 6; four times that is above it at sts 9
+        requested = recording_executor
+        for variant, n, samples, want in (("sts", 9, 24_576, []), ("1f", 6, 24_576, []),
+                                          ("sts", 9, 98_304, [2])):
+            del requested[:]
+            entropy_upper_estimate(variant, n, samples, seed=3, jobs=2)
+            assert requested == want, (variant, samples)
+        del requested[:]
+        monkeypatch.setattr(rates, "SERIAL_READS", 0)
+        entropy_upper_estimate("sts", 7, samples=9_000, seed=3, jobs=2)
+        assert requested == [2]
+
+    def test_absurd_jobs_clamped(self, recording_executor, monkeypatch):
         requested = recording_executor   # os.cpu_count() reads 4
+        monkeypatch.setattr(rates, "SERIAL_READS", 0)
         a = entropy_upper_estimate("sts", 7, samples=9_000, seed=3, jobs=5000)
         b = entropy_upper_estimate("sts", 7, samples=9_000, seed=3, jobs=1)
         assert requested == [3]                     # one worker per block
