@@ -53,7 +53,7 @@ import numpy as np
 
 from ..core import DesignError, EdgeColoring, TripleSystem
 from ..enumeration import first_design
-from .rates import CHUNK, pair_values, set_orders
+from .rates import CHUNK, pair_values
 from .reveal import EmptyConditionError, TooLargeError, sample_reveal_order
 
 MAX_EXACT_N = 7        # items whose orders the exact position laws enumerate
@@ -142,22 +142,23 @@ def _anchored(m: int, targets, sizes, mode: str, samples: int, seed: int):
     ``perms[rows[r]]``, which puts head at position s[r], one of ``sizes``,
     before every item in avoid, and stands for ``weight[s[r]]`` orders.
     Exact mode is one batch holding, for each target, one order per set
-    before head with the weight `set_orders` gives it; mc mode reads
-    every target in each batch of the draws (`_orders`), each weighing 1.
+    of s items before head, drawn from those outside avoid: the set, head
+    and the rest, each ascending; mc mode reads every target in each
+    batch of the draws (`_orders`), each weighing 1.
     """
     sizes = [s for s in sizes if s >= 0]
     if mode == "exact":
-        blocks = [np.empty((0, m), np.int64)]
-        owner = []
-        weight = [0] * m   # alike for every target: head at s weighs s!(m-1-s)!
+        orders, owner = [], []
         for t, (head, avoid) in enumerate(targets):
-            free = m - 1 - len(avoid)
-            _gate(mode, sum(math.comb(free, s) for s in sizes), MAX_EXACT_SETS, "sets")
-            for orders, w in set_orders(m, (head,), sizes, avoid):
-                blocks.append(orders)
-                owner += [t] * len(orders)
-                weight[list(orders[0]).index(head)] = w
-        batches = [(np.concatenate(blocks), np.array(owner, np.intp), weight)]
+            free = [x for x in range(m) if x != head and x not in avoid]
+            _gate(mode, sum(math.comb(m - 1 - len(avoid), s) for s in sizes), MAX_EXACT_SETS, "sets")
+            for first in itertools.chain(*(itertools.combinations(free, s) for s in sizes)):
+                orders.append([*first, head, *sorted(set(range(m)) - {head, *first})])
+                owner.append(t)
+        # alike for every target: head at s weighs s!(m-1-s)!
+        weight = [math.factorial(s) * math.factorial(m - 1 - s) for s in range(m)]
+        batches = [(np.array(orders, np.int64).reshape(len(owner), m), np.array(owner, np.intp),
+                    weight)]
     else:
         batches = ((perms, None, [1] * m) for perms in _orders(m, mode, samples, seed))
     heads = np.array([head for head, _ in targets], np.intp)

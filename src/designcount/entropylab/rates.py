@@ -12,10 +12,11 @@ reveals: per vertex position it reads the forward star in vertex order
 only the variance differs), gathers with flat `take`s, ORs the exposed
 values along the star and counts M and N with a popcount; an sts pair
 is informative by a bit test.  Its arrays are (star cell, reveal).
-Exact mode and the lemma checks read pairs through `pair_values`; exact
-mode sums over sets (`_set_histogram`).  Monte Carlo draws designs and
-vertex orders in fixed-size blocks, each with its own substream spawned
-from (seed, block-index), merged in index order: the result is
+Exact mode runs it over every reveal that Monte Carlo draws, each
+design in each vertex order (`_order_histogram`); the lemma checks read
+pairs through `pair_values`.  Monte Carlo draws designs and vertex
+orders in fixed-size blocks, each with its own substream spawned from
+(seed, block-index), merged in index order: the result is
 byte-identical for any worker count, any schedule, and below
 `SERIAL_READS` pair reads the blocks stay in this process.
 
@@ -39,7 +40,7 @@ from .reveal import TooLargeError
 BLOCK_SIZE = 4096
 CHUNK = 512             # reveals drawn and evaluated together; bounds memory
 STREAM = 4              # version of the estimator's output, part of cache keys
-EXACT_CAP = 2_000_000   # pool x ordered pairs x sets (E, P): 3^(n-2) per pair
+EXACT_CAP = 5_000_000   # reveals of exact mode: pool x n! vertex orders
 SERIAL_READS = 1 << 20  # pair reads, samples x n(n-1)/2, from which a worker pool pays
 
 
@@ -84,12 +85,13 @@ def _exclusive_or_scan(bits):
 def reveal_steps(variant: str, tables, d, vo):
     """Scan a batch of reveals, yielding ``(i, star, M, N)`` per vertex position.
 
-    Reveal b scans design ``tables[d[b]]`` in the vertex order ``vo[b]``
-    (vertices 1..n); the vertex ``i[b]`` at position p reads its star
-    ``star[:, b] = vo[b, p+1:]`` in vertex order.  ``M[s, b]`` and ``N[s, b]``
-    are the sizes of Mset and Nset of the pair (i[b], star[s, b]) as
-    ``reveal.py`` defines them; N is 1 on trivial reveals, while M is left
-    unmasked, so it is the oracle's M only on informative pairs (uint8).
+    Reveal b scans design ``tables[d[b]]`` (a scalar d serves every reveal)
+    in the vertex order ``vo[b]`` (vertices 1..n); the vertex ``i[b]`` at
+    position p reads its star ``star[:, b] = vo[b, p+1:]`` in vertex
+    order.  ``M[s, b]`` and ``N[s, b]`` are the sizes of Mset and Nset of
+    the pair (i[b], star[s, b]) as ``reveal.py`` defines them; N is 1 on
+    trivial reveals, while M is left unmasked, so it is the oracle's M
+    only on informative pairs (uint8).
     Position-major (w, batch) arrays let each scan and sum run whole rows.
 
     That is the reveal law: a pair's N depends only on the set before i
@@ -192,44 +194,21 @@ def _merge(a, b):
     return n, ma + delta * (nb / n), m2a + m2b + delta * delta * (na * nb / n)
 
 
-def set_orders(m: int, anchors, sizes=None, avoid=()):
-    """(orders, weight) batches of 0..m-1, one batch per tuple of gap sizes.
+def _order_histogram(variant: str, tables):
+    """Count each N over every design and every vertex order.
 
-    Each deal of the items other than ``anchors`` into the gaps around
-    them is the order gap, anchor, ..., anchor, gap (gaps ascending); it
-    stands for the product of |gap|! orders that deal alike.  ``sizes``
-    restricts the size of the first gap and ``avoid`` keeps items out of it.
-    """
-    free = [x for x in range(m) if x not in anchors and x not in avoid]
-    batches = {}
-    for s in (range(len(free) + 1) if sizes is None else sizes):
-        for first in itertools.combinations(free, s):
-            left = [x for x in range(m) if x not in anchors and x not in first]
-            for labels in itertools.product(range(len(anchors)), repeat=len(left)):
-                gaps = [first, *([x for x, g in zip(left, labels) if g == t]
-                                 for t in range(len(anchors)))]
-                row = [x for gap, a in zip(gaps, anchors) for x in (*gap, a)] + gaps[-1]
-                batches.setdefault(tuple(map(len, gaps)), []).append(row)
-    for shape, rows in batches.items():
-        yield np.array(rows, np.int64), math.prod(map(math.factorial, shape))
-
-
-def _set_histogram(variant: str, tables, pairs):
-    """Count each N over every design and every (E, P) of each pair (i, j).
-
-    N depends only on E, the vertices before i, and P, the elements of i's
-    star before j.  The order E, i, P, j, R (`set_orders`), every star in
-    vertex order, counts for the |E|!|P|!|R|! vertex orders with that E and
-    P, which draw (E, P) with its reveal law: n!/2 per pair and design.
+    These are the reveals Monte Carlo draws, every star in vertex order:
+    `reveal_steps` runs over the n! orders a ``CHUNK`` at a time, for one
+    design at a time, so each forward pair of each reveal counts once.
     """
     n = tables.shape[1] - 1
     hist = np.zeros(n + 1, np.int64)
-    for i, j in pairs:
-        for orders, w in set_orders(n, (i - 1, j - 1)):
-            e, f = (list(orders[0]).index(v - 1) for v in (i, j))   # alike in a batch
-            n_avail = pair_values(variant, tables, np.repeat(np.arange(len(tables)), len(orders)),
-                                  np.tile(orders + 1, (len(tables), 1)), e, f)[1]
-            hist += w * np.bincount(n_avail, minlength=n + 1)
+    orders = itertools.permutations(range(1, n + 1))
+    while chunk := list(itertools.islice(orders, CHUNK)):
+        vo = np.array(chunk, np.int64)
+        for d in range(len(tables)):
+            for _, _, _, n_avail in reveal_steps(variant, tables, d, vo):
+                hist += np.bincount(n_avail.ravel(), minlength=n + 1)
     return hist
 
 
@@ -238,8 +217,9 @@ def entropy_upper_estimate(variant: str, n: int, samples: int,
                            pool: Pool | None = None) -> EntropyEstimate:
     """Estimate the reveal-sum upper bound on a log-count.
 
-    samples=0 switches to the exact mean over sets (`_set_histogram`),
-    refused above EXACT_CAP terms (1f n=6 and sts n=7 run, sts n=9 not).
+    samples=0 switches to the exact mean over every reveal Monte Carlo
+    draws, |pool| x n! (design, vertex order) pairs (`_order_histogram`),
+    refused above EXACT_CAP reveals (1f n=6 and sts n=7 run, sts n=9 not).
     Designs are drawn uniformly from the complete pool; pass ``pool``
     to reuse one already enumerated.  The kernels read the designs'
     tables from the pool's ``cells``, as int64, or from the items of a
@@ -259,12 +239,11 @@ def entropy_upper_estimate(variant: str, n: int, samples: int,
               else np.array([x.table for x in pool.items])).astype(np.int64)
 
     if samples == 0:
-        terms = len(pool) * n * (n - 1) * 3 ** (n - 2)
-        if terms > EXACT_CAP:
-            raise TooLargeError(f"exact evaluation needs {terms} terms, above the cap {EXACT_CAP}")
-        hist = _set_histogram(variant, tables, itertools.permutations(range(1, n + 1), 2))
-        value = (math.fsum(int(c) * math.log(v) for v, c in enumerate(hist) if c)
-                 / (len(tables) * math.factorial(n)))
+        reveals = len(pool) * math.factorial(n)
+        if reveals > EXACT_CAP:
+            raise TooLargeError(f"exact evaluation needs {reveals} reveals, above the cap {EXACT_CAP}")
+        hist = _order_histogram(variant, tables)
+        value = math.fsum(int(c) * math.log(v) for v, c in enumerate(hist) if c) / reveals
         return EntropyEstimate(variant, n, 0, seed, value, 0.0, exact=True,
                                designs=len(pool))
 

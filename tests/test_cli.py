@@ -358,7 +358,7 @@ class TestEntropy:
         code, out, err = run(capsys, "entropy", "--variant", "sts", "--n", "9",
                              "--samples", "0")
         assert code == 1 and out == ""
-        assert err == "error: exact evaluation needs 132269760 terms, above the cap 2000000\n"
+        assert err == "error: exact evaluation needs 304819200 reveals, above the cap 5000000\n"
 
     def test_python_m_entry_point(self):
         # `python -m designcount` runs __main__.py in a fresh interpreter

@@ -122,12 +122,10 @@ class TestRevealLaw:
     def test_monte_carlo_estimates_the_exact_mean(self):
         # the estimator's mean is the exact one, within 3 SE at the bench's
         # sample count for seeds 1-3; every STS(9) is AG(2,3), so one design
-        # gives the exact sts value, and the 1f value is the exact estimator's
+        # gives the exact sts value
         sts, onef = enumerate_pool("sts", 9), enumerate_pool("1f-labeled", 6)
-        hist = rates._set_histogram("sts", sts.cells[:1].astype(np.int64),
-                                    itertools.permutations(range(1, 10), 2))
-        exact = {"sts": math.fsum(int(c) * math.log(v) for v, c in enumerate(hist) if c)
-                 / math.factorial(9),
+        exact = {"sts": entropy_upper_estimate(
+                     "sts", 9, 0, pool=Pool("sts", 9, sts.items[:1], sts.cells[:1])).estimate,
                  "1f": entropy_upper_estimate("1f", 6, 0, pool=onef).estimate}
         for seed in (1, 2, 3):
             for variant, pool in (("sts", sts), ("1f", onef)):
@@ -146,8 +144,33 @@ class TestExactEvaluation:
 
     def test_too_large_guard(self):
         with pytest.raises(TooLargeError,
-                           match="^exact evaluation needs 132269760 terms, above the cap 2000000$"):
+                           match="^exact evaluation needs 304819200 reveals, above the cap 5000000$"):
             entropy_upper_estimate("sts", 9, samples=0)
+
+    def test_the_cap_counts_reveals(self, monkeypatch):
+        # designs x n! reveals: 14 STS(9)s (5,080,320) are refused, 12
+        # (4,354,560) admitted; their enumeration is stubbed out
+        pool = enumerate_pool("sts", 9)
+        with pytest.raises(TooLargeError,
+                           match="^exact evaluation needs 5080320 reveals, above the cap 5000000$"):
+            entropy_upper_estimate("sts", 9, 0, pool=Pool("sts", 9, pool.items[:14],
+                                                          pool.cells[:14]))
+        monkeypatch.setattr(rates, "_order_histogram", lambda variant, tables: [])
+        est = entropy_upper_estimate("sts", 9, 0, pool=Pool("sts", 9, pool.items[:12],
+                                                            pool.cells[:12]))
+        assert est.exact and est.designs == 12
+
+    @pytest.mark.parametrize("variant,kind,n,designs,value", [
+        ("1f", "1f-labeled", 4, None, "1.791759469228055"),
+        ("1f", "1f-labeled", 6, None, "7.869651548979398"),
+        ("sts", "sts", 7, None, "3.4011973816621555"),
+        ("sts", "sts", 9, 1, "7.873111619427152")])
+    def test_exact_values_are_pinned(self, variant, kind, n, designs, value):
+        # every exact value, bit for bit; one STS(9) stands for all 840
+        pool = enumerate_pool(kind, n)
+        if designs is not None:
+            pool = Pool(kind, n, pool.items[:designs], pool.cells[:designs])
+        assert repr(entropy_upper_estimate(variant, n, 0, pool=pool).estimate) == value
 
     def test_1f_n4_matches_order_enumeration(self):
         pool = enumerate_pool("1f-labeled", 4)
@@ -166,20 +189,19 @@ class TestExactEvaluation:
         assert exact.exact and abs(exact.estimate - mc.estimate) <= 3 * mc.se
         assert exact.estimate >= math.log(len(pool))
 
-    @pytest.mark.parametrize("variant,kind,n,pairs", [
-        ("1f", "1f-labeled", 6, [(1, 2), (2, 1), (3, 6), (6, 4), (5, 1)]),
-        ("sts", "sts", 7, [(1, 2), (2, 1), (3, 6), (7, 4)])])
-    def test_pair_sets_match_order_enumeration(self, variant, kind, n, pairs):
-        # the set histogram of N of one pair equals its law over every vertex
-        # order with i before j and every order of i's star, read by reveal.py:
-        # a set E before i stands for |E|! orders of E and (n-1-|E|)! of the
-        # vertices after i, one for each order of i's star
+    @pytest.mark.parametrize("variant,kind,n", [("1f", "1f-labeled", 6), ("sts", "sts", 7)])
+    def test_pair_sets_match_order_enumeration(self, variant, kind, n):
+        # the histogram of N over every vertex order equals, summed over the
+        # ordered pairs (i, j), the law of N over every vertex order with i
+        # before j and every order of i's star, read by reveal.py: a set E
+        # before i stands for |E|! orders of E and (n-1-|E|)! of the vertices
+        # after i, one for each order of i's star
         X = enumerate_pool(kind, n).items[3]
         reveal_sets = reveal_sets_1f if variant == "1f" else reveal_sets_sts
-        for i, j in pairs:
-            hist = rates._set_histogram(variant, np.array([X.table]), [(i, j)])
-            assert hist.sum() == math.factorial(n) // 2
-            want = np.zeros_like(hist)
+        hist = rates._order_histogram(variant, np.array([X.table]))
+        assert hist.sum() == math.factorial(n) * n * (n - 1) // 2
+        want = np.zeros_like(hist)
+        for i, j in itertools.permutations(range(1, n + 1), 2):
             others = [v for v in range(1, n + 1) if v not in (i, j)]
             for e in range(len(others) + 1):
                 for before in itertools.combinations(others, e):
@@ -190,7 +212,7 @@ class TestExactEvaluation:
                             n, vo, {v: vo[p + 1:] if v != i else star
                                     for p, v in enumerate(vo)})
                         want[reveal_sets(X, order, i, j).N] += math.factorial(e)
-            assert (hist == want).all(), (i, j)
+        assert (hist == want).all()
 
 
 class TestMonteCarloEstimates:
