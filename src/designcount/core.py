@@ -315,10 +315,11 @@ def lex_ranks(digits: np.ndarray, base: int):
                      else np.int64 if top <= 2 ** 63 else object)
     for start in range(0, len(digits), BULK_CHUNK):
         part = digits[start:start + BULK_CHUNK].astype(codes.dtype)
-        codes[start:start + len(part)] = reduce(lambda code, d: code * base + d, part.T)
+        codes[start:start + len(part)] = reduce(lambda code, d: code * base + d, part.T, 0)
     order = np.argsort(codes, kind="stable")
     codes = codes[order]
-    first = np.r_[True, codes[1:] != codes[:-1]]
+    first = np.ones(len(codes), bool)
+    first[1:] = codes[1:] != codes[:-1]
     ids = np.empty(len(codes), np.int32)
     ids[order] = np.cumsum(first, dtype=np.int32) - 1
     return order, first, ids
@@ -470,9 +471,9 @@ def bulk_designs(kind: str, n: int, entries) -> tuple[tuple, np.ndarray | None]:
     else the first that repeats an earlier one, raises ``BulkError``; at
     an n with no design, that is design 0.  The designs are then built
     with the cyclic GC paused, squares ``BULK_CHUNK`` at a time without
-    running their checks again, and equal rows are one shared tuple.  The
-    objects hold no cycles, and the GC would otherwise scan the growing
-    pool again and again.
+    running their checks again; equal rows are one shared tuple, and equal
+    triples one shared frozenset.  The objects hold no cycles, and the GC
+    would otherwise scan the growing pool again and again.
     """
     import numpy as np
     _check_n(kind, n)
@@ -540,8 +541,10 @@ def bulk_designs(kind: str, n: int, entries) -> tuple[tuple, np.ndarray | None]:
                 items += made
         else:
             rows = zip(*[map(row, ids.tolist())] * (n + 1))
-            if kind == "sts":
-                parts = map(frozenset, map(map, repeat(frozenset), triples.tolist()))
+            if kind == "sts":   # one frozenset per distinct triple, shared like the rows
+                order, first, ranks = lex_ranks(triples.reshape(-1, 3), n + 1)
+                part = list(map(frozenset, triples.reshape(-1, 3)[order[first]].tolist())).__getitem__
+                parts = map(frozenset, map(map, repeat(part), ranks.reshape(len(triples), -1).tolist()))
                 items += map(TripleSystem, repeat(n), parts, rows)
             else:
                 items += map(EdgeColoring, repeat(n), rows)

@@ -37,29 +37,29 @@ every design, the second up to conjugacy:
 A partial count (node budget hit) is the leaves found over the starts in
 order, unscaled; the starts are generated one at a time, so a budgeted
 count at large n stops without listing every cycle type.
-Triple-system and coloring pools collect every labeled design from the
-search with no part fixed; the Latin pool expands the reduced squares
-(the parts ``_reduced(n)`` fixed) by row and column permutations
-(``_latin_cells``).  Either way a pool is one array of its designs'
-``dumps`` entries, which ``core.bulk_designs`` checks and builds, and it
-keeps the designs' cells, which ``pool_to_jsonl`` writes in bulk.
+A pool searches from a count's first part (a star, or a Latin square's
+first row and column), expands each leaf by relabelings and sorts them
+into the order of the search with no part fixed, which only the tests
+run (``_pool_entries``): one array of the designs' ``dumps`` entries,
+which ``core.bulk_designs`` checks and builds.  The pool keeps the
+designs' cells, which ``pool_to_jsonl`` writes in bulk.
 ``pool_from_jsonl`` reads such a text back through the same builder; a
 design it names as faulty is one line, which is read again alone to
 name the fault, and a repeat is named at once.
-``first_design`` stops the unfixed search at its first leaf, which is
-the pool's first item.  The pool and sampling functions import numpy
-when they run; the counts use none.
+``first_design`` is that fixed search's first leaf, the pool's first
+item.  The pool and sampling functions import numpy when they run; the
+counts use none.
 
-Both kernels stop at a depth ``cut``, where they append the choice path
-to ``sink`` (if given) and count 1.  At the full depth that counts or
-collects designs; at a smaller depth the same DFS lists the frontier of
-subtrees.  ``_count`` runs every count: a parallel run whose search
-needs more than ``SERIAL_NODES`` nodes cuts each start a fixed number
-of levels below its fixed parts, hands the subtrees to ``map_tasks``
-(each task is the start's parts plus its path's, searched by
-``_start`` like any other), and sums the (exact integer) subtree counts
-in task order, so totals are schedule independent.  Counts are Python
-ints throughout; nothing here overflows.
+Both kernels stop at a depth ``cut``, where they append ``path`` (the
+caller's first entries, then the choices) to ``sink`` (if given) and
+count 1.  At the full depth that counts or collects designs; at a
+smaller depth the same DFS lists the frontier of subtrees.  ``_count``
+runs every count: a parallel run whose search needs more than
+``SERIAL_NODES`` nodes cuts each start a fixed number of levels below
+its fixed parts, hands the subtrees to ``map_tasks`` (each task is the
+start's parts plus its path's, searched by ``_start`` like any other),
+and sums the (exact integer) subtree counts in task order, so totals
+are schedule independent.  Counts are Python ints: nothing overflows.
 """
 
 from __future__ import annotations
@@ -257,8 +257,8 @@ def _start(kind: str, n: int, fixed=()):
 
     kind is one of ``POOL_GATES``.  A triple-system part is a triple; a
     Latin or coloring part (a, b, v) puts value v in both slots a and b,
-    and the pairs not fixed keep their order.  Pools search with no part
-    fixed; counts run the starts of ``_starts``.
+    and the pairs not fixed keep their order.  Counts run the starts of
+    ``_starts`` and pools ``_fixed_leaves``'s; only tests fix no part.
     """
     if kind not in POOL_GATES:
         raise DesignError(f"unknown search kind {kind!r}")
@@ -285,6 +285,14 @@ def _start(kind: str, n: int, fixed=()):
 def _reduced(n: int) -> tuple:
     """The parts of a reduced Latin square: row 1 and column 1 read 1..n."""
     return (*((0, n + c, c + 1) for c in range(n)), *((r, n, r + 1) for r in range(1, n)))
+
+
+def _star(kind: str, n: int) -> tuple:
+    """Point 1's star {1,2,3}, {1,4,5}, ..., {1,n-1,n}, or vertex 1's with
+    {1,v} colored v-1: the first part every such start and pool fixes."""
+    if kind == "sts":
+        return tuple((1, j, j + 1) for j in range(2, n, 2))
+    return tuple((1, v, v - 1) for v in range(2, n + 1))
 
 
 def _cycle_types(m: int, most: int | None = None):
@@ -333,7 +341,7 @@ def _starts(kind: str, n: int):
         return
     if kind == "sts":
         k = (n - 3) // 2
-        star = tuple((1, j, j + 1) for j in range(2, n, 2))
+        star = _star(kind, n)
         for c in _cycle_types(k):
             second = tuple((2, 5 + 2 * t, 4 + 2 * u) for t, u in enumerate(_permutation(c)))
             yield star + second, math.prod(range(n - 2, 0, -2)) * _class_size(c) << (k - len(c))
@@ -345,7 +353,7 @@ def _starts(kind: str, n: int):
             yield (_reduced(n)[:n] + row + tuple((r, n, s) for r, s in enumerate(column, 2)),
                    math.factorial(n) * math.factorial(n - 2) * _class_size(c))
     else:
-        star = tuple((1, v, v - 1) for v in range(2, n + 1))
+        star = _star(kind, n)
         for c in _cycle_types(n - 2):   # {2,v} takes {1,u+3}'s color u+2
             yield (star + tuple((2, v, u + 2) for v, u in enumerate(_permutation(c), 3)),
                    math.factorial(n - 1) * _class_size(c))
@@ -489,26 +497,14 @@ def _family(kind: str) -> str:
 def enumerate_pool(kind: str, n: int) -> Pool:
     """Materialize the complete pool of designs of one kind.
 
-    kind is "sts", "1f-labeled", or "latin".  Triple systems and
-    colorings are one collect pass of the full labeled search, which
-    appends each leaf where the count adds it, so the pool's size is the
-    count; Latin squares are derived from the reduced ones
-    (``_latin_cells``), in the order the full search would list them.
-    Either way the designs' entries are one array, which ``bulk_designs``
-    checks as the core validators would and builds, and the pool keeps
-    the designs' cells.
+    kind is "sts", "1f-labeled", or "latin".  The designs' entries, in
+    the order of the search with no part fixed (``_pool_entries``), are
+    one array, which ``bulk_designs`` checks as the core validators would
+    and builds, and the pool keeps the designs' cells.
     """
-    import numpy as np
     if not _pool_feasible(kind, n):
         return Pool(kind, n, ())
-    if kind == "latin":
-        entries = _latin_cells(n).reshape(-1, n * n)
-    else:   # a leaf path's values are the design's ``dumps`` entries
-        kernel, args, state, depth, full_depth = _start(kind, n)
-        paths: list = []
-        kernel(*args, state, depth, full_depth, _Budget(None), paths, [])
-        entries = np.array(paths, np.int8).reshape(len(paths), -1)
-    return Pool(kind, n, *bulk_designs(_family(kind), n, entries))
+    return Pool(kind, n, *bulk_designs(_family(kind), n, _pool_entries(kind, n)))
 
 
 class _FirstLeaf(Exception):
@@ -524,48 +520,79 @@ def first_design(kind: str, n: int):
     """``enumerate_pool(kind, n).items[0]`` without building the pool, or
     None if the pool is empty.
 
-    The search is the full one that triple-system and coloring pools
-    collect from, and that lists Latin squares in pool order, stopped at
-    its first leaf; the kind and gate checks are the pool's.
+    That item, the lexicographically least design, holds the parts the
+    pools' search fixes, so it is that search's first leaf; the kind and
+    gate checks are the pool's.
     """
-    import numpy as np
     if not _pool_feasible(kind, n):
         return None
-    kernel, args, state, depth, full_depth = _start(kind, n)
+    return bulk_designs(_family(kind), n, _fixed_leaves(kind, n, first=True))[0][0]
+
+
+def _fixed_leaves(kind: str, n: int, first: bool = False) -> np.ndarray:
+    """The ``dumps`` entries of the leaves of the pools' search, which
+    fixes a ``_star`` or a Latin square's first row and column
+    (``_reduced``), one row each in order; or of the first alone.  A
+    star's entries come first, so the search's path starts with them."""
+    import numpy as np
+    fixed = _reduced(n) if kind == "latin" else _star(kind, n)
+    values = [v for *_, v in fixed]
+    path = list(fixed) if kind == "sts" else values if kind == "1f-labeled" else []
+    kernel, args, state, depth, full_depth = _start(kind, n, fixed)
+    leaves = _FirstLeafSink() if first else []
     try:
-        kernel(*args, state, depth, full_depth, _Budget(None), _FirstLeafSink(), [])
+        kernel(*args, state, depth, full_depth, _Budget(None), leaves, path)
     except _FirstLeaf as leaf:
-        return bulk_designs(_family(kind), n, np.array(leaf.args, np.int8).reshape(1, -1))[0][0]
+        leaves = list(leaf.args)
+    leaves = np.array(leaves, np.int8).reshape(len(leaves), -1)
+    if kind == "latin":   # row 1, then each other row's first cell before its others
+        leaves = np.insert(leaves, [0] * n + [(n - 1) * r for r in range(n - 1)], values, axis=1)
+    return leaves
 
 
-def _latin_cells(n: int) -> np.ndarray:
-    """Every Latin square of order n, as one (L(n), n, n) int8 array.
+def _matchings(points: tuple):
+    """The perfect matchings of ``points``, each as its pairs' points; a generator."""
+    if not points:
+        yield ()
+    for i in range(1, len(points)):
+        for rest in _matchings(points[1:i] + points[i + 1:]):
+            yield (points[0], points[i], *rest)
 
-    The search from ``_reduced(n)`` collects the R(n) reduced squares
-    (first row and column 1..n).  Each is expanded by all n! column permutations and
-    all (n-1)! permutations of rows 2..n: a square's first row fixes the
-    column permutation and then its first column the row permutation, so
-    each labeled square arises exactly once.  The full search lists
-    squares in lexicographic order of their row-major cells, which is the
-    order of their codes in the ranks of their rows (``lex_ranks``).  Each
-    row of a square is a row of its reduced square with the columns
-    permuted, so only those R(n) n! n rows are ranked.
+
+def _pool_entries(kind: str, n: int) -> np.ndarray:
+    """The ``dumps`` entries of every design of a pool, one row each, in
+    the order the search with no part fixed lists them.
+
+    Each of ``_fixed_leaves`` is expanded by one relabeling per coset of
+    its fixed parts' stabilizer, so each design arises once: a triple
+    system by one permutation fixing 1 per perfect matching of 2..n,
+    mapping point 1's star onto it ((n-2)!!); a coloring by every color
+    permutation ((n-1)!); a reduced square by every column permutation,
+    then every permutation of rows 2..n (n!(n-1)!).  The unfixed search
+    lists designs in lexicographic order of their entries: where two
+    first differ, one slot took two values in increasing order (for
+    triple systems, third points of the same least uncovered pair).  So
+    the designs are sorted by the ranks (``lex_ranks``) of their lines:
+    triples, sorted in each design; a square's rows, ranked only in the
+    column-permuted reduced squares; or a coloring's whole entries.
     """
     import numpy as np
-    kernel, args, state, depth, full_depth = _start("latin", n, _reduced(n))
-    inner: list = []
-    kernel(*args, state, depth, full_depth, _Budget(None), inner, [])
-    reduced = np.empty((len(inner), n, n), np.int8)
-    reduced[:, 0, :] = reduced[:, :, 0] = np.arange(1, n + 1)
-    reduced[:, 1:, 1:] = np.array(inner, np.int8).reshape(len(inner), n - 1, n - 1)
-    cols = np.array(list(permutations(range(n))))
-    rows = np.array([(0, *p) for p in permutations(range(1, n))])
-    # square (k, s, t) is reduced square k with the columns in the order
-    # cols[s] and then the rows in the order rows[t]
-    _, first, ids = lex_ranks(reduced[:, :, cols].transpose(0, 2, 1, 3).reshape(-1, n), n + 1)
-    ids = ids.reshape(len(reduced), len(cols), n)[:, :, rows]
-    order = lex_ranks(ids.reshape(-1, n), int(first.sum()))[0]
-    return reduced[:, rows[None, :, :, None], cols[:, None, None, :]].reshape(-1, n, n)[order]
+    leaves = _fixed_leaves(kind, n)
+    if kind == "latin":
+        cols = np.array(list(permutations(range(n))))
+        rows = np.array([(0, *p) for p in permutations(range(1, n))])
+        # the rows of square k with its columns in the order cols[s]
+        lines = leaves.reshape(-1, n, n)[:, :, cols].transpose(0, 2, 1, 3).reshape(-1, n)
+    else:
+        perms = ([(0, 1, *m) for m in _matchings(tuple(range(2, n + 1)))] if kind == "sts"
+                 else [(0, *p) for p in permutations(range(1, n))])
+        designs = np.array(perms, np.int8)[:, leaves].reshape(len(perms) * len(leaves), -1)
+        lines = np.sort(designs.reshape(-1, 3), axis=1) if kind == "sts" else designs
+    order, first, ids = lex_ranks(lines, n + 1)
+    # square (k, s, t) lists those rows in the order rows[t]; a triple system sorts its triples
+    ids = (ids.reshape(len(leaves), len(cols), n)[:, :, rows].reshape(-1, n) if kind == "latin"
+           else np.sort(ids.reshape(len(designs), -1), axis=1))
+    return lines[order[first]][ids[lex_ranks(ids, int(first.sum()))[0]]].reshape(len(ids), -1)
 
 
 def sample_uniform(pool: Pool, seed: int, count: int) -> list:

@@ -291,6 +291,14 @@ def test_lex_ranks_against_sorted_tuples(base, width):
     assert ids.dtype == np.int32 and ids.tolist() == list(map(distinct.index, rows))
 
 
+@pytest.mark.parametrize("rows, width", [(0, 3), (0, 0), (1, 0), (3, 0)])
+def test_lex_ranks_of_no_rows_or_no_digits(rows, width):
+    # rows without digits are all equal (the one triple system on 1 point has no triples)
+    order, first, ids = core.lex_ranks(np.zeros((rows, width), np.int8), 10)
+    assert order.tolist() == list(range(rows)) and ids.tolist() == [0] * rows
+    assert first.tolist() == [k == 0 for k in range(rows)]
+
+
 def _squares(n, cells):
     """``bulk_designs`` of an (N, n, n) array of squares: the squares."""
     return core.bulk_designs("latin", n, cells.reshape(len(cells), n * n))[0]

@@ -159,8 +159,8 @@ class TestDeterminismUnderParallelism:
 
 
 class TestPinnedStarts:
-    """Every count runs one start per cycle type; pools collect from the
-    full start."""
+    """Every count runs one start per cycle type; the full start is the
+    reference they are checked against."""
 
     # kind, n, leaves per start, nodes from the full start, nodes of the count
     CASES = [
@@ -193,7 +193,7 @@ class TestPinnedStarts:
 
     @pytest.mark.parametrize("n, reduced", [(1, 1), (2, 1), (3, 1), (4, 4), (5, 56), (6, 9408)])
     def test_latin_counts_equal_the_reduced_square_start(self, n, reduced):
-        # R(n), OEIS A000315, from the reduced-square start that _latin_cells expands
+        # R(n), OEIS A000315, from the reduced-square start that _pool_entries expands
         kernel, args, state, depth, full_depth = enumeration._start(
             "latin", n, enumeration._reduced(n))
         leaves = kernel(*args, state, depth, full_depth, enumeration._Budget(None), None, None)
@@ -476,7 +476,7 @@ class TestPools:
         ("latin", 4, "6eb0f7edd259a4bf71d16f0c55d1c320f9c05d8706986860cc73267dce2d0ace"),
     ])
     def test_pool_is_one_collect_pass(self, monkeypatch, kind, n, digest):
-        # the collect pass counts each leaf where it appends it; no count runs first
+        # a pool runs its fixed start's search alone; no count runs first
         def no_count(*args):
             raise AssertionError("enumerate_pool ran a counting search")
         monkeypatch.setattr(enumeration, "_count", no_count)
@@ -514,6 +514,18 @@ class TestPools:
         # silently change every fixed-seed estimate
         text = pool_to_jsonl(enumerate_pool(kind, n))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("kind, n, digest", [
+        ("sts", 7, "f52d48dd9bf904a2372454d5b3968a587da4b3f2a16f5b0b271472d6602c234f"),
+        ("sts", 9, "ae667b69fb837d22a2769c4295cf6e519577ee1402af0a308b7880616b49b62b"),
+        ("1f-labeled", 6, "d1010afb9136b7de959f02a29ac9e519194894bf660f14d2d426faa329fc8ce1"),
+        ("latin", 4, "48c84039196985b00d6b0e38d2c3d8288f96e4df223b3905450d84f986f0e037"),
+    ])
+    def test_item_pickles_are_pinned(self, kind, n, digest):
+        # each item pickles alone to the same bytes, whichever of its rows
+        # and triples the pool's items share
+        items = enumerate_pool(kind, n).items
+        assert hashlib.sha256(b"".join(pickle.dumps(x, 4) for x in items)).hexdigest() == digest
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_latin_pool_is_the_full_search(self, n):
@@ -594,6 +606,61 @@ def _per_object_load(kind, n, text, loads=loads):
     return tuple(obj for _, obj in items)
 
 
+class TestFixedStartPools:
+    """Pools expand the leaves of a count's first part by relabelings; the
+    search with no part fixed is the reference for their order."""
+
+    @staticmethod
+    def _collect(kind, n):
+        """The ``dumps`` entries of the unfixed search's leaves, in its order."""
+        kernel, args, state, depth, full_depth = enumeration._start(kind, n)
+        paths = []
+        kernel(*args, state, depth, full_depth, enumeration._Budget(None), paths, [])
+        return np.array(paths, np.int8).reshape(len(paths), -1)
+
+    @pytest.mark.parametrize("kind, n", [*((("sts", n) for n in range(1, 10))),
+                                         *((("1f-labeled", n) for n in range(2, 7))),
+                                         *((("latin", n) for n in range(1, 5)))])
+    def test_pool_is_the_unfixed_collect_pass(self, kind, n):
+        pool = enumerate_pool(kind, n)
+        if not enumeration._pool_feasible(kind, n):   # no design at n: nothing is expanded
+            assert len(pool) == 0 and enumeration.first_design(kind, n) is None
+            return
+        want = self._collect(kind, n)
+        entries = enumeration._pool_entries(kind, n)
+        assert entries.dtype == np.int8 and entries.shape == want.shape
+        assert (entries == want).all()
+        # the least design is the fixed start's first leaf
+        first = enumeration._fixed_leaves(kind, n, first=True)
+        assert first.shape == (1, want.shape[1]) and (first == want[:1]).all()
+        assert enumeration.first_design(kind, n) == pool.items[0]
+
+    @pytest.mark.parametrize("kind, n, count", [
+        ("sts", 1, 1), ("sts", 3, 1), ("sts", 7, 30), ("sts", 9, 840),
+        ("1f-labeled", 2, 1), ("1f-labeled", 4, 6), ("1f-labeled", 6, 720),
+        ("1f-labeled", 8, 6240 * math.factorial(7)),
+        ("latin", 1, 1), ("latin", 2, 2), ("latin", 4, 576), ("latin", 5, 161280),
+        ("latin", 6, 812851200),
+    ])
+    def test_leaves_times_relabelings_is_the_count(self, kind, n, count):
+        if kind == "sts":   # one relabeling per perfect matching of 2..n
+            matchings = list(enumeration._matchings(tuple(range(2, n + 1))))
+            pairs = {frozenset(frozenset(m[k:k + 2]) for k in range(0, len(m), 2))
+                     for m in matchings}
+            assert len(pairs) == len(matchings)
+            assert all(sorted(m) == list(range(2, n + 1)) for m in matchings)
+            relabelings = math.prod(range(n - 2, 0, -2))
+            assert len(matchings) == relabelings
+        elif kind == "1f-labeled":   # every permutation of the colors
+            relabelings = math.factorial(n - 1)
+        else:   # every column permutation and every permutation of rows 2..n
+            relabelings = math.factorial(n) * math.factorial(n - 1)
+        leaves = enumeration._fixed_leaves(kind, n)
+        assert len(leaves) * relabelings == count == enumeration._count(
+            kind, n, SearchConfig()).count
+        assert len({row.tobytes() for row in leaves}) == len(leaves)
+
+
 class TestLatinLoader:
     """The latin loader, on texts that take the bulk path and on texts that
     do not, against the line-by-line one."""
@@ -602,7 +669,7 @@ class TestLatinLoader:
     def lines(self, request):
         # every 997th Latin square of order 5; the second form adds two
         # blank lines, which send the file down the per-object path
-        squares = enumeration._latin_cells(5)[::997]
+        squares = enumeration._pool_entries("latin", 5).reshape(-1, 5, 5)[::997]
         lines = [dumps(LatinSquare(n=5, rows=tuple(map(tuple, s)))) for s in squares.tolist()]
         if request.param == "canonical":
             return lines
@@ -850,6 +917,10 @@ class TestTablePools:
         want = tuple(_validated(kind, n, path) for path in paths)
         pool = enumerate_pool(kind, n)
         assert pool.items == want and pool.cells.dtype == np.int8
+        assert [hash(x) for x in pool.items] == [hash(x) for x in want]
+        if kind == "sts":   # one frozenset per distinct triple, shared across the pool
+            triples = [t for x in pool.items for t in x.triples]
+            assert len({id(t) for t in triples}) == len(set(triples))
         assert (pool.cells == np.array([x.table for x in want])).all()
         assert enumeration.first_design(kind, n) == want[0]
         text = pool_to_jsonl(pool)
@@ -919,8 +990,9 @@ class TestFaultsReadOneLine:
 
     @pytest.fixture(scope="class")
     def lines(self):
+        squares = enumeration._pool_entries("latin", 5)[::100].reshape(-1, 5, 5)
         return {"latin": [dumps(LatinSquare(n=5, rows=tuple(map(tuple, s)))) + "\n"
-                          for s in enumeration._latin_cells(5)[::100].tolist()],
+                          for s in squares.tolist()],
                 **{kind: pool_to_jsonl(enumerate_pool(kind, n)).splitlines(keepends=True)
                    for kind, n in (("sts", 9), ("1f-labeled", 6))}}
 
