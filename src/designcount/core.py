@@ -308,19 +308,26 @@ def lex_ranks(digits: np.ndarray, base: int):
     digits 0..base-1, whether each row there differs from the one before,
     and each row's rank among the distinct rows (int32).  A row is sorted
     by its base-``base`` code: uint16 (which numpy sorts by radix) up to
-    base**k = 2**16, int64 up to 2**63, a Python int above."""
+    base**k = 2**16, else int64 words of as many digits as fit in 63 bits,
+    the first word the most significant."""
     import numpy as np
-    top = base ** digits.shape[1]
-    codes = np.empty(len(digits), np.uint16 if top <= 2 ** 16
-                     else np.int64 if top <= 2 ** 63 else object)
-    for start in range(0, len(digits), BULK_CHUNK):
-        part = digits[start:start + BULK_CHUNK].astype(codes.dtype)
-        codes[start:start + len(part)] = reduce(lambda code, d: code * base + d, part.T, 0)
-    order = np.argsort(codes, kind="stable")
-    codes = codes[order]
-    first = np.ones(len(codes), bool)
-    first[1:] = codes[1:] != codes[:-1]
-    ids = np.empty(len(codes), np.int32)
+    width = digits.shape[1]
+    dtype, per = ((np.uint16, max(width, 1)) if base ** width <= 2 ** 16
+                  else (np.int64, 63 // (base - 1).bit_length()))
+    words = []
+    for w in range(0, max(width, 1), per):
+        word = np.empty(len(digits), dtype)
+        for start in range(0, len(digits), BULK_CHUNK):
+            part = digits[start:start + BULK_CHUNK, w:w + per].astype(dtype)
+            word[start:start + len(part)] = reduce(lambda code, d: code * base + d, part.T, 0)
+        words.append(word)
+    order = np.argsort(words[0], kind="stable") if len(words) == 1 else np.lexsort(words[::-1])
+    first = np.zeros(len(digits), bool)
+    first[:1] = True
+    for word in words:
+        word = word[order]
+        first[1:] |= word[1:] != word[:-1]
+    ids = np.empty(len(digits), np.int32)
     ids[order] = np.cumsum(first, dtype=np.int32) - 1
     return order, first, ids
 

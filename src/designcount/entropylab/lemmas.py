@@ -53,7 +53,7 @@ import numpy as np
 
 from ..core import DesignError, EdgeColoring, TripleSystem
 from ..enumeration import first_design
-from .rates import CHUNK, pair_values
+from .rates import BLOCK_SIZE, pair_values
 from .reveal import EmptyConditionError, TooLargeError, sample_reveal_order
 
 MAX_EXACT_N = 7        # items whose orders the exact position laws enumerate
@@ -119,9 +119,10 @@ def _orders(m: int, mode: str, samples: int, seed: int):
     """Batches of permutations of 0..m-1, one order per row.
 
     Exact mode yields all m! orders in one batch (callers gate m); mc
-    mode yields ``samples`` uniform orders drawn from ``seed``, CHUNK
-    rows at a time, which are the orders and the stream state that one
-    ``rng.permutation(m)`` per sample gives.
+    mode yields ``samples`` uniform orders drawn from ``seed``,
+    ``BLOCK_SIZE`` rows at a time, which are the orders and the stream
+    state that one ``rng.permutation(m)`` per sample gives, in batches of
+    any size.
     """
     if mode == "exact":
         yield np.array(list(itertools.permutations(range(m))), dtype=np.int64)
@@ -129,8 +130,8 @@ def _orders(m: int, mode: str, samples: int, seed: int):
     if samples < 2:
         raise DesignError(f"mc mode needs at least 2 samples, got {samples}")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    for start in range(0, samples, CHUNK):
-        size = min(CHUNK, samples - start)
+    for start in range(0, samples, BLOCK_SIZE):
+        size = min(BLOCK_SIZE, samples - start)
         yield rng.permuted(np.tile(np.arange(m), (size, 1)), axis=1)
 
 

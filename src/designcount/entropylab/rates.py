@@ -11,14 +11,19 @@ reveals: per vertex position it reads the forward star in vertex order
 (each pair keeps the law of independent star orders, and so the mean;
 only the variance differs), gathers with flat `take`s, ORs the exposed
 values along the star and counts M and N with a popcount; an sts pair
-is informative by a bit test.  Its arrays are (star cell, reveal).
+is informative by a bit test.  Its arrays are (star cell, reveal), its
+values bit masks shifted once per call, in int16 up to 1f 15 and sts 14
+(`_mask_dtype`), and a reveal's values do not depend on its batch.
 Exact mode runs it over every reveal that Monte Carlo draws, each
-design in each vertex order (`_order_histogram`); the lemma checks read
-pairs through `pair_values`.  Monte Carlo draws designs and vertex
-orders in fixed-size blocks, each with its own substream spawned from
-(seed, block-index), merged in index order: the result is
-byte-identical for any worker count, any schedule, and below
-`SERIAL_READS` pair reads the blocks stay in this process.
+design in each vertex order, ``BLOCK_SIZE`` reveals a pass
+(`_order_histogram`); the lemma checks read pairs through
+`pair_values`.  Monte Carlo draws designs and vertex orders in blocks
+of ``BLOCK_SIZE``, each with its own substream spawned from (seed,
+block-index), runs each block through the kernel in one pass (in
+passes of ``PASS_SLOTS // n`` reveals above n = 10), and merges the
+blocks in index order: the result is byte-identical for any
+worker count, any schedule, and below `SERIAL_READS` pair reads the
+blocks stay in this process.
 
 `finite_sum_rate` evaluates the closed finite sums that the per-pair
 expectations produce and compares them against their limit log n - 1.
@@ -37,9 +42,10 @@ from ..core import DesignError
 from ..enumeration import EmptyPoolError, Pool, enumerate_pool, map_tasks
 from .reveal import TooLargeError
 
-BLOCK_SIZE = 4096
-CHUNK = 512             # reveals drawn and evaluated together; bounds memory
+BLOCK_SIZE = 4096       # reveals of a Monte-Carlo block, an exact pass, a lemma draw batch
+CHUNK = 512             # grain of a block's draws and of its (count, mean, m2): STREAM 4
 STREAM = 4              # version of the estimator's output, part of cache keys
+PASS_SLOTS = 40_960     # reveals x n of one kernel pass: its (star cell, reveal) arrays stay in cache
 EXACT_CAP = 5_000_000   # reveals of exact mode: pool x n! vertex orders
 SERIAL_READS = 1 << 20  # pair reads, samples x n(n-1)/2, from which a worker pool pays
 
@@ -82,6 +88,17 @@ def _exclusive_or_scan(bits):
     return out
 
 
+def _mask_dtype(variant: str, n: int):
+    """The narrowest of int16, int32 and int64 whose sign bit lies above
+    every bit of ``full``: bits 1..n-1 (1f) or 1..n (sts).  So 1f runs on
+    int16 up to n = 15, int32 up to 31 and int64 up to 63; sts on int16
+    up to n = 14, int32 up to 30 and int64 up to 62."""
+    top = n - 1 if variant == "1f" else n
+    if top > 62:
+        raise DesignError(f"reveal masks hold at most 62 points, got n={n}")
+    return np.int16 if top < 15 else np.int32 if top < 31 else np.int64
+
+
 def reveal_steps(variant: str, tables, d, vo):
     """Scan a batch of reveals, yielding ``(i, star, M, N)`` per vertex position.
 
@@ -93,6 +110,8 @@ def reveal_steps(variant: str, tables, d, vo):
     trivial reveals, while M is left unmasked, so it is the oracle's M
     only on informative pairs (uint8).
     Position-major (w, batch) arrays let each scan and sum run whole rows.
+    A reveal's values do not depend on the batch it runs in: callers may
+    split or join batches freely.
 
     That is the reveal law: a pair's N depends only on the set before i
     and the order of i's star, which in a uniform vertex order is uniform
@@ -100,28 +119,36 @@ def reveal_steps(variant: str, tables, d, vo):
     independent star orders of ``reveal.py``, and a sum over pairs its
     mean; the sum's variance differs, the stars sharing one vertex order.
 
-    Each gather is one ``take`` of flat indices: entry [b, v] of the
-    C-order (batch, n+1) ``row`` is flat entry b*(n+1) + v, and
-    ``reshape`` copies any other layout.  For sts, ``upto[k]`` holds the
-    first k vertices of each order as bits: u = star[s] follows
-    ``upto[p+1+s]``, M counts out ``upto[p+1]`` and u, N ``upto[p+2+s]``,
-    and (i, u) is informative when its third point is not in ``upto[p+1+s]``.
+    The value tables are shifted once per call into bit masks, ``1 <<
+    value``, of the narrowest dtype whose sign bit lies outside ``full``
+    (`_mask_dtype`: int16 up to 1f 15 and sts 14); so are the vertices of
+    each order, ``bit[p, b] = 1 << vo[b, p]``.  Each gather is one
+    ``take`` of flat indices: entry [b, v] of the C-order (batch, n+1)
+    ``row`` is flat entry b*(n+1) + v, and ``reshape`` copies any other
+    layout.  For sts, ``upto[k]`` holds the first k vertices of each order
+    as bits: u = star[s] follows ``upto[p+1+s]``, M counts out
+    ``upto[p+1]`` and u, N ``upto[p+2+s]``, and (i, u) is informative when
+    its third point is not in ``upto[p+1+s]``.
     """
     batch, n = vo.shape
+    dtype = _mask_dtype(variant, n)
     vt = np.ascontiguousarray(vo.T)                       # vt[p, b] = vo[b, p]
+    bit = np.left_shift(1, vt, dtype=dtype)
     full = (1 << (n if variant == "1f" else n + 1)) - 2   # colors 1..n-1 or points 1..n
-    rows = tables.reshape(-1, n + 1)                      # row k*(n+1) + v: design k, vertex v
+    # row k*(n+1) + v: the bits of design k's values at vertex v
+    masks = np.left_shift(1, tables, dtype=dtype).reshape(-1, n + 1)
+    first = np.asarray(d, np.intp) * (n + 1)
     at = np.arange(0, batch * (n + 1), n + 1)
     # 1f: seen[v] holds the colors exposed at v by earlier vertices;
     # sts: seen[v] the t whose pair with v was closed by an earlier vertex;
     # both start with every bit outside full set (the sign bit too), so
     # ~closed holds the open bits alone and is never negative
-    seen = np.full((batch, n + 1), ~full, np.int64)
+    seen = np.full((batch, n + 1), ~full, dtype)
     flat_seen = seen.ravel()
-    upto = _exclusive_or_scan(1 << vt) if variant == "sts" else None
+    upto = _exclusive_or_scan(bit) if variant == "sts" else None
     for p in range(n - 1):
         i, star = vt[p], vt[p + 1:]
-        row = 1 << rows.take(d * (n + 1) + i, axis=0)   # bit of the value of {i, v}, every v
+        row = masks.take(first + i, axis=0)   # bit of the value of {i, v}, every v
         cell = at + star
         bits = row.take(cell)
         closed = flat_seen.take(at + i) | flat_seen.take(cell)
@@ -130,7 +157,7 @@ def reveal_steps(variant: str, tables, d, vo):
             closed |= _exclusive_or_scan(bits)[:-1]
             n_avail = np.bitwise_count(~closed)
         else:
-            m_avail = np.bitwise_count(~(closed | upto[p + 1] | 1 << star))
+            m_avail = np.bitwise_count(~(closed | upto[p + 1] | bit[p + 1:]))
             closed |= upto[p + 2:] | _exclusive_or_scan(bits)[:-1]
             n_avail = np.bitwise_count(~closed)
             np.putmask(n_avail, upto[p + 1:n] & bits, 1)   # third point before u: trivial
@@ -161,27 +188,43 @@ def pair_values(variant: str, tables, d, vo, at, to, rows=None):
 def _reveal_sums(variant: str, tables, d, vo):
     """Sum of log N over the ordered pairs of each reveal in a batch.
 
-    A trivial reveal has N = 1 and adds log 1 = 0.
+    A trivial reveal has N = 1 and adds log 1 = 0.  Each step's terms
+    are added in star order, so a reveal's sum does not depend on its
+    batch: ``sum(axis=0)`` adds whole rows, but pairs the terms of a lone
+    column, which a batch of one reveal adds one by one.
     """
     logs = np.log(np.maximum(np.arange(vo.shape[1] + 1), 1))
     total = np.zeros(len(vo))
     for _, _, _, n_avail in reveal_steps(variant, tables, d, vo):
-        total += logs.take(n_avail).sum(axis=0)   # popcounts are uint8: index, don't compute
+        terms = logs.take(n_avail)   # popcounts are uint8: index, don't compute
+        total += terms.sum(axis=0) if len(vo) > 1 else sum(terms[1:, 0], terms[0, 0])
     return total
 
 
 def _mc_block(args):
-    """Count, mean and sum of squared deviations of one block's reveal sums."""
+    """Count, mean and sum of squared deviations of one block's reveal sums.
+
+    The designs and vertex orders are drawn a ``CHUNK`` at a time, run
+    through the kernel in passes of about ``PASS_SLOTS`` vertex slots (the
+    whole block up to n = 10, a ``CHUNK`` from n = 41), and reduced a
+    ``CHUNK`` at a time, merged in order.
+    """
     variant, tables, n, seed, block, count = args
     rng = np.random.Generator(np.random.PCG64(
         np.random.SeedSequence(entropy=seed, spawn_key=(block,))))
+    d = np.empty(count, np.int64)
+    vo = np.tile(np.arange(1, n + 1, dtype=np.int8), (count, 1))
+    for start in range(0, count, CHUNK):
+        d[start:start + CHUNK] = rng.integers(len(tables), size=min(CHUNK, count - start))
+        rng.permuted(vo[start:start + CHUNK], axis=1, out=vo[start:start + CHUNK])
+    step = max(CHUNK, PASS_SLOTS // n // CHUNK * CHUNK)
+    x = np.concatenate([_reveal_sums(variant, tables, d[k:k + step], vo[k:k + step])
+                        for k in range(0, count, step)])
     chunks = []
     for start in range(0, count, CHUNK):
-        size = min(CHUNK, count - start)
-        x = _reveal_sums(variant, tables, rng.integers(len(tables), size=size),
-                         rng.permuted(np.tile(np.arange(1, n + 1), (size, 1)), axis=1))
-        mean = float(x.mean())
-        chunks.append((len(x), mean, float(((x - mean) ** 2).sum())))
+        part = x[start:start + CHUNK]
+        mean = float(part.mean())
+        chunks.append((len(part), mean, float(((part - mean) ** 2).sum())))
     return functools.reduce(_merge, chunks)
 
 
@@ -198,16 +241,21 @@ def _order_histogram(variant: str, tables):
     """Count each N over every design and every vertex order.
 
     These are the reveals Monte Carlo draws, every star in vertex order:
-    `reveal_steps` runs over the n! orders a ``CHUNK`` at a time, for one
-    design at a time, so each forward pair of each reveal counts once.
+    `reveal_steps` runs over the n! orders ``BLOCK_SIZE`` at a time, each
+    batch holding those orders in as many designs as fill ``BLOCK_SIZE``
+    reveals (one if the orders alone do), so each forward pair of each
+    reveal counts once.
     """
     n = tables.shape[1] - 1
     hist = np.zeros(n + 1, np.int64)
     orders = itertools.permutations(range(1, n + 1))
-    while chunk := list(itertools.islice(orders, CHUNK)):
+    while chunk := list(itertools.islice(orders, BLOCK_SIZE)):
         vo = np.array(chunk, np.int64)
-        for d in range(len(tables)):
-            for _, _, _, n_avail in reveal_steps(variant, tables, d, vo):
+        per = max(1, BLOCK_SIZE // len(vo))   # designs in one batch
+        for k in range(0, len(tables), per):
+            d = np.arange(k, min(k + per, len(tables)))
+            for _, _, _, n_avail in reveal_steps(variant, tables, np.repeat(d, len(vo)),
+                                                 np.tile(vo, (len(d), 1))):
                 hist += np.bincount(n_avail.ravel(), minlength=n + 1)
     return hist
 
@@ -222,9 +270,10 @@ def entropy_upper_estimate(variant: str, n: int, samples: int,
     refused above EXACT_CAP reveals (1f n=6 and sts n=7 run, sts n=9 not).
     Designs are drawn uniformly from the complete pool; pass ``pool``
     to reuse one already enumerated.  The kernels read the designs'
-    tables from the pool's ``cells``, as int64, or from the items of a
-    pool that keeps none.  Monte Carlo starts ``jobs`` workers only from
-    ``SERIAL_READS`` pair reads up.
+    tables from the pool's int8 ``cells``, which each Monte-Carlo block
+    carries to its worker, or from the items of a pool that keeps none.
+    Monte Carlo starts ``jobs`` workers only from ``SERIAL_READS`` pair
+    reads up.
     """
     if variant not in ("1f", "sts"):
         raise DesignError(f"unknown variant {variant!r}")
@@ -235,8 +284,8 @@ def entropy_upper_estimate(variant: str, n: int, samples: int,
         raise DesignError(f"pool holds {pool.kind} n={pool.n}, wanted {kind} n={n}")
     if len(pool) == 0:
         raise EmptyPoolError(f"no designs to sample at n={n}")
-    tables = (pool.cells if pool.cells is not None
-              else np.array([x.table for x in pool.items])).astype(np.int64)
+    tables = pool.cells if pool.cells is not None else np.array(
+        [x.table for x in pool.items], np.int8)
 
     if samples == 0:
         reveals = len(pool) * math.factorial(n)

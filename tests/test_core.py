@@ -275,10 +275,12 @@ def _perturb(rnd, rows, n):
         rows[:] = [list(col) for col in zip(*rows)]
 
 
-@pytest.mark.parametrize("base, width", [(6, 5), (2, 16), (257, 2), (16, 15), (17, 16), (200, 9)])
+@pytest.mark.parametrize("base, width", [(6, 5), (2, 16), (257, 2), (16, 15), (17, 16), (200, 9),
+                                         (200, 20)])
 def test_lex_ranks_against_sorted_tuples(base, width):
-    # uint16 codes up to base**width = 2**16, then int64, then Python ints
-    # past 2**63, where an int64 code would wrap and misorder the rows
+    # uint16 codes up to base**width = 2**16, then int64, then past 2**63,
+    # where one int64 code would wrap and misorder the rows, two int64 words
+    # (17**16, 200**9) or three (200**20)
     rnd = random.Random(base)
     rows = [tuple(rnd.choice((0, 1, base - 1)) if rnd.random() < 0.5 else rnd.randrange(base)
                   for _ in range(width)) for _ in range(300)]

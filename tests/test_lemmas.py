@@ -71,6 +71,19 @@ class TestPositionLawMC:
         verdicts = verify_position_law("sts", 5, "mc", samples=20_000, seed=5, law="q")
         assert all(v.passed for v in verdicts)
 
+    def test_orders_are_the_same_rows_in_any_batch(self, monkeypatch):
+        # a row-wise shuffle draws one permutation per row, so the batch size
+        # moves neither the orders nor the verdicts drawn from them
+        rows = lambda: np.vstack(list(lemmas._orders(7, "mc", 9000, 5)))
+        want, verdicts = rows(), verify_suite("exp-m", "1f", 6, "mc", samples=3000, seed=5)
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(5)))
+        assert want.tolist() == [rng.permutation(7).tolist() for _ in range(9000)]
+        for size in (1, 7, 512, 4096, 10_000):
+            monkeypatch.setattr(lemmas, "BLOCK_SIZE", size)
+            assert [len(b) for b in lemmas._orders(7, "mc", 9000, 5)][0] == min(size, 9000)
+            assert (rows() == want).all(), size
+            assert verify_suite("exp-m", "1f", 6, "mc", samples=3000, seed=5) == verdicts, size
+
 
 class TestMExpectation1f:
     def test_measured_form_and_printed_discrepancy(self):

@@ -29,11 +29,15 @@ from designcount.entropylab import rates
 
 from oracles import oracle_entropy_over_orders
 
-# the round-robin 1-factorization of K_18: color c + 1 joins c to infinity (18)
-# and c - t to c + t (mod 17), with residue r as vertex r + 1
-K18 = validate_edge_coloring(18, {
-    tuple(sorted(((c - t) % 17 + 1, (c + t) % 17 + 1))) if t else (c + 1, 18): c + 1
-    for c in range(17) for t in range(9)})
+def _round_robin(n):
+    """The round-robin 1-factorization of K_n, n even: color c + 1 joins c to
+    infinity (n) and c - t to c + t (mod n - 1), with residue r as vertex r + 1."""
+    return validate_edge_coloring(n, {
+        tuple(sorted(((c - t) % (n - 1) + 1, (c + t) % (n - 1) + 1))) if t else (c + 1, n): c + 1
+        for c in range(n - 1) for t in range(n // 2)})
+
+
+K18 = _round_robin(18)
 
 
 def _steps(*args):
@@ -97,6 +101,101 @@ class TestBatchedKernel:
         views = big[::2], np.repeat(d, 2)[::2], np.asfortranarray(vo)
         assert not any(x.flags.c_contiguous for x in views)
         assert _steps(variant, *views) == _steps(variant, tables, d, vo)
+
+
+def _split_steps(variant, tables, d, vo, pieces):
+    """``reveal_steps`` and ``_reveal_sums`` run on the batch cut at ``pieces``,
+    each step's arrays joined back along the batch axis."""
+    cuts = np.split(np.arange(len(vo)), pieces)
+    runs = [list(rates.reveal_steps(variant, tables, d[c], vo[c])) for c in cuts]
+    steps = [tuple(np.concatenate(x, axis=-1) for x in zip(*step)) for step in zip(*runs)]
+    sums = np.concatenate([rates._reveal_sums(variant, tables, d[c], vo[c]) for c in cuts])
+    return [tuple((x.dtype.str, x.tolist()) for x in step) for step in steps], sums.tolist()
+
+
+def _random_tables(variant, n, designs, seed):
+    """Symmetric tables with a zero diagonal and values 1..n-1 (1f) or 1..n
+    (sts) off it, which set every bit of the kernel's ``full``: no design,
+    but the same bit operations."""
+    rng = np.random.default_rng(seed)
+    tables = rng.integers(1, n if variant == "1f" else n + 1, size=(designs, n + 1, n + 1))
+    tables = np.triu(tables, 1)
+    tables[:, 0] = 0
+    return tables + tables.transpose(0, 2, 1)
+
+
+class TestBatchesAndMasks:
+    @pytest.mark.parametrize("variant,kind,n", [
+        ("sts", "sts", 7), ("sts", "sts", 9), ("sts", "sts", 15), ("1f", "1f-labeled", 6),
+        ("1f", None, 16), ("1f", None, 18)])
+    def test_batch_width_and_dtype_leave_the_kernel_unchanged(self, variant, kind, n,
+                                                              monkeypatch):
+        # one batch, the same batch cut into uneven pieces, and every mask
+        # dtype wide enough: the same M and N at every step and the same
+        # per-reveal sums, bit for bit; sts 15 (the search's first design)
+        # and the round-robin 1f 16 are the smallest n on int32
+        if kind is None:
+            designs = [_round_robin(n)]
+        elif n > POOL_GATES[kind]:
+            monkeypatch.setitem(POOL_GATES, kind, n)
+            designs = [first_design(kind, n)]
+        else:
+            designs = enumerate_pool(kind, n).items
+        tables = np.array([x.table for x in designs], np.int8)
+        d, vo = _draws(tables, n, 600, n + 2)
+        natural = rates._mask_dtype(variant, n)
+        assert natural == (np.int16 if n < 15 else np.int32)
+        want = _split_steps(variant, tables, d, vo, [])
+        assert want[0] == _steps(variant, tables, d, vo)
+        for dtype in (np.int16, np.int32, np.int64):
+            if np.dtype(dtype).itemsize < np.dtype(natural).itemsize:
+                continue
+            monkeypatch.setattr(rates, "_mask_dtype", lambda variant, n: dtype)
+            for pieces in ([], [1], [7, 300, 301], list(range(50, 600, 50))):
+                assert _split_steps(variant, tables, d, vo, pieces) == want, (dtype, pieces)
+
+    @pytest.mark.parametrize("variant,n,dtype", [
+        ("1f", 15, np.int16), ("1f", 16, np.int32), ("1f", 31, np.int32), ("1f", 32, np.int64),
+        ("sts", 14, np.int16), ("sts", 15, np.int32), ("sts", 30, np.int32),
+        ("sts", 31, np.int64)])
+    def test_each_dtype_boundary_against_the_int64_path(self, variant, n, dtype, monkeypatch):
+        # the largest n on each narrow dtype and the smallest past it: the
+        # highest bit of full sits just below the sign bit, or just above
+        # the narrower dtype's
+        assert rates._mask_dtype(variant, n) == dtype
+        tables = _random_tables(variant, n, 3, n)
+        d, vo = _draws(tables, n, 40, n)
+        got = _split_steps(variant, tables, d, vo, [13])
+        monkeypatch.setattr(rates, "_mask_dtype", lambda variant, n: np.int64)
+        assert got == _split_steps(variant, tables, d, vo, [])
+
+    def test_masks_hold_at_most_62_points(self):
+        assert rates._mask_dtype("1f", 63) == rates._mask_dtype("sts", 62) == np.int64
+        for variant, n in (("1f", 64), ("sts", 63)):
+            with pytest.raises(DesignError, match=f"^reveal masks hold at most 62 points, got n={n}$"):
+                rates._mask_dtype(variant, n)
+
+    @pytest.mark.parametrize("variant,kind,n", [("sts", "sts", 9), ("1f", "1f-labeled", 6)])
+    def test_pass_size_leaves_a_block_unchanged(self, variant, kind, n, monkeypatch):
+        # a block's (count, mean, m2) is reduced a CHUNK at a time, whatever
+        # kernel passes it runs in: one, or a CHUNK or two at a time
+        cells = enumerate_pool(kind, n).cells
+        args = (variant, cells, n, 5, 2, 3000)
+        want = rates._mc_block(args)
+        for slots in (1, 1024 * n, 1 << 20):
+            monkeypatch.setattr(rates, "PASS_SLOTS", slots)
+            assert rates._mc_block(args) == want, slots
+
+    @pytest.mark.parametrize("variant,kind,n,designs", [
+        ("1f", "1f-labeled", 6, 10), ("sts", "sts", 7, 3)])
+    def test_order_histogram_batches(self, variant, kind, n, designs, monkeypatch):
+        # the histogram is the same for batches of fewer reveals than the
+        # n! orders, of a few designs each, and of one
+        tables = enumerate_pool(kind, n).cells[:designs]
+        want = rates._order_histogram(variant, tables)
+        for size in (100, 1000, 5040):
+            monkeypatch.setattr(rates, "BLOCK_SIZE", size)
+            assert (rates._order_histogram(variant, tables) == want).all(), size
 
 
 class TestRevealLaw:
@@ -243,7 +342,7 @@ class TestMonteCarloEstimates:
 
     @pytest.mark.parametrize("variant, kind, n", [("sts", "sts", 7), ("1f", "1f-labeled", 4)])
     def test_a_pool_without_cells_reads_its_items(self, variant, kind, n):
-        # the estimator reads the cells as int64, or the items' tables when
+        # the estimator reads the int8 cells, or the items' tables when
         # there are none (a pool loaded line by line or made by hand)
         pool = enumerate_pool(kind, n)
         assert (pool.cells.astype(np.int64) == np.array([x.table for x in pool.items])).all()
