@@ -19,9 +19,8 @@ design in each vertex order, ``BLOCK_SIZE`` reveals a pass
 (`_order_histogram`); the lemma checks read pairs through
 `pair_values`.  Monte Carlo draws designs and vertex orders in blocks
 of ``BLOCK_SIZE``, each with its own substream spawned from (seed,
-block-index), runs each block through the kernel in one pass (in
-passes of ``PASS_SLOTS // n`` reveals above n = 10), and merges the
-blocks in index order: the result is byte-identical for any
+block-index), runs each block through the kernel in one pass, and
+merges the blocks in index order: the result is byte-identical for any
 worker count, any schedule, and below `SERIAL_READS` pair reads the
 blocks stay in this process.
 
@@ -45,7 +44,6 @@ from .reveal import TooLargeError
 BLOCK_SIZE = 4096       # reveals of a Monte-Carlo block, an exact pass, a lemma draw batch
 CHUNK = 512             # grain of a block's draws and of its (count, mean, m2): STREAM 4
 STREAM = 4              # version of the estimator's output, part of cache keys
-PASS_SLOTS = 40_960     # reveals x n of one kernel pass: its (star cell, reveal) arrays stay in cache
 EXACT_CAP = 5_000_000   # reveals of exact mode: pool x n! vertex orders
 SERIAL_READS = 1 << 20  # pair reads, samples x n(n-1)/2, from which a worker pool pays
 
@@ -121,19 +119,18 @@ def reveal_steps(variant: str, tables, d, vo):
 
     The value tables are shifted once per call into bit masks, ``1 <<
     value``, of the narrowest dtype whose sign bit lies outside ``full``
-    (`_mask_dtype`: int16 up to 1f 15 and sts 14); so are the vertices of
-    each order, ``bit[p, b] = 1 << vo[b, p]``.  Each gather is one
-    ``take`` of flat indices: entry [b, v] of the C-order (batch, n+1)
-    ``row`` is flat entry b*(n+1) + v, and ``reshape`` copies any other
-    layout.  For sts, ``upto[k]`` holds the first k vertices of each order
-    as bits: u = star[s] follows ``upto[p+1+s]``, M counts out
-    ``upto[p+1]`` and u, N ``upto[p+2+s]``, and (i, u) is informative when
-    its third point is not in ``upto[p+1+s]``.
+    (`_mask_dtype`: int16 up to 1f 15 and sts 14); for sts so are the
+    vertices of each order, ``bit[p, b] = 1 << vo[b, p]``.  Each gather
+    is one ``take`` of flat indices: entry [b, v] of the C-order (batch,
+    n+1) ``row`` is flat entry b*(n+1) + v, and ``reshape`` copies any
+    other layout.  For sts, ``upto[k]`` holds the first k vertices of
+    each order as bits: u = star[s] follows ``upto[p+1+s]``, M counts out
+    ``upto[p+1]`` and u, N ``upto[p+2+s]``, and (i, u) is informative
+    when its third point is not in ``upto[p+1+s]``.
     """
     batch, n = vo.shape
     dtype = _mask_dtype(variant, n)
     vt = np.ascontiguousarray(vo.T)                       # vt[p, b] = vo[b, p]
-    bit = np.left_shift(1, vt, dtype=dtype)
     full = (1 << (n if variant == "1f" else n + 1)) - 2   # colors 1..n-1 or points 1..n
     # row k*(n+1) + v: the bits of design k's values at vertex v
     masks = np.left_shift(1, tables, dtype=dtype).reshape(-1, n + 1)
@@ -145,7 +142,9 @@ def reveal_steps(variant: str, tables, d, vo):
     # ~closed holds the open bits alone and is never negative
     seen = np.full((batch, n + 1), ~full, dtype)
     flat_seen = seen.ravel()
-    upto = _exclusive_or_scan(bit) if variant == "sts" else None
+    if variant == "sts":
+        bit = np.left_shift(1, vt, dtype=dtype)
+        upto = _exclusive_or_scan(bit)
     for p in range(n - 1):
         i, star = vt[p], vt[p + 1:]
         row = masks.take(first + i, axis=0)   # bit of the value of {i, v}, every v
@@ -205,9 +204,8 @@ def _mc_block(args):
     """Count, mean and sum of squared deviations of one block's reveal sums.
 
     The designs and vertex orders are drawn a ``CHUNK`` at a time, run
-    through the kernel in passes of about ``PASS_SLOTS`` vertex slots (the
-    whole block up to n = 10, a ``CHUNK`` from n = 41), and reduced a
-    ``CHUNK`` at a time, merged in order.
+    through the kernel in one pass, and reduced a ``CHUNK`` at a time,
+    merged in order.
     """
     variant, tables, n, seed, block, count = args
     rng = np.random.Generator(np.random.PCG64(
@@ -217,9 +215,7 @@ def _mc_block(args):
     for start in range(0, count, CHUNK):
         d[start:start + CHUNK] = rng.integers(len(tables), size=min(CHUNK, count - start))
         rng.permuted(vo[start:start + CHUNK], axis=1, out=vo[start:start + CHUNK])
-    step = max(CHUNK, PASS_SLOTS // n // CHUNK * CHUNK)
-    x = np.concatenate([_reveal_sums(variant, tables, d[k:k + step], vo[k:k + step])
-                        for k in range(0, count, step)])
+    x = _reveal_sums(variant, tables, d, vo)
     chunks = []
     for start in range(0, count, CHUNK):
         part = x[start:start + CHUNK]

@@ -175,17 +175,6 @@ class TestBatchesAndMasks:
             with pytest.raises(DesignError, match=f"^reveal masks hold at most 62 points, got n={n}$"):
                 rates._mask_dtype(variant, n)
 
-    @pytest.mark.parametrize("variant,kind,n", [("sts", "sts", 9), ("1f", "1f-labeled", 6)])
-    def test_pass_size_leaves_a_block_unchanged(self, variant, kind, n, monkeypatch):
-        # a block's (count, mean, m2) is reduced a CHUNK at a time, whatever
-        # kernel passes it runs in: one, or a CHUNK or two at a time
-        cells = enumerate_pool(kind, n).cells
-        args = (variant, cells, n, 5, 2, 3000)
-        want = rates._mc_block(args)
-        for slots in (1, 1024 * n, 1 << 20):
-            monkeypatch.setattr(rates, "PASS_SLOTS", slots)
-            assert rates._mc_block(args) == want, slots
-
     @pytest.mark.parametrize("variant,kind,n,designs", [
         ("1f", "1f-labeled", 6, 10), ("sts", "sts", 7, 3)])
     def test_order_histogram_batches(self, variant, kind, n, designs, monkeypatch):
@@ -405,6 +394,17 @@ class TestReproducibility:
         for jobs in (1, 2):
             est = entropy_upper_estimate(variant, n, 24576, seed=seed, jobs=jobs)
             assert repr((est.estimate, est.se)) == pinned
+
+    @pytest.mark.parametrize("samples,seed,pinned", [
+        (513, 1, "(7.88863099613242, 0.03268500219570237)"),
+        (513, 4, "(7.814926514799159, 0.03323993953834374)"),
+        (4097, 2, "(7.872628271982259, 0.01136182494497591)"),
+        (4097, 3, "(7.890166938560651, 0.011419064465745768)")])
+    def test_pinned_with_a_lone_reveal(self, samples, seed, pinned):
+        # the last CHUNK of the last block holds one reveal, whose eight-term
+        # first step used to be summed on its own
+        est = entropy_upper_estimate("sts", 9, samples, seed=seed)
+        assert repr((est.estimate, est.se)) == pinned
 
     def test_seed_changes_result(self):
         a = entropy_upper_estimate("sts", 9, samples=3_000, seed=1)
