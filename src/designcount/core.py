@@ -480,7 +480,13 @@ def bulk_designs(kind: str, n: int, entries) -> tuple[tuple, np.ndarray | None]:
     with the cyclic GC paused, squares ``BULK_CHUNK`` at a time without
     running their checks again; equal rows are one shared tuple, and equal
     triples one shared frozenset.  The objects hold no cycles, and the GC
-    would otherwise scan the growing pool again and again.
+    would otherwise scan the growing pool again and again.  Once they are
+    built, ``gc.freeze()`` and ``gc.unfreeze()``, two list splices, move
+    them to the oldest generation, so no young collection scans them.  As
+    a side effect every other young object of the process is promoted
+    too.  When the caller has frozen objects (``gc.get_freeze_count()``
+    is not 0) nothing is promoted, so they stay frozen.  The GC's enabled
+    flag is left as it was found.
     """
     import numpy as np
     _check_n(kind, n)
@@ -556,6 +562,9 @@ def bulk_designs(kind: str, n: int, entries) -> tuple[tuple, np.ndarray | None]:
             else:
                 items += map(EdgeColoring, repeat(n), rows)
     finally:
+        if not gc.get_freeze_count():   # a caller's frozen objects stay frozen
+            gc.freeze()
+            gc.unfreeze()
         if enabled:
             gc.enable()
     return tuple(items), cells

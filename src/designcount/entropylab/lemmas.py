@@ -53,7 +53,7 @@ import numpy as np
 
 from ..core import DesignError, EdgeColoring, TripleSystem
 from ..enumeration import first_design
-from .rates import BLOCK_SIZE, pair_values
+from .rates import BLOCK_SIZE, all_orders, pair_values
 from .reveal import EmptyConditionError, TooLargeError, sample_reveal_order
 
 MAX_EXACT_N = 7        # items whose orders the exact position laws enumerate
@@ -118,14 +118,14 @@ def verdicts_to_json(verdicts) -> str:
 def _orders(m: int, mode: str, samples: int, seed: int):
     """Batches of permutations of 0..m-1, one order per row.
 
-    Exact mode yields all m! orders in one batch (callers gate m); mc
-    mode yields ``samples`` uniform orders drawn from ``seed``,
-    ``BLOCK_SIZE`` rows at a time, which are the orders and the stream
-    state that one ``rng.permutation(m)`` per sample gives, in batches of
-    any size.
+    Exact mode yields all m! orders in one batch, in lexicographic order
+    (`rates.all_orders`, int8; callers gate m); mc mode yields
+    ``samples`` uniform orders drawn from ``seed``, ``BLOCK_SIZE`` rows at
+    a time, which are the orders and the stream state that one
+    ``rng.permutation(m)`` per sample gives, in batches of any size.
     """
     if mode == "exact":
-        yield np.array(list(itertools.permutations(range(m))), dtype=np.int64)
+        yield all_orders(m)
         return
     if samples < 2:
         raise DesignError(f"mc mode needs at least 2 samples, got {samples}")
@@ -297,6 +297,8 @@ def _position_verdicts(lemma, variant, n, key, size, all_tuples, mode, samples, 
 
     The tuple is (0, 1, ...); with ``all_tuples`` exact mode pools every
     ordered tuple, and each tuple's histogram must equal the first one.
+    Each batch of orders gathers the positions of every anchor tuple at
+    once, and one comparison and one bincount, offset by tuple, count them.
     """
     if n < size:
         raise EmptyConditionError(f"size {n} leaves no position {key} to check")
@@ -304,14 +306,16 @@ def _position_verdicts(lemma, variant, n, key, size, all_tuples, mode, samples, 
     anchors, note = [tuple(range(size))], ""
     if exact and all_tuples:
         anchors, note = list(itertools.permutations(range(n), size)), "all anchor tuples checked"
-    hist = np.zeros((len(anchors), n), dtype=np.int64)
+    hist = np.zeros(len(anchors) * n, dtype=np.int64)
+    offset = np.arange(0, len(hist), n, dtype=np.int32)   # row t of hist
     orders = 0
     for perms in _orders(n, mode, samples, seed):
-        pos = np.argsort(perms, axis=1)   # pos[r, a]: position of item a
+        # at[r, t, c]: position of item c of anchor t in order r (uint8 below n = 256)
+        at = np.argsort(perms, axis=1).astype(np.min_scalar_type(n))[:, anchors]
         orders += len(perms)
-        for t, (a, *others) in enumerate(anchors):
-            first = np.all(pos[:, [a]] < pos[:, others], axis=1)
-            hist[t] += np.bincount(pos[first, a], minlength=n)
+        first = (at[:, :, :1] < at[:, :, 1:]).all(axis=2)
+        hist += np.bincount((offset + at[:, :, 0])[first], minlength=len(hist))
+    hist = hist.reshape(len(anchors), n)
     total = int(hist.sum())
     if total == 0:
         raise EmptyConditionError(f"no sampled order puts item 0 first among {size}")

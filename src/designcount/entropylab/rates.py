@@ -15,8 +15,8 @@ is informative by a bit test.  Its arrays are (star cell, reveal), its
 values bit masks shifted once per call, in int16 up to 1f 15 and sts 14
 (`_mask_dtype`), and a reveal's values do not depend on its batch.
 Exact mode runs it over every reveal that Monte Carlo draws, each
-design in each vertex order, ``BLOCK_SIZE`` reveals a pass
-(`_order_histogram`); the lemma checks read pairs through
+design in each vertex order (`all_orders`, built in numpy), ``BLOCK_SIZE``
+reveals a pass (`_order_histogram`); the lemma checks read pairs through
 `pair_values`.  Monte Carlo draws designs and vertex orders in blocks
 of ``BLOCK_SIZE``, each with its own substream spawned from (seed,
 block-index), runs each block through the kernel in one pass, and
@@ -45,7 +45,7 @@ BLOCK_SIZE = 4096       # reveals of a Monte-Carlo block, an exact pass, a lemma
 CHUNK = 512             # grain of a block's draws and of its (count, mean, m2): STREAM 4
 STREAM = 4              # version of the estimator's output, part of cache keys
 EXACT_CAP = 5_000_000   # reveals of exact mode: pool x n! vertex orders
-SERIAL_READS = 1 << 20  # pair reads, samples x n(n-1)/2, from which a worker pool pays
+SERIAL_READS = 1 << 22  # pair reads, samples x n(n-1)/2, from which a worker pool pays
 
 
 @dataclass(frozen=True)
@@ -233,20 +233,39 @@ def _merge(a, b):
     return n, ma + delta * (nb / n), m2a + m2b + delta * delta * (na * nb / n)
 
 
+def all_orders(k: int) -> np.ndarray:
+    """Every permutation of 0..k-1 as the rows of a (k!, k) int8 array, in
+    lexicographic order, that of ``itertools.permutations(range(k))``.
+
+    The orders of 0..s-1 are, for each first item f in turn, f followed by
+    the orders of 0..s-2 with each item >= f raised by one: that map keeps
+    their order, so s = 1..k builds each array from the last, every f at
+    once.
+    """
+    out = np.zeros((1, 0), np.int8)
+    for s in range(1, k + 1):
+        rest, out = out, np.empty((s, len(out), s), np.int8)
+        first = np.arange(s, dtype=np.int8)[:, None]
+        out[:, :, 0] = first
+        out[:, :, 1:] = rest + (rest >= first[:, :, None])
+        out = out.reshape(-1, s)
+    return out
+
+
 def _order_histogram(variant: str, tables):
     """Count each N over every design and every vertex order.
 
     These are the reveals Monte Carlo draws, every star in vertex order:
-    `reveal_steps` runs over the n! orders ``BLOCK_SIZE`` at a time, each
-    batch holding those orders in as many designs as fill ``BLOCK_SIZE``
-    reveals (one if the orders alone do), so each forward pair of each
-    reveal counts once.
+    `reveal_steps` runs over the n! orders of `all_orders` ``BLOCK_SIZE``
+    at a time, each batch holding those orders in as many designs as fill
+    ``BLOCK_SIZE`` reveals (one if the orders alone do), so each forward
+    pair of each reveal counts once.
     """
     n = tables.shape[1] - 1
     hist = np.zeros(n + 1, np.int64)
-    orders = itertools.permutations(range(1, n + 1))
-    while chunk := list(itertools.islice(orders, BLOCK_SIZE)):
-        vo = np.array(chunk, np.int64)
+    orders = all_orders(n) + 1
+    for start in range(0, len(orders), BLOCK_SIZE):
+        vo = orders[start:start + BLOCK_SIZE]
         per = max(1, BLOCK_SIZE // len(vo))   # designs in one batch
         for k in range(0, len(tables), per):
             d = np.arange(k, min(k + per, len(tables)))

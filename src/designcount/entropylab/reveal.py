@@ -12,6 +12,12 @@ star (the set B).  The complements are Mset (after A) and Nset (after A
 and B); their sizes M and N bound the number of values still open, and
 N = 1 on trivial reveals where the pair's value is already determined
 by what came before.
+
+Every set is built literally, by its definition: this module is the
+reference that the reveal kernel (`rates.reveal_steps`) is tested
+against.  A `RevealOrder` computes the positions of its vertices once
+(``positions``), and it and `RevealSets` are slotted, so a call builds
+no position dict and no instance dict.
 """
 
 from __future__ import annotations
@@ -36,26 +42,32 @@ class EmptyConditionError(DesignError):
 MAX_ENUM_VERTICES = 8   # n! vertex orders
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RevealOrder:
     """A vertex order plus per-vertex forward-star orders.
 
     star_orders[v] lists the neighbors u with v << u, in reveal order;
-    every edge of K_n appears in exactly one star.
+    every edge of K_n appears in exactly one star.  positions[v] is the
+    0-based position of v in the vertex order, computed once.
     """
 
     n: int
     vertex_order: tuple[int, ...]
     star_orders: dict[int, tuple[int, ...]]
+    positions: dict[int, int] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "positions", {v: p for p, v in enumerate(self.vertex_order)})
 
     def position(self, v: int) -> int:
         """1-based position of v in the vertex order."""
-        return self.vertex_order.index(v) + 1
+        return self.positions[v] + 1
 
 
 def make_reveal_order(n: int, vertex_order: Sequence[int],
                       star_orders: Mapping[int, Sequence[int]]) -> RevealOrder:
-    """Validate and freeze a reveal order."""
+    """Validate and freeze a reveal order; each star must order the slice
+    of the vertex order after its vertex."""
     vo = tuple(vertex_order)
     if sorted(vo) != list(range(1, n + 1)):
         raise DesignError(f"vertex order must be a permutation of 1..{n}")
@@ -64,7 +76,7 @@ def make_reveal_order(n: int, vertex_order: Sequence[int],
     seen_edges = 0
     for v in range(1, n + 1):
         star = tuple(star_orders.get(v, ()))
-        forward = {u for u in vo if pos[u] > pos[v]}
+        forward = set(vo[pos[v] + 1:])
         if set(star) != forward or len(star) != len(forward):
             raise DesignError(f"star of {v} must order exactly its forward neighbors")
         so[v] = star
@@ -96,7 +108,7 @@ def enumerate_vertex_orders(n: int) -> Iterator[tuple[int, ...]]:
     return itertools.permutations(range(1, n + 1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RevealSets:
     """The ruled-out and available sets of one ordered pair.
 
@@ -131,10 +143,6 @@ class RevealSets:
             raise DesignError("N must be >= 1 on non-trivial reveals")
 
 
-def _positions(order: RevealOrder) -> dict[int, int]:
-    return {v: p for p, v in enumerate(order.vertex_order)}
-
-
 def reveal_sets_1f(X: EdgeColoring, order: RevealOrder, i: int, j: int) -> RevealSets:
     """Availability sets for the color of edge {i,j} under a reveal order.
 
@@ -146,7 +154,7 @@ def reveal_sets_1f(X: EdgeColoring, order: RevealOrder, i: int, j: int) -> Revea
     if i == j:
         raise SameVertexError("ordered pair needs distinct vertices")
     n = X.n
-    pos = _positions(order)
+    pos = order.positions
     p = pos[i] + 1
     value = X.table[i][j]
     if pos[j] < pos[i]:
@@ -179,7 +187,7 @@ def reveal_sets_sts(X: TripleSystem, order: RevealOrder, i: int, j: int) -> Reve
     if i == j:
         raise SameVertexError("ordered pair needs distinct vertices")
     n = X.n
-    pos = _positions(order)
+    pos = order.positions
     p = pos[i] + 1
     k = X.table[i][j]
     star = order.star_orders[i]

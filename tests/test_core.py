@@ -659,6 +659,60 @@ class TestTablesInBulk:
         assert core.bulk_designs("sts", 7, fano[:0])[0] == ()
 
 
+# one design of each kind as the rows of an (N, E) array
+_ONE_OF_EACH = [("latin", 3, np.array([[1, 2, 3, 2, 3, 1, 3, 1, 2]])),
+                ("sts", 7, np.array([FANO]).reshape(1, -1)),
+                ("1f", 4, np.array([[1, 2, 3, 3, 2, 1]]))]
+
+
+@contextlib.contextmanager
+def _gc_state(enabled, frozen):
+    """The GC switched on or off, with or without frozen objects; restored after."""
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    if frozen:
+        gc.freeze()
+    try:
+        yield
+    finally:
+        if frozen:
+            gc.unfreeze()
+        (gc.enable if was else gc.disable)()
+
+
+class TestBulkBuildAndTheGC:
+    """``bulk_designs`` moves what it built to the oldest generation and
+    leaves the GC's enabled flag and freeze count as it found them."""
+
+    @pytest.mark.parametrize("kind, n, entries", _ONE_OF_EACH)
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("frozen", [False, True])
+    def test_leaves_the_gc_as_it_found_it(self, kind, n, entries, enabled, frozen):
+        with _gc_state(enabled, frozen):
+            before = gc.isenabled(), gc.get_freeze_count()
+            assert len(core.bulk_designs(kind, n, entries)[0]) == 1
+            assert (gc.isenabled(), gc.get_freeze_count()) == before
+            with pytest.raises(BulkError):
+                core.bulk_designs(kind, n, np.concatenate([entries, entries]))
+            assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+    @pytest.mark.parametrize("kind, n, entries", _ONE_OF_EACH)
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_built_designs_are_in_the_oldest_generation(self, kind, n, entries, enabled):
+        with _gc_state(enabled, frozen=False):
+            items = core.bulk_designs(kind, n, entries)[0]
+            assert {id(x) for x in items} <= {id(x) for x in gc.get_objects(2)}
+
+    @pytest.mark.parametrize("kind, n, entries", _ONE_OF_EACH)
+    def test_a_callers_frozen_objects_stop_the_promotion(self, kind, n, entries):
+        # with the GC off no collection moves the designs on its own
+        with _gc_state(enabled=False, frozen=True):
+            frozen = gc.get_freeze_count()
+            items = core.bulk_designs(kind, n, entries)[0]
+            assert gc.get_freeze_count() == frozen
+            assert not {id(x) for x in items} & {id(x) for x in gc.get_objects(2)}
+
+
 class TestFeasibility:
     def test_sts_constructive(self):
         assert sts_feasible(1) and sts_feasible(3) and sts_feasible(7) and sts_feasible(9)

@@ -187,6 +187,14 @@ class TestBatchesAndMasks:
             assert (rates._order_histogram(variant, tables) == want).all(), size
 
 
+class TestAllOrders:
+    def test_every_order_as_itertools_gives_it(self):
+        for k in range(1, 9):
+            got = rates.all_orders(k)
+            assert got.dtype == np.int8
+            assert got.tolist() == [list(p) for p in itertools.permutations(range(k))], k
+
+
 class TestRevealLaw:
     @pytest.mark.parametrize("variant,kind,n", [("sts", "sts", 9), ("1f", "1f-labeled", 6)])
     def test_a_pair_reads_only_its_own_star(self, variant, kind, n):
@@ -206,6 +214,17 @@ class TestRevealLaw:
                     if j != i:
                         a, b = (reveal_sets(X, o, i, j) for o in (order, other))
                         assert (a.trivial, a.M, a.N) == (b.trivial, b.M, b.N), (i, j)
+
+    def test_reveal_order_positions(self):
+        # the oracle's positions, computed once per order, are the vertex order's
+        rng = np.random.default_rng(4)
+        for n in (2, 5, 9):
+            order = sample_reveal_order(n, rng=rng)
+            again = make_reveal_order(n, order.vertex_order, order.star_orders)
+            for o in (order, again):
+                assert o.positions == {v: o.vertex_order.index(v) for v in range(1, n + 1)}
+                assert all(o.position(v) == o.positions[v] + 1 for v in range(1, n + 1))
+            assert again == order and "positions" not in repr(order)
 
     def test_monte_carlo_estimates_the_exact_mean(self):
         # the estimator's mean is the exact one, within 3 SE at the bench's
@@ -364,10 +383,11 @@ class TestReproducibility:
 
     def test_small_estimates_start_no_pool(self, recording_executor, monkeypatch):
         # the bench's size, 24,576 samples, is below the threshold at sts 9
-        # (884,736 pair reads) and 1f 6; four times that is above it at sts 9
+        # (884,736 pair reads) and 1f 6; 131,072 samples (4,718,592 pair
+        # reads) are above it at sts 9
         requested = recording_executor
         for variant, n, samples, want in (("sts", 9, 24_576, []), ("1f", 6, 24_576, []),
-                                          ("sts", 9, 98_304, [2])):
+                                          ("sts", 9, 131_072, [2])):
             del requested[:]
             entropy_upper_estimate(variant, n, samples, seed=3, jobs=2)
             assert requested == want, (variant, samples)
