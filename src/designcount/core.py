@@ -307,9 +307,10 @@ def lex_ranks(digits: np.ndarray, base: int):
     """The stable lexicographic order of the rows of an (M, k) array of
     digits 0..base-1, whether each row there differs from the one before,
     and each row's rank among the distinct rows (int32).  A row is sorted
-    by its base-``base`` code: uint16 (which numpy sorts by radix) up to
-    base**k = 2**16, else int64 words of as many digits as fit in 63 bits,
-    the first word the most significant."""
+    by its base-``base`` code, one ``np.lexsort`` over its words: one
+    uint16 word (which numpy sorts by radix) up to base**k = 2**16, else
+    int64 words of as many digits as fit in 63 bits, the first word the
+    most significant."""
     import numpy as np
     width = digits.shape[1]
     dtype, per = ((np.uint16, max(width, 1)) if base ** width <= 2 ** 16
@@ -321,7 +322,7 @@ def lex_ranks(digits: np.ndarray, base: int):
             part = digits[start:start + BULK_CHUNK, w:w + per].astype(dtype)
             word[start:start + len(part)] = reduce(lambda code, d: code * base + d, part.T, 0)
         words.append(word)
-    order = np.argsort(words[0], kind="stable") if len(words) == 1 else np.lexsort(words[::-1])
+    order = np.lexsort(words[::-1])
     first = np.zeros(len(digits), bool)
     first[:1] = True
     for word in words:

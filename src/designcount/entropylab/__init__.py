@@ -14,7 +14,6 @@ from .reveal import (
     RevealOrder,
     RevealSets,
     TooLargeError,
-    enumerate_vertex_orders,
     make_reveal_order,
     reveal_sets_1f,
     reveal_sets_sts,
@@ -38,8 +37,8 @@ from .rates import (
 
 __all__ = [
     "EmptyConditionError", "RevealOrder", "RevealSets", "TooLargeError",
-    "enumerate_vertex_orders", "make_reveal_order", "reveal_sets_1f",
-    "reveal_sets_sts", "sample_reveal_order",
+    "make_reveal_order", "reveal_sets_1f", "reveal_sets_sts",
+    "sample_reveal_order",
     "LemmaVerdict", "verdicts_to_csv", "verdicts_to_json",
     "verify_M_expectation", "verify_N_law", "verify_position_law",
     "verify_suite",

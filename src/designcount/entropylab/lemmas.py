@@ -53,7 +53,7 @@ import numpy as np
 
 from ..core import DesignError, EdgeColoring, TripleSystem
 from ..enumeration import first_design
-from .rates import BLOCK_SIZE, all_orders, pair_values
+from .rates import BLOCK_SIZE, _mask_dtype, all_orders, pair_values
 from .reveal import EmptyConditionError, TooLargeError, sample_reveal_order
 
 MAX_EXACT_N = 7        # items whose orders the exact position laws enumerate
@@ -242,7 +242,7 @@ def _mean(counts, exact: bool, cond: dict):
     return total / count, se, count
 
 
-def _passed(observed, formula: Fraction, se: float | None, counts=()) -> bool:
+def _passed(observed, formula: Fraction, se: float | None, counts=(), total: int = 0) -> bool:
     """Whether ``observed`` is the formula (exact mode) or within
     ``MC_SIGMAS`` standard errors of it (mc mode).
 
@@ -251,7 +251,8 @@ def _passed(observed, formula: Fraction, se: float | None, counts=()) -> bool:
     variance at the formula's mean mu over the values lo..hi seen, when
     mu lies between them.  A two-valued N drawn low has a small sample SE
     as well as a low mean, so at ~100 samples 5 sample SEs fail a true
-    law about once in 10^4; the reported SE stays the sample's.
+    law about once in 10^4; the reported SE stays the sample's.  A share
+    of ``total`` draws gates on lo, hi = 0, 1, seen or not.
     """
     if se is None:
         return observed == formula
@@ -259,6 +260,8 @@ def _passed(observed, formula: Fraction, se: float | None, counts=()) -> bool:
     seen = [v for v, c in enumerate(counts) if c]
     if seen and seen[0] <= mu <= seen[-1]:
         se = max(se, math.sqrt((mu - seen[0]) * (seen[-1] - mu) / sum(counts)))
+    if total:
+        se = max(se, math.sqrt(mu * (1 - mu) / total))
     return abs(observed - mu) <= MC_SIGMAS * se + 1e-12
 
 
@@ -276,16 +279,22 @@ def verify_position_law(variant: str, n: int, mode: str = "exact",
     distinguished vertices; exact mode enumerates all n! orders and
     checks every ordered pair/triple separately.  law="q" (triple
     systems): the star position of {i,j} given it precedes {i,k}, where
-    n is read as the star size m.
+    n is read as the star size m.  More points than a reveal reads
+    (`rates._mask_dtype`) raise `TooLargeError` before any order is drawn.
     """
     if law == "q":
         if variant != "sts":
             raise DesignError("the star position law applies to the sts variant")
         _gate(mode, n, MAX_EXACT_N, "m")
+        try:   # an m-edge star is a point's on m + 1 points
+            _mask_dtype(variant, n + 1)
+        except TooLargeError as e:
+            raise TooLargeError(f"star size m={n} needs {n + 1} points; {e}") from None
         return _position_verdicts("q-law", variant, n, "q", 2, False, mode, samples, seed)
     if variant not in ("1f", "sts"):
         raise DesignError(f"unknown variant {variant!r}")
     _gate(mode, n, MAX_EXACT_N, "n")
+    _mask_dtype(variant, n)
     lemma, size = ("dist-p", 2) if variant == "1f" else ("dist-p-2", 3)
     return _position_verdicts(lemma, variant, n, "p", size, True, mode, samples, seed)
 
@@ -326,7 +335,7 @@ def _position_verdicts(lemma, variant, n, key, size, all_tuples, mode, samples, 
         observed, se = _share(int(counts[p - 1]), total, exact)
         formula = Fraction(math.comb(n - p, size - 1), math.comb(n, size))
         out.append(LemmaVerdict(lemma, variant, n, {key: p}, formula, observed, se,
-                                passed=uniform and _passed(observed, formula, se),
+                                passed=uniform and _passed(observed, formula, se, total=total),
                                 samples=orders if exact else total, note=note))
     return out
 
@@ -469,8 +478,8 @@ def _n_verdicts(variant, X, vo, i, cases, mode, samples, seed):
             observed, se = _share(int(hist[v]), total, exact)
             out.append(LemmaVerdict(
                 "n-law", "1f", n, {"i": i, "j": j, "v": v, "M": M[j]},
-                Fraction(1, M[j]), observed, se,
-                passed=stray == 0 and _passed(observed, Fraction(1, M[j]), se), samples=total))
+                Fraction(1, M[j]), observed, se, samples=total,
+                passed=stray == 0 and _passed(observed, Fraction(1, M[j]), se, total=total)))
     return out
 
 

@@ -13,16 +13,16 @@ only the variance differs), gathers with flat `take`s, ORs the exposed
 values along the star and counts M and N with a popcount; an sts pair
 is informative by a bit test.  Its arrays are (star cell, reveal), its
 values bit masks shifted once per call, in int16 up to 1f 15 and sts 14
-(`_mask_dtype`), and a reveal's values do not depend on its batch.
-Exact mode runs it over every reveal that Monte Carlo draws, each
-design in each vertex order (`all_orders`, built in numpy), ``BLOCK_SIZE``
-reveals a pass (`_order_histogram`); the lemma checks read pairs through
-`pair_values`.  Monte Carlo draws designs and vertex orders in blocks
-of ``BLOCK_SIZE``, each with its own substream spawned from (seed,
-block-index), runs each block through the kernel in one pass, and
-merges the blocks in index order: the result is byte-identical for any
-worker count, any schedule, and below `SERIAL_READS` pair reads the
-blocks stay in this process.
+(`_mask_dtype`: at most 1f 63, sts 62), and a reveal's values do not
+depend on its batch.  Exact mode runs it over every reveal that Monte
+Carlo draws, each design in each vertex order (`all_orders`, the one
+order enumerator), ``BLOCK_SIZE`` reveals a pass (`_order_histogram`);
+the lemma checks read pairs through `pair_values`.  Monte Carlo draws
+designs and vertex orders in blocks of ``BLOCK_SIZE``, each with its
+own substream spawned from (seed, block-index), runs each block
+through the kernel in one pass, and merges the blocks in index order:
+the result is byte-identical for any worker count, any schedule, and
+below `SERIAL_READS` pair reads the blocks stay in this process.
 
 `finite_sum_rate` evaluates the closed finite sums that the per-pair
 expectations produce and compares them against their limit log n - 1.
@@ -31,7 +31,6 @@ expectations produce and compares them against their limit log n - 1.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -93,7 +92,7 @@ def _mask_dtype(variant: str, n: int):
     up to n = 14, int32 up to 30 and int64 up to 62."""
     top = n - 1 if variant == "1f" else n
     if top > 62:
-        raise DesignError(f"reveal masks hold at most 62 points, got n={n}")
+        raise TooLargeError(f"reveal masks hold at most 62 points, got n={n}")
     return np.int16 if top < 15 else np.int32 if top < 31 else np.int64
 
 
@@ -173,11 +172,10 @@ def pair_values(variant: str, tables, d, vo, at, to, rows=None):
     positions at[r] < to[r]; a scalar d, at or to serves them all.
     """
     rows = np.arange(len(vo)) if rows is None else rows
+    at = np.broadcast_to(at, len(rows))
     cell = (np.asarray(to) - at - 1) * len(vo) + rows   # star[s, b] is vo[b, p + 1 + s]
-    steps = reveal_steps(variant, tables, d, vo)
-    if np.ndim(at) == 0:   # every read at one step: no search, no scatter
-        return tuple(x.take(cell) for x in next(itertools.islice(steps, at, None))[2:])
     m_out, n_out = np.zeros((2, len(rows)), np.uint8)
+    steps = reveal_steps(variant, tables, d, vo)
     for p, (_, _, m_avail, n_avail) in zip(range(at.max(initial=-1) + 1), steps):
         r = np.flatnonzero(at == p)
         m_out[r], n_out[r] = m_avail.take(cell[r]), n_avail.take(cell[r])

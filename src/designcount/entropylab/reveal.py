@@ -13,18 +13,17 @@ and B); their sizes M and N bound the number of values still open, and
 N = 1 on trivial reveals where the pair's value is already determined
 by what came before.
 
-Every set is built literally, by its definition: this module is the
-reference that the reveal kernel (`rates.reveal_steps`) is tested
-against.  A `RevealOrder` computes the positions of its vertices once
-(``positions``), and it and `RevealSets` are slotted, so a call builds
-no position dict and no instance dict.
+Every set is built literally: this module is the reference that the
+reveal kernel (`rates.reveal_steps`) is tested against, and it lists no
+orders (`rates.all_orders` does).  A `RevealOrder` computes its vertices'
+positions once, and it and `RevealSets` are slotted: a call builds no
+position dict and no instance dict.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -32,14 +31,11 @@ from ..core import DesignError, EdgeColoring, SameVertexError, TripleSystem
 
 
 class TooLargeError(DesignError):
-    """Full enumeration was requested beyond the guarded size."""
+    """A computation was requested beyond its guarded size."""
 
 
 class EmptyConditionError(DesignError):
     """A conditional law was requested on an event with no support."""
-
-
-MAX_ENUM_VERTICES = 8   # n! vertex orders
 
 
 @dataclass(frozen=True, slots=True)
@@ -99,13 +95,6 @@ def sample_reveal_order(n: int, seed: int | None = None,
         forward = list(vo[p + 1:])
         star_orders[v] = tuple(forward[int(t)] for t in rng.permutation(len(forward)))
     return RevealOrder(n=n, vertex_order=vo, star_orders=star_orders)
-
-
-def enumerate_vertex_orders(n: int) -> Iterator[tuple[int, ...]]:
-    """All n! vertex orders, each exactly once (guarded at n <= 8)."""
-    if n > MAX_ENUM_VERTICES:
-        raise TooLargeError(f"{n}! vertex orders exceed the enumeration guard")
-    return itertools.permutations(range(1, n + 1))
 
 
 @dataclass(frozen=True, slots=True)

@@ -46,9 +46,9 @@ designs' cells, which ``pool_to_jsonl`` writes in bulk.
 ``pool_from_jsonl`` reads such a text back through the same builder; a
 design it names as faulty is one line, which is read again alone to
 name the fault, and a repeat is named at once.
-``first_design`` is that fixed search's first leaf, the pool's first
-item.  The pool and sampling functions import numpy when they run; the
-counts use none.
+``first_design`` builds only the first of that fixed search's leaves,
+the pool's first item.  The pool and sampling functions import numpy
+when they run; the counts use none.
 
 Both kernels stop at a depth ``cut``, where they append ``path`` (the
 caller's first entries, then the choices) to ``sink`` (if given) and
@@ -507,43 +507,31 @@ def enumerate_pool(kind: str, n: int) -> Pool:
     return Pool(kind, n, *bulk_designs(_family(kind), n, _pool_entries(kind, n)))
 
 
-class _FirstLeaf(Exception):
-    """Ends a search at its first leaf; ``args[0]`` is the leaf's path."""
-
-
-class _FirstLeafSink:
-    def append(self, path):
-        raise _FirstLeaf(path)
-
-
 def first_design(kind: str, n: int):
     """``enumerate_pool(kind, n).items[0]`` without building the pool, or
     None if the pool is empty.
 
     That item, the lexicographically least design, holds the parts the
-    pools' search fixes, so it is that search's first leaf; the kind and
-    gate checks are the pool's.
+    pools' search fixes, so it is the first of that search's leaves (at
+    most 56 at a gated n), and only it is built; the gates are the pool's.
     """
     if not _pool_feasible(kind, n):
         return None
-    return bulk_designs(_family(kind), n, _fixed_leaves(kind, n, first=True))[0][0]
+    return bulk_designs(_family(kind), n, _fixed_leaves(kind, n)[:1])[0][0]
 
 
-def _fixed_leaves(kind: str, n: int, first: bool = False) -> np.ndarray:
+def _fixed_leaves(kind: str, n: int) -> np.ndarray:
     """The ``dumps`` entries of the leaves of the pools' search, which
     fixes a ``_star`` or a Latin square's first row and column
-    (``_reduced``), one row each in order; or of the first alone.  A
-    star's entries come first, so the search's path starts with them."""
+    (``_reduced``), one row each in order.  A star's entries come first,
+    so the search's path starts with them."""
     import numpy as np
     fixed = _reduced(n) if kind == "latin" else _star(kind, n)
     values = [v for *_, v in fixed]
     path = list(fixed) if kind == "sts" else values if kind == "1f-labeled" else []
     kernel, args, state, depth, full_depth = _start(kind, n, fixed)
-    leaves = _FirstLeafSink() if first else []
-    try:
-        kernel(*args, state, depth, full_depth, _Budget(None), leaves, path)
-    except _FirstLeaf as leaf:
-        leaves = list(leaf.args)
+    leaves = []
+    kernel(*args, state, depth, full_depth, _Budget(None), leaves, path)
     leaves = np.array(leaves, np.int8).reshape(len(leaves), -1)
     if kind == "latin":   # row 1, then each other row's first cell before its others
         leaves = np.insert(leaves, [0] * n + [(n - 1) * r for r in range(n - 1)], values, axis=1)

@@ -20,6 +20,9 @@ from designcount.entropylab import make_reveal_order, reveal_sets_1f, reveal_set
 
 FANO = [(1, 2, 3), (1, 4, 5), (1, 6, 7), (2, 4, 6), (2, 5, 7), (3, 4, 7), (3, 5, 6)]
 
+# PG(3,2), an STS(15): the points are the nonzero vectors of GF(2)^4, the lines {a, b, a^b}
+PG32 = sorted({tuple(sorted((a, b, a ^ b))) for a in range(1, 16) for b in range(a + 1, 16)})
+
 K4_COLORING = {(1, 2): 1, (3, 4): 1, (1, 3): 2, (2, 4): 2, (1, 4): 3, (2, 3): 3}
 
 

@@ -285,6 +285,30 @@ class TestVerify:
         assert code == 1 and out == ""
         assert err == "error: no sampled order satisfies i=5, j=6, l=7, m=8, q=1\n"
 
+    @pytest.mark.parametrize("lemma,variant,n,samples,seed,line", [
+        ("dist-p-2", "sts", 31, 20000, 3,
+         "dist-p-2,sts,31,p=29,1,4495,0.0,,1.2248061132283348e-152,True"),
+        ("dist-p", "1f", 62, 4096, 1,
+         "dist-p,1f,62,p=51,11,1891,0.0010141987829614604,,0.0007167830799247282,True")])
+    def test_a_share_drawn_low_passes_on_its_bernoulli_se(self, capsys, lemma, variant, n,
+                                                          samples, seed, line):
+        # a cell that draws nothing, or too few, has a sample SE far below the
+        # share's; the gate is at least sqrt(f(1-f)/total), the reported SE the sample's
+        code, out, err = run(capsys, "verify", "--lemma", lemma, "--variant", variant,
+                             "--n", str(n), "--mode", "mc", "--samples", str(samples),
+                             "--seed", str(seed))
+        assert (code, err) == (0, "") and line in out.splitlines()
+
+    @pytest.mark.parametrize("lemma,variant,n,message", [
+        ("dist-p", "1f", 10**9, "reveal masks hold at most 62 points, got n=1000000000"),
+        ("q-law", "sts", 62,
+         "star size m=62 needs 63 points; reveal masks hold at most 62 points, got n=63")])
+    def test_mc_position_law_past_the_kernel_exit_1(self, capsys, lemma, variant, n, message):
+        # refused before any order is drawn: one line, not a MemoryError
+        code, out, err = run(capsys, "verify", "--lemma", lemma, "--variant", variant,
+                             "--n", str(n), "--mode", "mc")
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
     def test_mc_csv_has_plain_floats(self, capsys):
         code, out, _ = run(capsys, "verify", "--lemma", "dist-p-2", "--variant", "sts",
                            "--n", "7", "--mode", "mc", "--samples", "5000")

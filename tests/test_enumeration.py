@@ -631,7 +631,7 @@ class TestFixedStartPools:
         assert entries.dtype == np.int8 and entries.shape == want.shape
         assert (entries == want).all()
         # the least design is the fixed start's first leaf
-        first = enumeration._fixed_leaves(kind, n, first=True)
+        first = enumeration._fixed_leaves(kind, n)[:1]
         assert first.shape == (1, want.shape[1]) and (first == want[:1]).all()
         assert enumeration.first_design(kind, n) == pool.items[0]
 

@@ -4,6 +4,8 @@ import hashlib
 import itertools
 import math
 import random
+import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -26,9 +28,10 @@ from designcount.entropylab import (
 from designcount.entropylab import lemmas, rates
 from designcount.entropylab.lemmas import verdicts_to_csv, verdicts_to_json
 
-from oracles import FANO
+from oracles import FANO, PG32
 
 FANO_TS = validate_triple_system(7, FANO)
+PG32_TS = validate_triple_system(15, PG32)
 
 
 class TestPositionLawExact:
@@ -70,6 +73,23 @@ class TestPositionLawMC:
     def test_q_law_mc(self):
         verdicts = verify_position_law("sts", 5, "mc", samples=20_000, seed=5, law="q")
         assert all(v.passed for v in verdicts)
+
+    def test_past_the_kernel_is_refused_before_any_order(self):
+        # above sts 62 and 1f 63 points (a q-law star m above 61) no reveal
+        # is read; n = 10**9 returns at once and allocates nothing
+        cases = [("dist-p", "1f", 64), ("dist-p-2", "sts", 63), ("q-law", "sts", 62)]
+        cases += [(lemma, variant, 10**9) for lemma, variant, _ in cases]
+        tracemalloc.start()
+        start = time.perf_counter()
+        for lemma, variant, n in cases:
+            with pytest.raises(TooLargeError, match=f"got n={n + (lemma == 'q-law')}$"):
+                verify_suite(lemma, variant, n, "mc", samples=4096, seed=1)
+        seconds, peak = time.perf_counter() - start, tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert seconds < 1 and peak < 1 << 16
+        for lemma, variant, n, size in (("dist-p", "1f", 63, 2), ("dist-p-2", "sts", 62, 3),
+                                        ("q-law", "sts", 61, 2)):
+            assert len(verify_suite(lemma, variant, n, "mc", samples=100, seed=1)) == n - size + 1
 
     def test_orders_are_the_same_rows_in_any_batch(self, monkeypatch):
         # a row-wise shuffle draws one permutation per row, so the batch size
@@ -228,11 +248,6 @@ def test_exact_m_position_outside_the_order():
                 verify_M_expectation(variant, design, 1, 2, p, "exact")
 
 
-# PG(3,2): the points are the nonzero vectors of GF(2)^4, the lines {a, b, a^b}
-PG32 = validate_triple_system(15, {tuple(sorted((a, b, a ^ b)))
-                                   for a in range(1, 16) for b in range(a + 1, 16)})
-
-
 # the round-robin 1-factorization of K_16: color c + 1 joins c to infinity (16)
 # and c - t to c + t (mod 15), with residue r as vertex r + 1
 K16 = validate_edge_coloring(16, {
@@ -245,7 +260,7 @@ def test_exact_n_law_bounds_its_sets():
     # j at q and k after it, C(12, q-1) <= 924 of them
     first = tuple(range(1, 16))
     for q in (1, 7, 13):
-        v = verify_N_law("sts", PG32, first, 1, 2, q=q)[0]
+        v = verify_N_law("sts", PG32_TS, first, 1, 2, q=q)[0]
         assert v.conditioning["m"] == 14 and v.passed
         assert v.samples == (14 - q) * math.factorial(12)
     # the 1f law reads every set before j: 2^14 with i first in K_16, above the bound
@@ -253,9 +268,9 @@ def test_exact_n_law_bounds_its_sets():
         verify_N_law("1f", K16, tuple(range(1, 17)), 1, 2)
     # i third leaves a 12-element star
     third = (14, 15, 1, 2) + tuple(range(3, 14))
-    assert PG32.table[1][2] == 3
+    assert PG32_TS.table[1][2] == 3
     for q in (1, 5, 10):
-        v = verify_N_law("sts", PG32, third, 1, 2, q=q)[0]
+        v = verify_N_law("sts", PG32_TS, third, 1, 2, q=q)[0]
         assert v.conditioning["m"] == 12 and v.passed
         assert v.samples == (12 - q) * math.factorial(10)   # j at q, k after it
 
@@ -394,6 +409,16 @@ class TestMonteCarloGate:
         cell, = [v for v in verdicts if cond.items() <= v.conditioning.items()]
         assert (cell.observed, cell.se) == (observed, se)
         assert all(v.passed for v in verdicts)
+
+    def test_a_share_gates_on_its_bernoulli_se(self):
+        # a share of 1000 draws seen 0 times, or 2 in 1000 against 1/100:
+        # the sample SE alone (1e-150, 0.0014) fails a true law; at least
+        # sqrt(f(1-f)/total) = 0.0031 passes it and still catches 5/100
+        f = Fraction(1, 100)
+        for observed, se in ((0.0, 1e-150), (0.002, math.sqrt(0.002 * 0.998 / 1000))):
+            assert not lemmas._passed(observed, f, se)
+            assert lemmas._passed(observed, f, se, total=1000)
+        assert not lemmas._passed(0.05, f, math.sqrt(0.05 * 0.95 / 1000), total=1000)
 
     def test_false_failures_and_power_on_a_two_valued_mean(self):
         # E[N] = 7/5 with N = 3 one time in 5, as in the cells above

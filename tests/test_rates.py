@@ -6,15 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from designcount.core import DesignError, validate_edge_coloring
+from designcount.core import DesignError, validate_edge_coloring, validate_triple_system
 from designcount.enumeration import (
-    POOL_GATES,
     EmptyPoolError,
     Pool,
     count_one_factorizations,
     count_triple_systems,
     enumerate_pool,
-    first_design,
 )
 from designcount.entropylab import (
     TooLargeError,
@@ -27,7 +25,7 @@ from designcount.entropylab import (
 )
 from designcount.entropylab import rates
 
-from oracles import oracle_entropy_over_orders
+from oracles import PG32, oracle_entropy_over_orders
 
 def _round_robin(n):
     """The round-robin 1-factorization of K_n, n even: color c + 1 joins c to
@@ -38,6 +36,7 @@ def _round_robin(n):
 
 
 K18 = _round_robin(18)
+PG32_TS = validate_triple_system(15, PG32)
 
 
 def _steps(*args):
@@ -54,19 +53,16 @@ def _draws(tables, n, reveals, seed):
 
 class TestBatchedKernel:
     @pytest.mark.parametrize("variant,kind,n,reveals", [
-        ("sts", "sts", 7, 1000), ("sts", "sts", 9, 1000), ("sts", "sts", 15, 20),
+        ("sts", "sts", 7, 1000), ("sts", "sts", 9, 1000), ("sts", None, 15, 20),
         ("1f", "1f-labeled", 4, 1000), ("1f", "1f-labeled", 6, 1000), ("1f", None, 18, 20)])
-    def test_matches_reveal_oracle(self, variant, kind, n, reveals, monkeypatch):
+    def test_matches_reveal_oracle(self, variant, kind, n, reveals):
         # the same seeded reveals through the batched kernel and through
         # the literal per-pair sets of reveal.py, each star in vertex order:
         # the sum of log N, and the M (informative pairs) and N (every pair)
         # of each forward pair; at 1f 18 the first stars hold 17 > 16 vertices,
-        # at sts 15 (the search's first design, above the pool gate) 14 > 8
+        # at sts 15 (PG(3,2), above the pool gate) 14 > 8
         if kind is None:
-            designs = [K18]
-        elif n > POOL_GATES[kind]:
-            monkeypatch.setitem(POOL_GATES, kind, n)
-            designs = [first_design(kind, n)]
+            designs = [K18 if variant == "1f" else PG32_TS]
         else:
             designs = enumerate_pool(kind, n).items
         tables = np.array([x.table for x in designs])
@@ -126,19 +122,16 @@ def _random_tables(variant, n, designs, seed):
 
 class TestBatchesAndMasks:
     @pytest.mark.parametrize("variant,kind,n", [
-        ("sts", "sts", 7), ("sts", "sts", 9), ("sts", "sts", 15), ("1f", "1f-labeled", 6),
+        ("sts", "sts", 7), ("sts", "sts", 9), ("sts", None, 15), ("1f", "1f-labeled", 6),
         ("1f", None, 16), ("1f", None, 18)])
     def test_batch_width_and_dtype_leave_the_kernel_unchanged(self, variant, kind, n,
                                                               monkeypatch):
         # one batch, the same batch cut into uneven pieces, and every mask
         # dtype wide enough: the same M and N at every step and the same
-        # per-reveal sums, bit for bit; sts 15 (the search's first design)
-        # and the round-robin 1f 16 are the smallest n on int32
+        # per-reveal sums, bit for bit; sts 15 (PG(3,2)) and the
+        # round-robin 1f 16 are the smallest n on int32
         if kind is None:
-            designs = [_round_robin(n)]
-        elif n > POOL_GATES[kind]:
-            monkeypatch.setitem(POOL_GATES, kind, n)
-            designs = [first_design(kind, n)]
+            designs = [_round_robin(n) if variant == "1f" else PG32_TS]
         else:
             designs = enumerate_pool(kind, n).items
         tables = np.array([x.table for x in designs], np.int8)
@@ -193,6 +186,32 @@ class TestAllOrders:
             got = rates.all_orders(k)
             assert got.dtype == np.int8
             assert got.tolist() == [list(p) for p in itertools.permutations(range(k))], k
+
+
+class TestPairValues:
+    @pytest.mark.parametrize("variant,kind,n", [("sts", "sts", 9), ("1f", "1f-labeled", 6)])
+    def test_reads_at_mixed_steps_are_one_step_reads(self, variant, kind, n):
+        # reads at mixed steps, one-step reads of a scalar at and of that
+        # step broadcast, and the kernel's own step arrays: the same M and N
+        tables = enumerate_pool(kind, n).cells
+        d, vo = _draws(tables, n, 300, n + 4)
+        steps = list(rates.reveal_steps(variant, tables, d, vo))
+        rng = np.random.default_rng(n)
+        rows = rng.integers(len(vo), size=2000)
+        at = rng.integers(n - 1, size=len(rows))
+        to = at + 1 + rng.integers(n, size=len(rows)) % (n - 1 - at)   # at < to < n
+        mixed = rates.pair_values(variant, tables, d, vo, at, to, rows)
+        assert [x.dtype for x in mixed] == [np.uint8, np.uint8]
+        for p in range(n - 1):
+            r = np.flatnonzero(at == p)
+            want = [x[to[r] - p - 1, rows[r]] for x in steps[p][2:]]
+            for a in (p, np.full(len(r), p)):
+                got = rates.pair_values(variant, tables, d, vo, a, to[r], rows[r])
+                assert [x.tolist() for x in got] == [x.tolist() for x in want], (p, a)
+            assert [x[r].tolist() for x in mixed] == [x.tolist() for x in want], p
+        # every reveal once, by default, at one scalar step and target
+        got = rates.pair_values(variant, tables, d, vo, 1, n - 1)
+        assert [x.tolist() for x in got] == [x[n - 3].tolist() for x in steps[1][2:]]
 
 
 class TestRevealLaw:

@@ -10,8 +10,6 @@ import pytest
 from designcount.core import validate_edge_coloring, validate_triple_system
 from designcount.enumeration import enumerate_pool
 from designcount.entropylab import (
-    TooLargeError,
-    enumerate_vertex_orders,
     make_reveal_order,
     reveal_sets_1f,
     reveal_sets_sts,
@@ -80,17 +78,6 @@ class TestRevealOrderStructure:
     def test_n2(self):
         order = make_reveal_order(2, (1, 2), {1: (2,), 2: ()})
         assert order.star_orders[1] == (2,)
-
-
-class TestEnumerateVertexOrders:
-    def test_counts(self):
-        assert len(list(enumerate_vertex_orders(3))) == 6
-        perms = list(enumerate_vertex_orders(6))
-        assert len(perms) == 720 and len(set(perms)) == 720
-
-    def test_guard(self):
-        with pytest.raises(TooLargeError):
-            enumerate_vertex_orders(9)
 
 
 class TestRevealSets1f:
