@@ -121,8 +121,8 @@ def _orders(m: int, mode: str, samples: int, seed: int):
     Exact mode yields all m! orders in one batch, in lexicographic order
     (`rates.all_orders`, int8; callers gate m); mc mode yields
     ``samples`` uniform orders drawn from ``seed``, ``BLOCK_SIZE`` rows at
-    a time, which are the orders and the stream state that one
-    ``rng.permutation(m)`` per sample gives, in batches of any size.
+    a time, shuffled in place in int64 (numpy's fast path): the orders and
+    stream state of one ``rng.permutation(m)`` per sample, in any batches.
     """
     if mode == "exact":
         yield all_orders(m)
@@ -131,8 +131,20 @@ def _orders(m: int, mode: str, samples: int, seed: int):
         raise DesignError(f"mc mode needs at least 2 samples, got {samples}")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     for start in range(0, samples, BLOCK_SIZE):
-        size = min(BLOCK_SIZE, samples - start)
-        yield rng.permuted(np.tile(np.arange(m), (size, 1)), axis=1)
+        perms = np.tile(np.arange(m), (min(BLOCK_SIZE, samples - start), 1))
+        yield rng.permuted(perms, axis=1, out=perms)
+
+
+def _positions(perms):
+    """``np.argsort(perms, axis=1)`` of orders of 0..m-1, ``pos[r, a]`` the
+    position of a in ``perms[r]``, in the narrowest unsigned type: one flat
+    scatter, O(m) a row, at r*m + perms[r, c] (intp, cast first: a mixed
+    add is slow).  Callers widen only the positions they compute with."""
+    rows, m = perms.shape
+    pos = np.empty((rows, m), np.min_scalar_type(m))
+    at = perms.astype(np.intp, copy=False) + np.arange(0, rows * m, m)[:, None]
+    pos.ravel()[at] = np.arange(m, dtype=pos.dtype)
+    return pos
 
 
 def _anchored(m: int, targets, sizes, mode: str, samples: int, seed: int):
@@ -145,9 +157,10 @@ def _anchored(m: int, targets, sizes, mode: str, samples: int, seed: int):
     Exact mode is one batch holding, for each target, one order per set
     of s items before head, drawn from those outside avoid: the set, head
     and the rest, each ascending; mc mode reads every target in each
-    batch of the draws (`_orders`), each weighing 1.
+    batch of the draws (`_orders`), each weighing 1; `_positions` and a
+    table of ``sizes`` find the reads.
     """
-    sizes = [s for s in sizes if s >= 0]
+    sizes = [s for s in sizes if 0 <= s < m]
     if mode == "exact":
         orders, owner = [], []
         for t, (head, avoid) in enumerate(targets):
@@ -163,18 +176,19 @@ def _anchored(m: int, targets, sizes, mode: str, samples: int, seed: int):
     else:
         batches = ((perms, None, [1] * m) for perms in _orders(m, mode, samples, seed))
     heads = np.array([head for head, _ in targets], np.intp)
+    listed = np.isin(np.arange(m), sizes)   # listed[s]: s is in sizes
     for perms, owner, weight in batches:
-        pos = np.argsort(perms, axis=1)   # pos[r, a]: position of item a
+        pos = _positions(perms)   # pos[r, a]: position of item a
         reads = []
         for t, (head, avoid) in enumerate(targets):
-            keep = (pos[:, avoid] > pos[:, [head]]).all(axis=1) & np.isin(pos[:, head], sizes)
+            keep = (pos[:, avoid] > pos[:, [head]]).all(axis=1) & listed[pos[:, head]]
             if owner is not None:
                 keep &= owner == t
             reads.append(np.flatnonzero(keep))
         t = np.repeat(np.arange(len(targets)), [len(r) for r in reads])
         rows = np.concatenate(reads)
         used, rows = np.unique(rows, return_inverse=True)
-        yield perms[used], rows, t, pos[used[rows], heads[t]], weight
+        yield perms[used], rows, t, pos[used[rows], heads[t]].astype(np.intp), weight
 
 
 def _gate(mode: str, size: int, limit: int, what: str) -> None:
@@ -204,7 +218,7 @@ def _pair_counts(variant: str, X, targets, sizes, mode: str, samples: int, seed:
         # (step p reads no later vertex's star)
         orders = perms + 1 if vo is None else np.hstack(
             [np.tile(vo[:p + 1], (len(perms), 1)), vo[p + 1:][perms]])
-        to = np.argsort(orders, axis=1)[rows, js[t] - 1]   # where j is in each read
+        to = _positions(orders - 1)[rows, js[t] - 1].astype(np.intp)   # where j is in each read
         values = pair_values(variant, tables, 0, orders, s if vo is None else p, to,
                              rows)[0 if vo is None else 1]
         hits = np.bincount(np.ravel_multi_index((t, s, values), counts.shape),
@@ -226,8 +240,8 @@ def _mean(counts, exact: bool, cond: dict):
     with the number of orders.
 
     Exact mode gives a Fraction; mc mode a float and its standard error.
-    Both come from the integer moments (count, sum, sum of squares), so
-    the MC sum of squared deviations is exact before it is rounded.
+    Both come from the integer moments (count, sum, sum of squares): the
+    MC squared SE, m2 / (count - 1) / count, is one int division, rounded once.
     """
     count = sum(counts)
     total = sum(v * c for v, c in enumerate(counts))
@@ -237,8 +251,8 @@ def _mean(counts, exact: bool, cond: dict):
         raise EmptyConditionError(f"no {'' if exact else 'sampled '}order satisfies {where}")
     if exact:
         return Fraction(total, count), None, count
-    m2 = Fraction(count * squares - total * total, count)
-    se = math.sqrt(m2 / (count - 1) / count) if count > 1 else math.inf
+    se = (math.sqrt((count * squares - total * total) / (count * count * (count - 1)))
+          if count > 1 else math.inf)
     return total / count, se, count
 
 
@@ -319,8 +333,7 @@ def _position_verdicts(lemma, variant, n, key, size, all_tuples, mode, samples, 
     offset = np.arange(0, len(hist), n, dtype=np.int32)   # row t of hist
     orders = 0
     for perms in _orders(n, mode, samples, seed):
-        # at[r, t, c]: position of item c of anchor t in order r (uint8 below n = 256)
-        at = np.argsort(perms, axis=1).astype(np.min_scalar_type(n))[:, anchors]
+        at = _positions(perms)[:, anchors]   # at[r, t, c]: item c of anchor t in order r
         orders += len(perms)
         first = (at[:, :, :1] < at[:, :, 1:]).all(axis=2)
         hist += np.bincount((offset + at[:, :, 0])[first], minlength=len(hist))

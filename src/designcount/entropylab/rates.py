@@ -201,24 +201,25 @@ def _reveal_sums(variant: str, tables, d, vo):
 def _mc_block(args):
     """Count, mean and sum of squared deviations of one block's reveal sums.
 
-    The designs and vertex orders are drawn a ``CHUNK`` at a time, run
-    through the kernel in one pass, and reduced a ``CHUNK`` at a time,
-    merged in order.
+    The designs and vertex orders are drawn a ``CHUNK`` at a time, the orders
+    shuffled in int64 (numpy's fast path, the same draws as int8), and run
+    through the kernel in int8 in one pass.  The full CHUNKs reduce row-wise in
+    one pass (pairwise, as a lone CHUNK), then the rest; all merge in order.
     """
     variant, tables, n, seed, block, count = args
     rng = np.random.Generator(np.random.PCG64(
         np.random.SeedSequence(entropy=seed, spawn_key=(block,))))
     d = np.empty(count, np.int64)
-    vo = np.tile(np.arange(1, n + 1, dtype=np.int8), (count, 1))
+    vo = np.tile(np.arange(1, n + 1), (count, 1))
     for start in range(0, count, CHUNK):
         d[start:start + CHUNK] = rng.integers(len(tables), size=min(CHUNK, count - start))
         rng.permuted(vo[start:start + CHUNK], axis=1, out=vo[start:start + CHUNK])
-    x = _reveal_sums(variant, tables, d, vo)
-    chunks = []
-    for start in range(0, count, CHUNK):
-        part = x[start:start + CHUNK]
-        mean = float(part.mean())
-        chunks.append((len(part), mean, float(((part - mean) ** 2).sum())))
+    x = _reveal_sums(variant, tables, d, vo.astype(np.int8))
+    cut, chunks = count - count % CHUNK, []
+    for part in x[:cut].reshape(-1, CHUNK), x[cut:].reshape(-1, count - cut or 1):
+        means = part.mean(axis=1)
+        squares = ((part - means[:, None]) ** 2).sum(axis=1)
+        chunks += zip([part.shape[1]] * len(part), means.tolist(), squares.tolist())
     return functools.reduce(_merge, chunks)
 
 

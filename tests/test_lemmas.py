@@ -105,6 +105,20 @@ class TestPositionLawMC:
             assert verify_suite("exp-m", "1f", 6, "mc", samples=3000, seed=5) == verdicts, size
 
 
+class TestPositions:
+    @pytest.mark.parametrize("dtype", [np.int8, np.int64])
+    def test_positions_are_the_argsort(self, dtype):
+        # the orders the callers pass, int8 (all_orders) and int64 (draws,
+        # anchored exact orders, orders - 1), in the narrowest unsigned type
+        rng = np.random.default_rng(31)
+        for m in range(1, 64):
+            for rows in (0, 1, 4096):
+                perms = rng.permuted(np.tile(np.arange(m, dtype=dtype), (rows, 1)), axis=1)
+                got = lemmas._positions(perms)
+                assert got.dtype == np.uint8, (m, rows)
+                assert (got == np.argsort(perms, axis=1)).all(), (m, rows)
+
+
 class TestMExpectation1f:
     def test_measured_form_and_printed_discrepancy(self):
         X = enumerate_pool("1f-labeled", 6).items[0]
@@ -513,6 +527,13 @@ class TestPinnedOutput:
     def test_mc_suites(self, lemma, variant, n, samples, digest):
         out = verdicts_to_json(verify_suite(lemma, variant, n, "mc", samples=samples))
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_mc_position_law_past_the_int8_orders(self):
+        # recorded before the orders were shuffled in place and their
+        # positions scattered: 40 points, uint8 positions of int64 orders
+        out = verdicts_to_json(verify_suite("dist-p-2", "sts", 40, "mc", samples=4096, seed=1))
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "5efd892669fb8924eb03575b3da9d403b98755159d6b38322b25762c5c7c4290")
 
     def test_mc_draws_unchanged(self):
         # batched draws accept the same orders as one permutation per sample

@@ -180,6 +180,34 @@ class TestBatchesAndMasks:
             assert (rates._order_histogram(variant, tables) == want).all(), size
 
 
+class TestBlockDraws:
+    def test_an_int64_shuffle_draws_as_the_int8_one(self):
+        # _mc_block shuffles int64 rows in place and casts them to int8:
+        # the same rows, and the same generator state after, as in int8
+        for n in range(2, 64):
+            rows = [np.tile(np.arange(1, n + 1, dtype=dtype), (700, 1))
+                    for dtype in (np.int8, np.int64)]
+            rngs = [np.random.default_rng(n) for _ in rows]
+            for rng, x in zip(rngs, rows):
+                rng.permuted(x, axis=1, out=x)
+            assert (rows[0] == rows[1]).all(), n
+            assert rngs[0].bit_generator.state == rngs[1].bit_generator.state, n
+
+    @pytest.mark.parametrize("n,seed,block,count,pinned", [
+        (40, 1, 0, 4096, "(4096, 1492.7737293364814, 94299.44876145774)"),
+        (40, 5, 2, 1537, "(1537, 1493.0779830855024, 32551.266353458523)"),
+        (40, 7, 0, 2, "(2, 1488.2603030068149, 2.670348040915605)"),
+        (62, 1, 0, 4096, "(4096, 4338.6095200764075, 215583.76025824586)"),
+        (62, 5, 2, 1537, "(1537, 4338.4980902735415, 77303.19889629568)"),
+        (62, 7, 0, 2, "(2, 4334.2997351638505, 16.904770120907887)")])
+    def test_blocks_on_int64_masks_are_pinned(self, n, seed, block, count, pinned):
+        # recorded before the block shuffled int64 rows and reduced its full
+        # CHUNKs in one pass: eight full CHUNKs, three and a partial one, a lone partial one
+        tables = np.array([_round_robin(n).table], np.int8)
+        assert rates._mask_dtype("1f", n) == np.int64
+        assert repr(rates._mc_block(("1f", tables, n, seed, block, count))) == pinned
+
+
 class TestAllOrders:
     def test_every_order_as_itertools_gives_it(self):
         for k in range(1, 9):
