@@ -89,10 +89,11 @@ def _mask_dtype(variant: str, n: int):
     """The narrowest of int16, int32 and int64 whose sign bit lies above
     every bit of ``full``: bits 1..n-1 (1f) or 1..n (sts).  So 1f runs on
     int16 up to n = 15, int32 up to 31 and int64 up to 63; sts on int16
-    up to n = 14, int32 up to 30 and int64 up to 62."""
+    up to n = 14, int32 up to 30 and int64 up to 62, the limit a refusal names."""
     top = n - 1 if variant == "1f" else n
     if top > 62:
-        raise TooLargeError(f"reveal masks hold at most 62 points, got n={n}")
+        limit = 63 if variant == "1f" else 62
+        raise TooLargeError(f"reveal masks hold at most {limit} points, got n={n}")
     return np.int16 if top < 15 else np.int32 if top < 31 else np.int64
 
 

@@ -300,7 +300,7 @@ class TestVerify:
         assert (code, err) == (0, "") and line in out.splitlines()
 
     @pytest.mark.parametrize("lemma,variant,n,message", [
-        ("dist-p", "1f", 10**9, "reveal masks hold at most 62 points, got n=1000000000"),
+        ("dist-p", "1f", 10**9, "reveal masks hold at most 63 points, got n=1000000000"),
         ("q-law", "sts", 62,
          "star size m=62 needs 63 points; reveal masks hold at most 62 points, got n=63")])
     def test_mc_position_law_past_the_kernel_exit_1(self, capsys, lemma, variant, n, message):

@@ -163,9 +163,11 @@ class TestBatchesAndMasks:
         assert got == _split_steps(variant, tables, d, vo, [])
 
     def test_masks_hold_at_most_62_points(self):
+        # 62 sts points, 63 for 1f, whose colors are 1..n-1: each refusal names its own limit
         assert rates._mask_dtype("1f", 63) == rates._mask_dtype("sts", 62) == np.int64
         for variant, n in (("1f", 64), ("sts", 63)):
-            with pytest.raises(DesignError, match=f"^reveal masks hold at most 62 points, got n={n}$"):
+            with pytest.raises(DesignError,
+                               match=f"^reveal masks hold at most {n - 1} points, got n={n}$"):
                 rates._mask_dtype(variant, n)
 
     @pytest.mark.parametrize("variant,kind,n,designs", [
