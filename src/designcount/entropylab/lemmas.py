@@ -228,11 +228,11 @@ def _pair_counts(variant: str, X, targets, sizes, mode: str, samples: int, seed:
 
 
 def _share(count: int, total: int, exact: bool):
-    """Frequency count/total: a Fraction, or an estimate and its binomial SE."""
+    """Frequency count/total: a Fraction, or an estimate and its binomial SE (0 at 0 or total)."""
     if exact:
         return Fraction(count, total), None
     est = count / total
-    return est, math.sqrt(max(est * (1 - est), 1e-300) / total)
+    return est, math.sqrt(est * (1 - est) / total)
 
 
 def _mean(counts, exact: bool, cond: dict):

@@ -426,10 +426,13 @@ class TestMonteCarloGate:
 
     def test_a_share_gates_on_its_bernoulli_se(self):
         # a share of 1000 draws seen 0 times, or 2 in 1000 against 1/100:
-        # the sample SE alone (1e-150, 0.0014) fails a true law; at least
+        # the sample SE alone (0.0, 0.0014) fails a true law; at least
         # sqrt(f(1-f)/total) = 0.0031 passes it and still catches 5/100
         f = Fraction(1, 100)
-        for observed, se in ((0.0, 1e-150), (0.002, math.sqrt(0.002 * 0.998 / 1000))):
+        # a share drawn never or always reports its sample SE, 0.0
+        assert lemmas._share(0, 1000, False) == (0.0, 0.0)
+        assert lemmas._share(1000, 1000, False) == (1.0, 0.0)
+        for observed, se in ((0.0, 0.0), (0.002, math.sqrt(0.002 * 0.998 / 1000))):
             assert not lemmas._passed(observed, f, se)
             assert lemmas._passed(observed, f, se, total=1000)
         assert not lemmas._passed(0.05, f, math.sqrt(0.05 * 0.95 / 1000), total=1000)
@@ -529,11 +532,12 @@ class TestPinnedOutput:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_mc_position_law_past_the_int8_orders(self):
-        # recorded before the orders were shuffled in place and their
-        # positions scattered: 40 points, uint8 positions of int64 orders
+        # 40 points, uint8 positions of int64 orders: recorded before the
+        # orders were shuffled in place and their positions scattered, and
+        # moved only when its three shares drawn 0 times reported SE 0.0
         out = verdicts_to_json(verify_suite("dist-p-2", "sts", 40, "mc", samples=4096, seed=1))
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "5efd892669fb8924eb03575b3da9d403b98755159d6b38322b25762c5c7c4290")
+            "1b654693c5e6d9604a41c4ce8018ac2de1ff63604009a328427283f6ff2460e4")
 
     def test_mc_draws_unchanged(self):
         # batched draws accept the same orders as one permutation per sample
