@@ -320,8 +320,8 @@ def _position_verdicts(lemma, variant, n, key, size, all_tuples, mode, samples, 
 
     The tuple is (0, 1, ...); with ``all_tuples`` exact mode pools every
     ordered tuple, and each tuple's histogram must equal the first one.
-    Each batch of orders gathers the positions of every anchor tuple at
-    once, and one comparison and one bincount, offset by tuple, count them.
+    Each batch of orders gathers the positions (`_positions`, uint8) of every
+    anchor tuple at once; one comparison and one bincount, offset by tuple, count them.
     """
     if n < size:
         raise EmptyConditionError(f"size {n} leaves no position {key} to check")
