@@ -1,15 +1,21 @@
 """Reveal orders and availability sets against literal transcriptions."""
 
+import dataclasses
+import hashlib
+import inspect
 import itertools
 import math
+import pickle
 import random
 
 import numpy as np
 import pytest
 
-from designcount.core import validate_edge_coloring, validate_triple_system
+from designcount.core import DesignError, validate_edge_coloring, validate_triple_system
 from designcount.enumeration import enumerate_pool
 from designcount.entropylab import (
+    RevealOrder,
+    RevealSets,
     make_reveal_order,
     reveal_sets_1f,
     reveal_sets_sts,
@@ -282,3 +288,86 @@ class TestInvariants:
         sigma = math.sqrt(trials * (1 / 6) * (5 / 6))
         for pair in pairs:
             assert abs(hits[pair] - trials / 6) <= 5 * sigma
+
+
+def oracle_records():
+    """The repr of every order and every record the oracle returns on a
+    fixed input set: all 1,728 reveals (design, vertex order, star orders)
+    of the six labeled 1f 4 designs, and 25 seeded orders each at 1f 6,
+    sts 7 and sts 9, sampled and rebuilt through make_reveal_order, all
+    with every ordered pair.  Reprs pin the sets' iteration order too."""
+    pairs = list(itertools.permutations(range(1, 5), 2))
+    for X in enumerate_pool("1f-labeled", 4).items:
+        for vo in itertools.permutations(range(1, 5)):
+            for stars in itertools.product(*(itertools.permutations(vo[p + 1:]) for p in range(4))):
+                order = make_reveal_order(4, vo, dict(zip(vo, stars)))
+                yield repr(order) + repr(order.positions)
+                yield from (repr(reveal_sets_1f(X, order, i, j)) for i, j in pairs)
+    for kind, n, reveal_sets in (("1f-labeled", 6, reveal_sets_1f), ("sts", 7, reveal_sets_sts),
+                                 ("sts", 9, reveal_sets_sts)):
+        items = enumerate_pool(kind, n).items
+        pairs = list(itertools.permutations(range(1, n + 1), 2))
+        for seed in range(25):
+            sampled = sample_reveal_order(n, seed=seed)
+            rebuilt = make_reveal_order(n, sampled.vertex_order, sampled.star_orders)
+            X = items[seed * 37 % len(items)]
+            for order in (sampled, rebuilt):
+                yield repr(order) + repr(order.positions)
+                yield from (repr(reveal_sets(X, order, i, j)) for i, j in pairs)
+
+
+class TestRecords:
+    def test_oracle_records_pinned(self):
+        # recorded before RevealSets and RevealOrder filled their slots directly
+        digest = hashlib.sha256("\n".join(oracle_records()).encode()).hexdigest()
+        assert digest == "3594af796ad9473a2d3a7a50131a2cd987f6f2e19b7f29d9597dd9bf0eff7dd6"
+
+    def test_signatures(self):
+        assert str(inspect.signature(RevealSets)) == (
+            "(variant: 'str', i: 'int', j: 'int', A: 'frozenset[int]', B: 'frozenset[int]', "
+            "Mset: 'frozenset[int]', Nset: 'frozenset[int]', trivial: 'bool', p: 'int', "
+            "q: 'int | None', m: 'int') -> None")
+        assert str(inspect.signature(RevealOrder)) == (
+            "(n: 'int', vertex_order: 'tuple[int, ...]', "
+            "star_orders: 'dict[int, tuple[int, ...]]') -> None")
+
+    def test_equal_hash_frozen(self):
+        order = sample_reveal_order(4, seed=1)
+        again = make_reveal_order(4, order.vertex_order, order.star_orders)
+        assert again == order and again.positions == order.positions
+        assert again.positions == {v: p for p, v in enumerate(order.vertex_order)}
+        with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+            hash(order)
+        a, b = reveal_sets_1f(K4, order, 1, 2), reveal_sets_1f(K4, again, 1, 2)
+        assert a == b and hash(a) == hash(b) and a is not b
+        assert a != reveal_sets_1f(K4, order, 2, 1)
+        assert pickle.loads(pickle.dumps(a)) == a and dataclasses.replace(a) == a
+        assert (a.M, a.N) == (len(a.Mset), len(a.Nset))
+        for record, name in ((a, "N"), (a, "A"), (order, "positions"), (order, "n")):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, name, 0)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(record, name)
+        assert not hasattr(a, "__dict__") and not hasattr(order, "__dict__")
+
+    def test_invariant_messages(self):
+        one, two = frozenset({1}), frozenset({1, 2})
+        with pytest.raises(DesignError, match="^Nset must be contained in Mset$"):
+            RevealSets("1f", 1, 2, frozenset(), frozenset(), one, two, False, 1, 1, 3)
+        with pytest.raises(DesignError, match="^Mset must be disjoint from A$"):
+            RevealSets("1f", 1, 2, one, frozenset(), two, one, False, 1, 1, 3)
+        with pytest.raises(DesignError, match="^N must be >= 1 on non-trivial reveals$"):
+            RevealSets("1f", 1, 2, frozenset(), frozenset(), two, frozenset(), False, 1, 1, 3)
+        rs = RevealSets("1f", 1, 2, frozenset(), frozenset(), two, frozenset(), True, 1, None, 3)
+        assert (rs.M, rs.N) == (2, 0)
+
+    def test_make_reveal_order_messages(self):
+        with pytest.raises(DesignError, match=r"^vertex order must be a permutation of 1\.\.3$"):
+            make_reveal_order(3, (1, 2, 2), {})
+        with pytest.raises(DesignError, match=r"^vertex order must be a permutation of 1\.\.3$"):
+            make_reveal_order(3, (1, 2), {})
+        for stars in ({1: (2,), 2: (3,), 3: ()}, {1: (2, 3, 3), 2: (3,)}, {1: (2, 3), 2: (3,), 3: (1,)}):
+            with pytest.raises(DesignError, match="^star of [13] must order exactly its forward neighbors$"):
+                make_reveal_order(3, (1, 2, 3), stars)
+        # a vertex missing from the mapping has an empty star
+        assert make_reveal_order(3, (1, 2, 3), {1: (3, 2), 2: (3,)}).star_orders == {1: (3, 2), 2: (3,), 3: ()}
