@@ -16,6 +16,7 @@ import itertools
 import math
 from fractions import Fraction
 
+from designcount.core import validate_edge_coloring
 from designcount.entropylab import make_reveal_order, reveal_sets_1f, reveal_sets_sts
 
 FANO = [(1, 2, 3), (1, 4, 5), (1, 6, 7), (2, 4, 6), (2, 5, 7), (3, 4, 7), (3, 5, 6)]
@@ -24,6 +25,14 @@ FANO = [(1, 2, 3), (1, 4, 5), (1, 6, 7), (2, 4, 6), (2, 5, 7), (3, 4, 7), (3, 5,
 PG32 = sorted({tuple(sorted((a, b, a ^ b))) for a in range(1, 16) for b in range(a + 1, 16)})
 
 K4_COLORING = {(1, 2): 1, (3, 4): 1, (1, 3): 2, (2, 4): 2, (1, 4): 3, (2, 3): 3}
+
+
+def round_robin(n):
+    """The round-robin 1-factorization of K_n, n even: color c + 1 joins c to
+    infinity (n) and c - t to c + t (mod n - 1), with residue r as vertex r + 1."""
+    return validate_edge_coloring(n, {
+        tuple(sorted(((c - t) % (n - 1) + 1, (c + t) % (n - 1) + 1))) if t else (c + 1, n): c + 1
+        for c in range(n - 1) for t in range(n // 2)})
 
 
 def all_pairs(n):

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from designcount.core import DesignError, validate_edge_coloring, validate_triple_system
+from designcount.core import DesignError, validate_triple_system
 from designcount.enumeration import (
     EmptyPoolError,
     Pool,
@@ -25,17 +25,9 @@ from designcount.entropylab import (
 )
 from designcount.entropylab import rates
 
-from oracles import PG32, oracle_entropy_over_orders
+from oracles import PG32, oracle_entropy_over_orders, round_robin
 
-def _round_robin(n):
-    """The round-robin 1-factorization of K_n, n even: color c + 1 joins c to
-    infinity (n) and c - t to c + t (mod n - 1), with residue r as vertex r + 1."""
-    return validate_edge_coloring(n, {
-        tuple(sorted(((c - t) % (n - 1) + 1, (c + t) % (n - 1) + 1))) if t else (c + 1, n): c + 1
-        for c in range(n - 1) for t in range(n // 2)})
-
-
-K18 = _round_robin(18)
+K18 = round_robin(18)
 PG32_TS = validate_triple_system(15, PG32)
 
 
@@ -131,7 +123,7 @@ class TestBatchesAndMasks:
         # per-reveal sums, bit for bit; sts 15 (PG(3,2)) and the
         # round-robin 1f 16 are the smallest n on int32
         if kind is None:
-            designs = [_round_robin(n) if variant == "1f" else PG32_TS]
+            designs = [round_robin(n) if variant == "1f" else PG32_TS]
         else:
             designs = enumerate_pool(kind, n).items
         tables = np.array([x.table for x in designs], np.int8)
@@ -205,7 +197,7 @@ class TestBlockDraws:
     def test_blocks_on_int64_masks_are_pinned(self, n, seed, block, count, pinned):
         # recorded before the block shuffled int64 rows and reduced its full
         # CHUNKs in one pass: eight full CHUNKs, three and a partial one, a lone partial one
-        tables = np.array([_round_robin(n).table], np.int8)
+        tables = np.array([round_robin(n).table], np.int8)
         assert rates._mask_dtype("1f", n) == np.int64
         assert repr(rates._mc_block(("1f", tables, n, seed, block, count))) == pinned
 

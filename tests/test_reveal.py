@@ -7,11 +7,18 @@ import itertools
 import math
 import pickle
 import random
+import re
 
 import numpy as np
 import pytest
 
-from designcount.core import DesignError, validate_edge_coloring, validate_triple_system
+from designcount.core import (
+    BadVertexError,
+    DesignError,
+    SameVertexError,
+    validate_edge_coloring,
+    validate_triple_system,
+)
 from designcount.enumeration import enumerate_pool
 from designcount.entropylab import (
     RevealOrder,
@@ -22,7 +29,7 @@ from designcount.entropylab import (
     sample_reveal_order,
 )
 
-from oracles import FANO, K4_COLORING, hand_reveal_sets_1f, hand_reveal_sets_sts
+from oracles import FANO, K4_COLORING, hand_reveal_sets_1f, hand_reveal_sets_sts, round_robin
 
 
 def identity_order(n):
@@ -316,20 +323,39 @@ def oracle_records():
                 yield from (repr(reveal_sets(X, order, i, j)) for i, j in pairs)
 
 
+def wide_oracle_records():
+    """Reprs of records whose sets reach past 16 elements' hash slots, where
+    a set's print order depends on how it was filled: 10 seeded orders each
+    of the round-robin 1f 18 and the STS(31) of PG(4,2), 150 pairs each."""
+    pg42 = validate_triple_system(31, {tuple(sorted((a, b, a ^ b)))
+                                       for a in range(1, 32) for b in range(a + 1, 32)})
+    rnd = random.Random(33)
+    for X, reveal_sets in ((round_robin(18), reveal_sets_1f), (pg42, reveal_sets_sts)):
+        pairs = list(itertools.permutations(range(1, X.n + 1), 2))
+        for seed in range(10):
+            order = sample_reveal_order(X.n, seed=seed)
+            yield from (repr(reveal_sets(X, order, i, j)) for i, j in rnd.sample(pairs, 150))
+
+
 class TestRecords:
     def test_oracle_records_pinned(self):
-        # recorded before RevealSets and RevealOrder filled their slots directly
+        # both recorded before RevealSets and RevealOrder filled their slots directly
         digest = hashlib.sha256("\n".join(oracle_records()).encode()).hexdigest()
         assert digest == "3594af796ad9473a2d3a7a50131a2cd987f6f2e19b7f29d9597dd9bf0eff7dd6"
+        digest = hashlib.sha256("\n".join(wide_oracle_records()).encode()).hexdigest()
+        assert digest == "01fd3328db00427d54c3642820bf4a6dee11b82e4dbf54af98ee921aad25511b"
 
     def test_signatures(self):
-        assert str(inspect.signature(RevealSets)) == (
+        def params(cls):
+            return str(inspect.signature(cls).replace(return_annotation=inspect.Signature.empty))
+
+        assert params(RevealSets) == (
             "(variant: 'str', i: 'int', j: 'int', A: 'frozenset[int]', B: 'frozenset[int]', "
             "Mset: 'frozenset[int]', Nset: 'frozenset[int]', trivial: 'bool', p: 'int', "
-            "q: 'int | None', m: 'int') -> None")
-        assert str(inspect.signature(RevealOrder)) == (
+            "q: 'int | None', m: 'int')")
+        assert params(RevealOrder) == (
             "(n: 'int', vertex_order: 'tuple[int, ...]', "
-            "star_orders: 'dict[int, tuple[int, ...]]') -> None")
+            "star_orders: 'dict[int, tuple[int, ...]]')")
 
     def test_equal_hash_frozen(self):
         order = sample_reveal_order(4, seed=1)
@@ -371,3 +397,41 @@ class TestRecords:
                 make_reveal_order(3, (1, 2, 3), stars)
         # a vertex missing from the mapping has an empty star
         assert make_reveal_order(3, (1, 2, 3), {1: (3, 2), 2: (3,)}).star_orders == {1: (3, 2), 2: (3,), 3: ()}
+
+
+class TestRefusals:
+    def test_order_of_another_n(self):
+        one_f_6 = enumerate_pool("1f-labeled", 6).items[0]
+        sts_9 = enumerate_pool("sts", 9).items[0]
+        # each of these returned a wrong record (Mset {3, 4, 5}) or raised IndexError or KeyError: 8
+        for reveal_sets, X, order in ((reveal_sets_1f, one_f_6, identity_order(4)),
+                                      (reveal_sets_1f, K4, identity_order(6)),
+                                      (reveal_sets_sts, sts_9, identity_order(7)),
+                                      (reveal_sets_sts, FANO_TS, identity_order(9))):
+            for i, j in ((1, 2), (4, 1)):
+                with pytest.raises(DesignError, match=rf"^reveal order on n={order.n} vertices "
+                                                      rf"for a design on n={X.n}$"):
+                    reveal_sets(X, order, i, j)
+
+    def test_vertex_outside(self):
+        # sts 9 raised KeyError: 0 here, and 1f an IndexError past n
+        designs = ((reveal_sets_1f, enumerate_pool("1f-labeled", 6).items[0]),
+                   (reveal_sets_sts, FANO_TS), (reveal_sets_sts, enumerate_pool("sts", 9).items[0]))
+        for reveal_sets, X in designs:
+            order = sample_reveal_order(X.n, seed=1)
+            for bad in (0, -1, X.n + 1):
+                for i, j in ((bad, 2), (2, bad)):
+                    with pytest.raises(BadVertexError, match=rf"^vertex label {bad} outside 1\.\.{X.n}$"):
+                        reveal_sets(X, order, i, j)
+
+    def test_same_vertex_first(self):
+        with pytest.raises(SameVertexError):
+            reveal_sets_1f(K4, identity_order(6), 0, 0)
+
+    @pytest.mark.parametrize("n", [True, 4.0, np.int64(4), "4"])
+    def test_non_int_n(self, n):
+        want = rf"^reveal order: n must be an int, got {re.escape(repr(n))}$"
+        with pytest.raises(DesignError, match=want):
+            make_reveal_order(n, (1,), {1: ()})
+        with pytest.raises(DesignError, match=want):
+            sample_reveal_order(n, seed=1)
