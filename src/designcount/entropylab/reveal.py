@@ -21,9 +21,9 @@ its member descriptor, not through a frozen ``__setattr__`` per field;
 `RevealSets` still checks its three invariants on every construction.  A
 `RevealOrder` computes its vertices' positions once, in its constructor,
 and `make_reveal_order` walks the vertex order once to check the stars.
-Each A and B is filled as a set and frozen once, so it prints its
-elements in the order it always has (a frozenset filled element by
-element prints some sets with elements past 15 in another order).
+Each A and B is filled as a set and then frozen: a frozenset filled
+element by element sizes its hash table differently and can print a set
+with elements past 15 in another order.
 
 A vertex count that is not an int is refused, and so are an order on
 other vertices than the design's and a vertex outside 1..n (with
@@ -99,7 +99,7 @@ def make_reveal_order(n: int, vertex_order: Sequence[int],
     vo = tuple(vertex_order)
     if sorted(vo) != list(range(1, n + 1)):
         raise DesignError(f"vertex order must be a permutation of 1..{n}")
-    so: dict[int, tuple[int, ...]] = dict.fromkeys(range(1, n + 1))   # keyed 1..n, filled in vertex order
+    so: dict[int, tuple[int, ...]] = dict.fromkeys(range(1, n + 1))   # listed by vertex 1..n, filled in vertex order
     seen_edges = 0
     for p, v in enumerate(vo, 1):
         star = tuple(star_orders.get(v, ()))
