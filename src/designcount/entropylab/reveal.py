@@ -99,7 +99,8 @@ def make_reveal_order(n: int, vertex_order: Sequence[int],
     vo = tuple(vertex_order)
     if sorted(vo) != list(range(1, n + 1)):
         raise DesignError(f"vertex order must be a permutation of 1..{n}")
-    so: dict[int, tuple[int, ...]] = dict.fromkeys(range(1, n + 1))   # listed by vertex 1..n, filled in vertex order
+    # the stars are listed by vertex 1..n and filled in vertex order
+    so: dict[int, tuple[int, ...]] = dict.fromkeys(range(1, n + 1))
     seen_edges = 0
     for p, v in enumerate(vo, 1):
         star = tuple(star_orders.get(v, ()))
