@@ -221,7 +221,6 @@ def bound_report(n: int, names=None, latin_count: int | None = None,
     if summed and n > MAX_SUMMED_N:
         raise DesignError(f"{summed[0]} sums up to n log terms; n must be <= 10^7, got {n}")
     bounds: dict[str, LogScalar] = {}
-    notes: dict[str, str] = {}
     for name in names:
         if name == "wilson-lower":
             bounds[name] = wilson_bounds(n)[0]
@@ -231,18 +230,14 @@ def bound_report(n: int, names=None, latin_count: int | None = None,
             if n < 2:   # K_n for n < 2 has no edges, so no degree sequence
                 raise DesignError(f"n must be >= 2, got {n}")
             # n equal degrees n-1: their fsum is n times one term
-            bounds[name] = LogScalar(n * kahn_lovasz_log([n - 1]).value)
-            notes[name] = "complete-graph degree sequence"
+            bounds[name] = LogScalar(n * kahn_lovasz_log([n - 1]).value,
+                                     note="complete-graph degree sequence")
         elif name == "peel":
             bounds[name] = peel_bound_log(n)
         elif name == "vdw-latin-lower":
-            ls = vdw_latin_lower_log(n)
-            bounds[name] = ls
-            notes[name] = ls.note
+            bounds[name] = vdw_latin_lower_log(n)
         elif name == "cameron-lower":
-            ls = cameron_lower_log(n, latin_count=latin_count, onef_count=onef_count)
-            bounds[name] = ls
-            notes[name] = ls.note
+            bounds[name] = cameron_lower_log(n, latin_count=latin_count, onef_count=onef_count)
         elif name.startswith("conjecture-"):
             try:
                 k = int(name.split("-", 1)[1])
@@ -251,4 +246,5 @@ def bound_report(n: int, names=None, latin_count: int | None = None,
             bounds[name] = conjectured_rate_log(n, k)
         else:
             raise UnknownBoundError(f"unknown bound {name!r}")
-    return BoundReport(n=n, bounds=bounds, notes=notes)
+    return BoundReport(n=n, bounds=bounds,
+                       notes={name: ls.note for name, ls in bounds.items() if ls.note})

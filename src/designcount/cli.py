@@ -102,10 +102,8 @@ def _cmd_count(args) -> int:
         result = count_triple_systems(args.n, cfg)
     elif args.object == "1f":
         result = count_one_factorizations(args.n, labeled=args.labeled, config=cfg)
-    elif args.object == "latin":
-        result = count_latin_squares(args.n, cfg)
     else:
-        raise DesignError(f"unknown object {args.object!r}")
+        result = count_latin_squares(args.n, cfg)
 
     doc = {
         "kind": result.kind,

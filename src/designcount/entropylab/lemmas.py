@@ -448,8 +448,6 @@ def _n_verdicts(variant, X, vo, i, cases, mode, samples, seed):
     vertex order: one draw and one kernel pass serve them all."""
     if variant not in ("1f", "sts"):
         raise DesignError(f"unknown variant {variant!r}")
-    if not cases:
-        return []
     n, p = X.n, vo.index(i)
     m = n - 1 - p
     js = list(dict.fromkeys(j for j, _ in cases))
@@ -464,8 +462,6 @@ def _n_verdicts(variant, X, vo, i, cases, mode, samples, seed):
         if not 1 <= q <= m - 1:
             raise EmptyConditionError(f"position q={q} cannot precede the companion edge")
         l = M[j]
-        if l > 1 and m < 4:
-            raise DesignError(f"the expectation law needs star size >= 4 when l > 1, got m={m}")
         formulas.append(Fraction(1) if l == 1 else
                         1 + Fraction((m - q - 1) * (m - q - 2), (m - 2) * (m - 3)) * (l - 1))
     # j at star position q before the third point k (sts), anywhere (1f)

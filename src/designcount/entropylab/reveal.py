@@ -101,16 +101,12 @@ def make_reveal_order(n: int, vertex_order: Sequence[int],
         raise DesignError(f"vertex order must be a permutation of 1..{n}")
     # the stars are listed by vertex 1..n and filled in vertex order
     so: dict[int, tuple[int, ...]] = dict.fromkeys(range(1, n + 1))
-    seen_edges = 0
     for p, v in enumerate(vo, 1):
         star = tuple(star_orders.get(v, ()))
         forward = set(vo[p:])
         if set(star) != forward or len(star) != len(forward):
             raise DesignError(f"star of {v} must order exactly its forward neighbors")
         so[v] = star
-        seen_edges += len(star)
-    if seen_edges != n * (n - 1) // 2:
-        raise DesignError("stars do not cover every edge exactly once")
     return RevealOrder(n, vo, so)
 
 

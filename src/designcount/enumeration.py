@@ -260,8 +260,6 @@ def _start(kind: str, n: int, fixed=()):
     and the pairs not fixed keep their order.  Counts run the starts of
     ``_starts`` and pools ``_fixed_leaves``'s; only tests fix no part.
     """
-    if kind not in POOL_GATES:
-        raise DesignError(f"unknown search kind {kind!r}")
     if kind == "sts":
         above = [((1 << (n + 1)) - 1) & ~((1 << (v + 1)) - 1) for v in range(n + 1)]
         covered = [0] * (n + 1)

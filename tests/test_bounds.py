@@ -215,6 +215,12 @@ class TestBoundReport:
         with pytest.raises(UnknownBoundError):
             bound_report(9, ["birkhoff"])
 
+    def test_notes_are_the_values_notes(self):
+        rep = bound_report(8)
+        assert rep.notes == {name: ls.note for name, ls in rep.bounds.items() if ls.note}
+        assert list(rep.notes) == ["kahn-lovasz", "vdw-latin-lower", "cameron-lower"]
+        assert rep.notes["kahn-lovasz"] == "complete-graph degree sequence"
+
     def test_upper_bound_dominates_exact_counts(self):
         # the closed-form upper bound stays above the exact log-count
         for n in (7, 9):

@@ -380,6 +380,19 @@ class TestNLawSts:
                         ruled.add(X.table[j][w])
                     assert len(others - ruled) != 3
 
+    def test_two_open_values_need_star_size_4(self):
+        # an open t other than k brings its partner table[i][t] into i's star, so
+        # l >= 2 puts j, k, t and table[i][t] there: the formula's (m-2)(m-3) > 0;
+        # every set W of points before i, for one system of each order
+        for n, X in ((7, FANO_TS), (9, enumerate_pool("sts", 9).items[0])):
+            for i, j in itertools.permutations(range(1, n + 1), 2):
+                k = X.table[i][j]
+                others = set(range(1, n + 1)) - {i, j}
+                for size in range(n - 2):
+                    for W in itertools.combinations(sorted(others - {k}), size):
+                        ruled = set(W).union(*({X.table[i][w], X.table[j][w]} for w in W))
+                        assert len(others - ruled) == 1 or n - 1 - size >= 4
+
     def test_empty_condition_when_k_precedes(self):
         # find an order where k lands before i
         for vo in itertools.permutations(range(1, 8)):
