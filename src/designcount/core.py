@@ -405,7 +405,12 @@ def from_json_dict(d: Mapping) -> TripleSystem | EdgeColoring | LatinSquare:
         if kind == "sts":
             return validate_triple_system(n, d["triples"])
         if kind == "1f":
-            return validate_edge_coloring(n, {(i, j): c for i, j, c in d["colors"]})
+            colors = {}
+            for i, j, c in d["colors"]:
+                if (i, j) in colors or (j, i) in colors:
+                    raise DesignError(f"edge {pair_key(i, j)} listed twice")
+                colors[i, j] = c
+            return validate_edge_coloring(n, colors)
         return LatinSquare(n=n, rows=tuple(map(tuple, d["rows"])))
     except DesignError:
         raise

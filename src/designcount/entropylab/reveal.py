@@ -28,7 +28,8 @@ with elements past 15 in another order.
 A vertex count that is not an int is refused, and so are an order on
 other vertices than the design's and a vertex outside 1..n (with
 `BadVertexError`); the checks cost one comparison and the positions
-lookup each reveal already makes.
+lookup each reveal already makes.  A star order keyed by anything but a
+vertex in 1..n is refused with `BadVertexError` too.
 """
 
 from __future__ import annotations
@@ -101,6 +102,9 @@ def make_reveal_order(n: int, vertex_order: Sequence[int],
         raise DesignError(f"vertex order must be a permutation of 1..{n}")
     # the stars are listed by vertex 1..n and filled in vertex order
     so: dict[int, tuple[int, ...]] = dict.fromkeys(range(1, n + 1))
+    for v in star_orders:
+        if v not in so:
+            raise BadVertexError(f"star order keyed by {v!r}, not a vertex in 1..{n}")
     for p, v in enumerate(vo, 1):
         star = tuple(star_orders.get(v, ()))
         forward = set(vo[p:])

@@ -188,6 +188,9 @@ class TestLogScalar:
     def test_magnitude_string(self):
         assert LogScalar(11.808266).magnitude() == "e^11.8083"
 
+    def test_float(self):
+        assert float(LogScalar(2.5, note="x")) == 2.5
+
 
 class TestBoundReport:
     def test_full_report(self):

@@ -67,6 +67,13 @@ class TestCount:
         doc = json.loads(proc.stdout)
         assert (doc["complete"], doc["nodes"], doc["count"]) == (False, 1000, "0")
 
+    @pytest.mark.parametrize("module", ["designcount", "designcount.cli"])
+    def test_python_m_count(self, module):
+        # __main__.py, and cli.py run as a script
+        proc = fresh_python("-m", module, "count", "--object", "sts", "--n", "7")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            0, "sts n=7: 30 [exact, 2 nodes]\n", "")
+
     def test_budget_equal_to_the_node_total_is_complete(self, capsys):
         code, out, _ = run(capsys, "count", "--object", "sts", "--n", "9",
                            "--node-budget", "16")
@@ -178,6 +185,8 @@ class TestBounds:
     @pytest.mark.parametrize("n, names, message", [
         ("0", "conjecture-6", "n must be >= 1, got 0"),
         ("-4", "conjecture-1", "n must be >= 1, got -4"),
+        ("0", "wilson-lower", "n must be >= 1, got 0"),
+        ("0", "vdw-latin-lower", "n must be >= 1, got 0"),
         ("-3", "kahn-lovasz", "n must be >= 2, got -3"),
         ("0", "kahn-lovasz", "n must be >= 2, got 0"),
         ("1", "kahn-lovasz", "n must be >= 2, got 1"),
@@ -216,6 +225,21 @@ class TestBounds:
                            "--list", "peel,cameron-lower", "--format", "csv")
         assert code == 0
         assert out.splitlines()[0] == "name,n,log-value,magnitude"
+
+    @pytest.mark.parametrize("names, message", [
+        (",", "--list needs at least one bound name"),
+        ("conjecture-x", "unknown bound 'conjecture-x'"),
+    ])
+    def test_a_refused_list_is_one_error_line(self, capsys, names, message):
+        code, out, err = run(capsys, "bounds", "--n", "16", "--list", names)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    def test_cameron_40_bottoms_out_at_the_trivial_f(self, capsys):
+        # no exact base at m = 20, and the recursion's m = 10 is not a multiple of 4
+        code, out, _ = run(capsys, "bounds", "--n", "40", "--list", "cameron-lower")
+        assert code == 0
+        assert out.endswith("(L(20) vdW bound; F(20) recursive "
+                            "[L(10) vdW bound; F(10) >= 1 trivial])\n")
 
 
 class TestVerify:
@@ -309,6 +333,18 @@ class TestVerify:
                              "--n", str(n), "--mode", "mc")
         assert (code, out, err) == (1, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("argv, message", [
+        (("exp-m", "sts", "7", "exact"), "exp-m applies to the 1f variant"),
+        # neither of the two sampled orders puts item 0 before item 1
+        (("dist-p", "1f", "2", "mc", "--samples", "2", "--seed", "5"),
+         "no sampled order puts item 0 first among 2"),
+    ])
+    def test_a_refusal_is_one_error_line(self, capsys, argv, message):
+        lemma, variant, n, mode, *rest = argv
+        code, out, err = run(capsys, "verify", "--lemma", lemma, "--variant", variant,
+                             "--n", n, "--mode", mode, *rest)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
     def test_mc_csv_has_plain_floats(self, capsys):
         code, out, _ = run(capsys, "verify", "--lemma", "dist-p-2", "--variant", "sts",
                            "--n", "7", "--mode", "mc", "--samples", "5000")
@@ -383,6 +419,23 @@ class TestEntropy:
                              "--samples", "0")
         assert code == 1 and out == ""
         assert err == "error: exact evaluation needs 304819200 reveals, above the cap 5000000\n"
+
+    @pytest.mark.parametrize("argv, lines", [
+        (("1f", "4", "0"), ["1f n=4: estimate 1.791759 +- 0.000000 (exact enumeration)",
+                            "exact log-count 1.791759 -> inequality PASS"]),
+        (("1f", "6", "4096", "--seed", "1"),
+         ["1f n=6: estimate 7.859636 +- 0.009472 (4096 samples)",
+          "exact log-count 6.579251 -> inequality PASS"]),
+    ])
+    def test_text_format(self, capsys, argv, lines):
+        variant, n, samples, *rest = argv
+        code, out, _ = run(capsys, "entropy", "--variant", variant, "--n", n,
+                           "--samples", samples, *rest, "--format", "text")
+        assert (code, out.splitlines()) == (0, lines)
+
+    def test_one_sample_exit_1(self, capsys):
+        code, out, err = run(capsys, "entropy", "--variant", "1f", "--n", "4", "--samples", "1")
+        assert (code, out, err) == (1, "", "error: need at least 2 samples for a standard error\n")
 
     def test_python_m_entry_point(self):
         # `python -m designcount` runs __main__.py in a fresh interpreter

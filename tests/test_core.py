@@ -90,6 +90,10 @@ class TestTripleSystemValidation:
         with pytest.raises(Exception):
             validate_triple_system(3, [(1, 2, 2)])
 
+    def test_no_points(self):
+        with pytest.raises(BadVertexError, match=r"^n must be >= 1, got 0$"):
+            validate_triple_system(0, [])
+
     def test_n_must_be_an_int(self):
         # True equals 1, so it built an empty system that dumped "n":true
         for n in (True, 3.0, "3"):
@@ -121,6 +125,16 @@ class TestEdgeColoringValidation:
         with pytest.raises(BadColorError):
             validate_edge_coloring(4, bad)
 
+    def test_an_edge_from_a_vertex_to_itself(self):
+        with pytest.raises(SameVertexError, match=r"^edge endpoints must differ, got 2$"):
+            validate_edge_coloring(4, {**K4_COLORING, (2, 2): 1})
+
+    def test_an_edge_in_both_orientations(self):
+        # the same color twice is one edge; two colors are refused
+        assert validate_edge_coloring(2, {(1, 2): 1, (2, 1): 1}).color(2, 1) == 1
+        with pytest.raises(DesignError, match=r"^edge \(1, 2\) given two colors$"):
+            validate_edge_coloring(4, {**K4_COLORING, (2, 1): 2})
+
     def test_n_must_be_an_int(self):
         for n in (4.0, True, None):
             with pytest.raises(DesignError, match=f"1f design: n must be an int, got {n!r}"):
@@ -146,6 +160,12 @@ class TestThirdPoint:
         ts = validate_triple_system(3, [(1, 2, 3)])
         with pytest.raises(SameVertexError):
             third_point(ts, 2, 2)
+
+    def test_the_methods_read_the_tables(self):
+        assert validate_triple_system(7, FANO).third(2, 4) == 6
+        ec = validate_edge_coloring(4, K4_COLORING)
+        with pytest.raises(SameVertexError, match=r"^edge endpoints must differ, got 3$"):
+            ec.color(3, 3)
 
 
 class TestLatinEmbedding:
@@ -763,6 +783,25 @@ class TestJsonInterchange:
     def test_rejects_unknown_kind(self):
         with pytest.raises(Exception):
             from_json_dict({"kind": "graph", "n": 3})
+
+    @pytest.mark.parametrize("second", [[1, 2, 1], [2, 1, 1], [1, 2, 3], [2, 1, 3]],
+                             ids=["other-color", "reversed-other-color", "same-color",
+                                  "reversed-same-color"])
+    def test_rejects_an_edge_listed_twice(self, second):
+        # the validator alone accepts one edge given twice with one color
+        colors = [[1, 2, 3], second, [1, 3, 2], [1, 4, 3], [2, 3, 3], [2, 4, 2], [3, 4, 1]]
+        with pytest.raises(DesignError, match=r"^edge \(1, 2\) listed twice$"):
+            loads(json.dumps({"kind": "1f", "n": 4, "colors": colors}))
+        with pytest.raises(DesignError, match=r"^edge \(1, 2\) listed twice$"):
+            from_json_dict({"kind": "1f", "n": 2, "colors": [[1, 2, 1], second[:2] + [1]]})
+
+    def test_serializers_refuse_what_is_not_a_design(self):
+        square = LatinSquare(n=1, rows=((1,),))
+        with pytest.raises(TypeError, match="^cannot embed LatinSquare$"):
+            to_latin_cube(square)
+        for serialize in (to_json_dict, dumps):
+            with pytest.raises(TypeError, match="^cannot serialize dict$"):
+                serialize({"kind": "latin", "n": 1, "rows": [[1]]})
 
     def test_rejects_a_value_that_is_not_an_object(self):
         for text in ("[1,2]", "3", '"latin"', "null"):

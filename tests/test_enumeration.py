@@ -566,6 +566,21 @@ class TestPools:
         with pytest.raises(DesignError, match="line 1 holds sts n=7, wanted latin n=7"):
             pool_from_jsonl("latin", 7, text)
 
+    @pytest.mark.parametrize("second", [[1, 2, 1], [2, 1, 1], [1, 2, 3], [2, 1, 3]],
+                             ids=["other-color", "reversed-other-color", "same-color",
+                                  "reversed-same-color"])
+    def test_jsonl_rejects_an_edge_listed_twice(self, second):
+        colors = [[1, 2, 3], second, [1, 3, 2], [1, 4, 3], [2, 3, 3], [2, 4, 2], [3, 4, 1]]
+        text = pool_to_jsonl(enumerate_pool("1f-labeled", 4))
+        text += json.dumps({"kind": "1f", "n": 4, "colors": colors}) + "\n"
+        with pytest.raises(DesignError, match=r"^pool line 7: edge \(1, 2\) listed twice$"):
+            pool_from_jsonl("1f-labeled", 4, text)
+
+    def test_unknown_kind(self):
+        for build in (enumerate_pool, lambda kind, n: pool_from_jsonl(kind, n, "")):
+            with pytest.raises(DesignError, match="^unknown pool kind '1f'$"):
+                build("1f", 4)
+
     def test_jsonl_rejects_duplicates(self):
         line = pool_to_jsonl(enumerate_pool("sts", 3))
         with pytest.raises(DesignError, match="line 2 repeats line 1"):

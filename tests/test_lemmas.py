@@ -406,6 +406,32 @@ class TestNLawSts:
         pytest.fail("no qualifying order found")
 
 
+class TestRefusals:
+    def test_unknown_variant(self):
+        X = enumerate_pool("1f-labeled", 4).items[0]
+        for check in (lambda: verify_position_law("2f", 4, "exact"),
+                      lambda: verify_M_expectation("2f", X, 1, 2, 1),
+                      lambda: verify_N_law("2f", X, (1, 2, 3, 4), 1, 2)):
+            with pytest.raises(DesignError, match="^unknown variant '2f'$"):
+                check()
+
+    def test_a_design_of_the_other_variant(self):
+        X = enumerate_pool("1f-labeled", 6).items[0]
+        with pytest.raises(DesignError, match="^1f variant needs an EdgeColoring$"):
+            verify_M_expectation("1f", FANO_TS, 1, 2, 1)
+        with pytest.raises(DesignError, match="^sts variant needs a TripleSystem$"):
+            verify_M_expectation("sts", X, 1, 2, 1)
+
+    def test_sts_n_law_needs_q_in_1_to_m_minus_1(self):
+        vo = (1, 2, 3, 4, 5, 6, 7)   # i = 2 has the star size m = 5
+        with pytest.raises(DesignError, match="^triple-system N law needs the star position q$"):
+            verify_N_law("sts", FANO_TS, vo, 2, 4)
+        for q in (0, 5):
+            with pytest.raises(EmptyConditionError,
+                               match=f"^position q={q} cannot precede the companion edge$"):
+                verify_N_law("sts", FANO_TS, vo, 2, 4, q=q)
+
+
 def _mc_fail_rate(samples, p, formula, gate_counts=True):
     """The probability that a mean of ``samples`` draws of N, 3 with
     probability p and 1 otherwise, fails against ``formula``: an exact

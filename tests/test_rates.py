@@ -383,6 +383,10 @@ class TestMonteCarloEstimates:
         with pytest.raises(EmptyPoolError):
             entropy_upper_estimate("sts", 5, samples=100)
 
+    def test_unknown_variant(self):
+        with pytest.raises(DesignError, match="^unknown variant 'latin'$"):
+            entropy_upper_estimate("latin", 4, samples=100)
+
     def test_reusing_a_pool(self):
         pool = enumerate_pool("sts", 7)
         a = entropy_upper_estimate("sts", 7, samples=500, seed=1, pool=pool)

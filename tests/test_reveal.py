@@ -15,6 +15,7 @@ import pytest
 from designcount.core import (
     BadVertexError,
     DesignError,
+    SameVertexError,
     validate_edge_coloring,
     validate_triple_system,
 )
@@ -427,6 +428,21 @@ class TestRefusals:
                     with pytest.raises(BadVertexError,
                                        match=rf"^vertex label {bad} outside 1\.\.{X.n}$"):
                         reveal_sets(X, order, i, j)
+
+    def test_same_vertex(self):
+        for reveal_sets, X in ((reveal_sets_1f, K4), (reveal_sets_sts, FANO_TS)):
+            with pytest.raises(SameVertexError, match="^ordered pair needs distinct vertices$"):
+                reveal_sets(X, identity_order(X.n), 3, 3)
+
+    def test_one_vertex(self):
+        with pytest.raises(DesignError, match="^n must be >= 2, got 1$"):
+            sample_reveal_order(1, seed=1)
+
+    @pytest.mark.parametrize("key", [99, 0, 4, "1"])
+    def test_a_star_keyed_by_no_vertex(self, key):
+        with pytest.raises(BadVertexError, match=rf"^star order keyed by {re.escape(repr(key))}, "
+                                                 rf"not a vertex in 1\.\.3$"):
+            make_reveal_order(3, (1, 2, 3), {1: (2, 3), 2: (3,), 3: (), key: (1,)})
 
     @pytest.mark.parametrize("n", [True, 4.0, np.int64(4), "4"],
                              ids=["bool", "float", "int64", "str"])
