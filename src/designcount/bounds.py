@@ -31,7 +31,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .core import DesignError
+from .errors import DesignError
 
 
 class ZeroDegreeError(DesignError):
@@ -238,12 +238,8 @@ def bound_report(n: int, names=None, latin_count: int | None = None,
             bounds[name] = vdw_latin_lower_log(n)
         elif name == "cameron-lower":
             bounds[name] = cameron_lower_log(n, latin_count=latin_count, onef_count=onef_count)
-        elif name.startswith("conjecture-"):
-            try:
-                k = int(name.split("-", 1)[1])
-            except ValueError:
-                raise UnknownBoundError(f"unknown bound {name!r}")
-            bounds[name] = conjectured_rate_log(n, k)
+        elif name in BOUND_NAMES:   # conjecture-6, conjecture-2 or conjecture-1
+            bounds[name] = conjectured_rate_log(n, int(name.removeprefix("conjecture-")))
         else:
             raise UnknownBoundError(f"unknown bound {name!r}")
     return BoundReport(n=n, bounds=bounds,

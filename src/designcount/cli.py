@@ -26,14 +26,7 @@ import time
 from datetime import datetime, timezone
 
 from . import __version__
-from .bounds import bound_report
-from .core import DesignError
-from .enumeration import (
-    SearchConfig,
-    count_latin_squares,
-    count_one_factorizations,
-    count_triple_systems,
-)
+from .errors import DesignError   # each subcommand imports the modules it runs when it runs
 
 
 class CacheMismatchError(DesignError):
@@ -95,6 +88,8 @@ def _utc_now() -> str:
 # ---------------------------------------------------------------------------
 
 def _cmd_count(args) -> int:
+    from .enumeration import (SearchConfig, count_latin_squares,
+                              count_one_factorizations, count_triple_systems)
     if args.labeled and args.object != "1f":
         raise DesignError(f"--labeled applies to --object 1f only, got {args.object}")
     cfg = SearchConfig(jobs=args.jobs, node_budget=args.node_budget)
@@ -147,6 +142,7 @@ def _cmd_count(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _exact_bases_for_cameron(n: int):
+    from .enumeration import count_latin_squares, count_one_factorizations
     m = n // 2
     latin = count_latin_squares(m).count if 1 <= m <= 6 else None
     onef = None
@@ -156,6 +152,7 @@ def _exact_bases_for_cameron(n: int):
 
 
 def _cmd_bounds(args) -> int:
+    from .bounds import bound_report
     names = [s.strip() for s in args.list.split(",") if s.strip()]
     if not names:
         raise DesignError("--list needs at least one bound name")
@@ -181,7 +178,6 @@ def _cmd_bounds(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_verify(args) -> int:
-    # verify and entropy alone load entropylab, and with it numpy
     from .entropylab import verdicts_to_csv, verdicts_to_json, verify_suite
     verdicts = verify_suite(args.lemma, args.variant, args.n, args.mode,
                             samples=args.samples, seed=args.seed)

@@ -9,7 +9,9 @@ interchange format used by every other module.  ``bulk_designs`` checks
 and builds an array of designs of any kind at once; the first faulty or
 repeated design raises ``BulkError``, which names it by its index.
 The array functions import numpy when they run, so the types, the
-validators and the counts load without it.
+validators and the counts load without it.  The error classes are
+defined in ``errors``, which the CLI loads without this module, and
+imported back here.
 
 Conventions: vertices are labeled 1..n, colors 1..n-1, and unordered
 pairs are keyed as (min, max).  All types are immutable after
@@ -26,63 +28,19 @@ from functools import reduce
 from itertools import chain, combinations, repeat
 from typing import Iterable, Mapping, Sequence
 
-
-# ---------------------------------------------------------------------------
-# Errors
-# ---------------------------------------------------------------------------
-
-class DesignError(ValueError):
-    """Base class for validation failures in this package."""
-
-
-class BadVertexError(DesignError):
-    """A vertex label lies outside {1..n}."""
-
-
-class DuplicatePairError(DesignError):
-    def __init__(self, i: int, j: int):
-        self.pair = (min(i, j), max(i, j))
-        super().__init__(f"pair {self.pair} is covered more than once")
-
-
-class UncoveredPairError(DesignError):
-    def __init__(self, i: int, j: int):
-        self.pair = (min(i, j), max(i, j))
-        super().__init__(f"pair {self.pair} is covered by no triple")
-
-
-class ColorClashError(DesignError):
-    def __init__(self, vertex: int, color: int):
-        self.vertex = vertex
-        self.color = color
-        super().__init__(f"two edges at vertex {vertex} share color {color}")
-
-
-class MissingEdgeError(DesignError):
-    def __init__(self, i: int, j: int):
-        self.pair = (min(i, j), max(i, j))
-        super().__init__(f"edge {self.pair} has no color assigned")
-
-
-class BadColorError(DesignError):
-    """A color lies outside {1..n-1}."""
-
-
-class SameVertexError(DesignError):
-    """An operation on a pair was called with i == j."""
-
+from .errors import (   # imported back, so core.X is errors.X
+    BadColorError,
+    BadVertexError,
+    BulkError,
+    ColorClashError,
+    DesignError,
+    DuplicatePairError,
+    MissingEdgeError,
+    SameVertexError,
+    UncoveredPairError,
+)
 
 NOT_LATIN = "matrix is not a Latin square"
-
-
-class BulkError(DesignError):
-    """Design ``index`` of an array of designs is not one or, when
-    ``repeats`` is set, equals the earlier design ``repeats``."""
-
-    def __init__(self, kind: str, index: int, repeats: int | None = None):
-        self.index, self.repeats = index, repeats
-        super().__init__(f"{kind} design {index} is not valid" if repeats is None
-                         else f"{kind} design {index} repeats design {repeats}")
 
 
 # ---------------------------------------------------------------------------

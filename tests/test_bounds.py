@@ -218,6 +218,14 @@ class TestBoundReport:
         with pytest.raises(UnknownBoundError):
             bound_report(9, ["birkhoff"])
 
+    @pytest.mark.parametrize("name", ["conjecture-06", "conjecture-+6", "conjecture-\u0666",
+                                      "conjecture- 6", "conjecture-6\n", "conjecture-3"])
+    def test_only_the_listed_names_are_bounds(self, name):
+        # int() reads each of these suffixes; only BOUND_NAMES name a bound
+        with pytest.raises(UnknownBoundError) as refused:
+            bound_report(16, ["conjecture-6", name])
+        assert str(refused.value) == f"unknown bound {name!r}"
+
     def test_notes_are_the_values_notes(self):
         rep = bound_report(8)
         assert rep.notes == {name: ls.note for name, ls in rep.bounds.items() if ls.note}

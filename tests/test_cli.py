@@ -177,8 +177,8 @@ class TestBounds:
     def test_cameron_counts_no_base_for_a_refused_n(self, capsys, monkeypatch):
         def no_count(*args, **kwargs):
             raise AssertionError("counted a base for a bound that cannot be evaluated")
-        monkeypatch.setattr(cli, "count_latin_squares", no_count)
-        monkeypatch.setattr(cli, "count_one_factorizations", no_count)
+        monkeypatch.setattr("designcount.enumeration.count_latin_squares", no_count)
+        monkeypatch.setattr("designcount.enumeration.count_one_factorizations", no_count)
         code, out, err = run(capsys, "bounds", "--n", "10", "--list", "cameron-lower")
         assert (code, out, err) == (1, "", "error: recursive bound needs 4 | n, got 10\n")
 
@@ -233,6 +233,12 @@ class TestBounds:
     def test_a_refused_list_is_one_error_line(self, capsys, names, message):
         code, out, err = run(capsys, "bounds", "--n", "16", "--list", names)
         assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("name", ["conjecture-06", "conjecture-+6", "conjecture-\u0666",
+                                      "conjecture-3"])
+    def test_an_alias_of_a_bound_is_one_error_line(self, capsys, name):
+        code, out, err = run(capsys, "bounds", "--n", "16", "--list", f"conjecture-6,{name}")
+        assert (code, out, err) == (1, "", f"error: unknown bound {name!r}\n")
 
     def test_cameron_40_bottoms_out_at_the_trivial_f(self, capsys):
         # no exact base at m = 20, and the recursion's m = 10 is not a multiple of 4
@@ -403,7 +409,7 @@ class TestEntropy:
                 raise AssertionError("entropy ran a counting search")
             for name in ("count_triple_systems", "count_one_factorizations",
                          "count_latin_squares"):
-                monkeypatch.setattr(cli, name, no_count)
+                monkeypatch.setattr(f"designcount.enumeration.{name}", no_count)
         code, out, _ = run(capsys, "entropy", "--variant", variant, "--n", n,
                            "--samples", samples, "--seed", "11")
         assert code == 0
@@ -666,3 +672,30 @@ class TestCache:
         assert code == 2
         import os
         assert not os.path.exists(cache) or open(cache).read() == ""
+
+
+class TestImports:
+    # each subcommand imports the modules it runs when it runs
+    BASE = ["designcount", "designcount.cli", "designcount.errors"]
+    SEARCH = ["designcount.core", "designcount.enumeration"]
+
+    @pytest.mark.parametrize("argv, loaded", [
+        ((), BASE),
+        (("--help",), BASE),
+        (("count", "--object", "sts", "--n", "9"), BASE + SEARCH),
+        (("bounds", "--n", "16", "--list", "wilson-upper"), BASE + ["designcount.bounds"]),
+        (("bounds", "--n", "16", "--list", "cameron-lower"),
+         BASE + SEARCH + ["designcount.bounds"]),
+        (("entropy", "--variant", "1f", "--n", "6", "--samples", "4096"),
+         BASE + SEARCH + ["designcount.entropylab", "designcount.entropylab.rates",
+                          "designcount.entropylab.reveal"]),
+    ])
+    def test_what_each_entry_point_loads(self, argv, loaded):
+        script = ("import sys\n"
+                  "from designcount import cli\n"
+                  "if sys.argv[1:]:\n"
+                  "    cli.main(sys.argv[1:])\n"
+                  "print(sorted(m for m in sys.modules if m.startswith('designcount')))\n")
+        proc = fresh_python("-c", script, *argv)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == repr(sorted(loaded))
