@@ -317,7 +317,3 @@ def main(argv=None) -> int:
     except (DesignError, OSError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -7,22 +7,14 @@ evaluates that sum exactly (small instances) or by Monte Carlo with a
 standard error.
 
 Both modes run one numpy kernel, `reveal_steps`, over batches of
-reveals: per vertex position it reads the forward star in vertex order
-(each pair keeps the law of independent star orders, and so the mean;
-only the variance differs), gathers with flat `take`s, ORs the exposed
-values along the star and counts M and N with a popcount; an sts pair
-is informative by a bit test.  Its arrays are (star cell, reveal), its
-values bit masks shifted once per call, in int16 up to 1f 15 and sts 14
-(`_mask_dtype`: at most 1f 63, sts 62), and a reveal's values do not
-depend on its batch.  Exact mode runs it over every reveal that Monte
-Carlo draws, each design in each vertex order (`all_orders`, the one
-order enumerator), ``BLOCK_SIZE`` reveals a pass (`_order_histogram`);
-the lemma checks read pairs through `pair_values`.  Monte Carlo draws
-designs and vertex orders in blocks of ``BLOCK_SIZE``, each with its
-own substream spawned from (seed, block-index), runs each block
-through the kernel in one pass, and merges the blocks in index order:
-the result is byte-identical for any worker count, any schedule, and
-below `SERIAL_READS` pair reads the blocks stay in this process.
+reveals.  Exact mode reads each design of the complete pool once, in
+the identity vertex order (`_order_histogram`): relabeling a design
+permutes its vertex orders, so that histogram times n! is the one over
+every reveal that Monte Carlo draws.  Monte Carlo draws designs and
+vertex orders in blocks of ``BLOCK_SIZE``, each from its own substream
+spawned from (seed, block-index), and merges the blocks in index
+order: the result is byte-identical for any worker count and any
+schedule.  The lemma checks read pairs through `pair_values`.
 
 `finite_sum_rate` evaluates the closed finite sums that the per-pair
 expectations produce and compares them against their limit log n - 1.
@@ -37,13 +29,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core import DesignError
-from ..enumeration import EmptyPoolError, Pool, enumerate_pool, map_tasks
+from ..enumeration import (EmptyPoolError, Pool, _pool_feasible, count_one_factorizations,
+                           count_triple_systems, enumerate_pool, map_tasks)
 from .reveal import TooLargeError
 
 BLOCK_SIZE = 4096       # reveals of a Monte-Carlo block, an exact pass, a lemma draw batch
 CHUNK = 512             # grain of a block's draws and of its (count, mean, m2): STREAM 4
 STREAM = 4              # version of the estimator's output, part of cache keys
-EXACT_CAP = 5_000_000   # reveals of exact mode: pool x n! vertex orders
 SERIAL_READS = 1 << 22  # pair reads, samples x n(n-1)/2, from which a worker pool pays
 
 
@@ -253,25 +245,20 @@ def all_orders(k: int) -> np.ndarray:
 
 
 def _order_histogram(variant: str, tables):
-    """Count each N over every design and every vertex order.
+    """Count each N over every design in the identity vertex order.
 
-    These are the reveals Monte Carlo draws, every star in vertex order:
-    `reveal_steps` runs over the n! orders of `all_orders` ``BLOCK_SIZE``
-    at a time, each batch holding those orders in as many designs as fill
-    ``BLOCK_SIZE`` reveals (one if the orders alone do), so each forward
-    pair of each reveal counts once.
+    Design X in vertex order σ reveals exactly what its relabeling σ⁻¹X
+    reveals in the identity order, so over a pool closed under relabeling
+    the histogram over every (design, vertex order) is n! times this one.
+    `reveal_steps` reads ``BLOCK_SIZE`` designs a pass.
     """
     n = tables.shape[1] - 1
     hist = np.zeros(n + 1, np.int64)
-    orders = all_orders(n) + 1
-    for start in range(0, len(orders), BLOCK_SIZE):
-        vo = orders[start:start + BLOCK_SIZE]
-        per = max(1, BLOCK_SIZE // len(vo))   # designs in one batch
-        for k in range(0, len(tables), per):
-            d = np.arange(k, min(k + per, len(tables)))
-            for _, _, _, n_avail in reveal_steps(variant, tables, np.repeat(d, len(vo)),
-                                                 np.tile(vo, (len(d), 1))):
-                hist += np.bincount(n_avail.ravel(), minlength=n + 1)
+    for start in range(0, len(tables), BLOCK_SIZE):
+        d = np.arange(start, min(start + BLOCK_SIZE, len(tables)))
+        vo = np.broadcast_to(np.arange(1, n + 1, dtype=np.int8), (len(d), n))
+        for _, _, _, n_avail in reveal_steps(variant, tables, d, vo):
+            hist += np.bincount(n_avail.ravel(), minlength=n + 1)
     return hist
 
 
@@ -281,8 +268,8 @@ def entropy_upper_estimate(variant: str, n: int, samples: int,
     """Estimate the reveal-sum upper bound on a log-count.
 
     samples=0 switches to the exact mean over every reveal Monte Carlo
-    draws, |pool| x n! (design, vertex order) pairs (`_order_histogram`),
-    refused above EXACT_CAP reveals (1f n=6 and sts n=7 run, sts n=9 not).
+    draws: n! times the pool's identity-order histogram (`_order_histogram`),
+    which holds for the complete pool only, so a passed pool must be it.
     Designs are drawn uniformly from the complete pool; pass ``pool``
     to reuse one already enumerated.  The kernels read the designs'
     tables from the pool's int8 ``cells``, which each Monte-Carlo block
@@ -297,17 +284,23 @@ def entropy_upper_estimate(variant: str, n: int, samples: int,
         pool = enumerate_pool(kind, n)
     elif (pool.kind, pool.n) != (kind, n):
         raise DesignError(f"pool holds {pool.kind} n={pool.n}, wanted {kind} n={n}")
+    elif samples == 0:
+        _pool_feasible(kind, n)   # no complete pool lies above the gates: count none there
+        count = (count_triple_systems(n) if variant == "sts"
+                 else count_one_factorizations(n, labeled=True)).count
+        if len(pool) != count:
+            raise DesignError(f"exact mode needs the complete {kind} n={n} pool of "
+                              f"{count} designs, got {len(pool)}")
     if len(pool) == 0:
         raise EmptyPoolError(f"no designs to sample at n={n}")
     tables = pool.cells if pool.cells is not None else np.array(
         [x.table for x in pool.items], np.int8)
 
     if samples == 0:
-        reveals = len(pool) * math.factorial(n)
-        if reveals > EXACT_CAP:
-            raise TooLargeError(f"exact evaluation needs {reveals} reveals, above the cap {EXACT_CAP}")
+        orders = math.factorial(n)
         hist = _order_histogram(variant, tables)
-        value = math.fsum(int(c) * math.log(v) for v, c in enumerate(hist) if c) / reveals
+        value = math.fsum(int(c) * orders * math.log(v)
+                          for v, c in enumerate(hist) if c) / (len(pool) * orders)
         return EntropyEstimate(variant, n, 0, seed, value, 0.0, exact=True,
                                designs=len(pool))
 

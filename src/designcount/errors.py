@@ -13,29 +13,36 @@ class BadVertexError(DesignError):
     """A vertex label lies outside {1..n}."""
 
 
-class DuplicatePairError(DesignError):
+class _PairError(DesignError):
+    """A fault of the pair {i, j}, which the subclass's ``message`` formats."""
+
     def __init__(self, i: int, j: int):
         self.pair = (min(i, j), max(i, j))
-        super().__init__(f"pair {self.pair} is covered more than once")
+        super().__init__(self.message.format(self.pair))
+
+    def __reduce__(self):   # rebuilt from its arguments: ``args`` holds the message
+        return type(self), self.pair
 
 
-class UncoveredPairError(DesignError):
-    def __init__(self, i: int, j: int):
-        self.pair = (min(i, j), max(i, j))
-        super().__init__(f"pair {self.pair} is covered by no triple")
+class DuplicatePairError(_PairError):
+    message = "pair {} is covered more than once"
+
+
+class UncoveredPairError(_PairError):
+    message = "pair {} is covered by no triple"
 
 
 class ColorClashError(DesignError):
     def __init__(self, vertex: int, color: int):
-        self.vertex = vertex
-        self.color = color
+        self.vertex, self.color = vertex, color
         super().__init__(f"two edges at vertex {vertex} share color {color}")
 
+    def __reduce__(self):
+        return type(self), (self.vertex, self.color)
 
-class MissingEdgeError(DesignError):
-    def __init__(self, i: int, j: int):
-        self.pair = (min(i, j), max(i, j))
-        super().__init__(f"edge {self.pair} has no color assigned")
+
+class MissingEdgeError(_PairError):
+    message = "edge {} has no color assigned"
 
 
 class BadColorError(DesignError):
@@ -51,6 +58,9 @@ class BulkError(DesignError):
     ``repeats`` is set, equals the earlier design ``repeats``."""
 
     def __init__(self, kind: str, index: int, repeats: int | None = None):
-        self.index, self.repeats = index, repeats
+        self.kind, self.index, self.repeats = kind, index, repeats
         super().__init__(f"{kind} design {index} is not valid" if repeats is None
                          else f"{kind} design {index} repeats design {repeats}")
+
+    def __reduce__(self):
+        return type(self), (self.kind, self.index, self.repeats)

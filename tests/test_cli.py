@@ -67,10 +67,9 @@ class TestCount:
         doc = json.loads(proc.stdout)
         assert (doc["complete"], doc["nodes"], doc["count"]) == (False, 1000, "0")
 
-    @pytest.mark.parametrize("module", ["designcount", "designcount.cli"])
-    def test_python_m_count(self, module):
-        # __main__.py, and cli.py run as a script
-        proc = fresh_python("-m", module, "count", "--object", "sts", "--n", "7")
+    def test_python_m_count(self):
+        # __main__.py, the one `-m` entry
+        proc = fresh_python("-m", "designcount", "count", "--object", "sts", "--n", "7")
         assert (proc.returncode, proc.stdout, proc.stderr) == (
             0, "sts n=7: 30 [exact, 2 nodes]\n", "")
 
@@ -420,11 +419,19 @@ class TestEntropy:
                            "--samples", "100")
         assert code == 1 and "error" in err
 
-    def test_exact_above_the_cap_exit_1(self, capsys):
+    def test_exact_sts9_runs_the_complete_pool(self, capsys):
+        # the 840 designs in the identity order stand for every (design, vertex order)
         code, out, err = run(capsys, "entropy", "--variant", "sts", "--n", "9",
                              "--samples", "0")
-        assert code == 1 and out == ""
-        assert err == "error: exact evaluation needs 304819200 reveals, above the cap 5000000\n"
+        doc = json.loads(out)
+        assert (code, err) == (0, "")
+        assert '"estimate":7.873111619427153,' in out
+        assert (doc["exact"], doc["verdict"]) == (True, "PASS")
+
+    def test_exact_above_the_pool_gate_exit_1(self, capsys):
+        code, out, err = run(capsys, "entropy", "--variant", "sts", "--n", "13",
+                             "--samples", "0")
+        assert (code, out, err) == (1, "", "error: sts pool gated at n <= 9, got 13\n")
 
     @pytest.mark.parametrize("argv, lines", [
         (("1f", "4", "0"), ["1f n=4: estimate 1.791759 +- 0.000000 (exact enumeration)",

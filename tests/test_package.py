@@ -2,7 +2,9 @@
 first use, and the names are the ones the eager imports gave."""
 
 import importlib
+import inspect
 import json
+import pickle
 
 import pytest
 
@@ -89,3 +91,19 @@ def test_each_error_class_is_one_class(name):
     assert issubclass(cls, errors.DesignError)
     if name in designcount.__all__:
         assert getattr(designcount, name) is cls
+
+
+@pytest.mark.parametrize("name, args", [
+    ("DesignError", ("a message",)), ("BadVertexError", ("vertex 9 outside 1..7",)),
+    ("DuplicatePairError", (3, 1)), ("UncoveredPairError", (2, 5)),
+    ("ColorClashError", (4, 2)), ("MissingEdgeError", (6, 1)),
+    ("BadColorError", ("color 9 outside 1..5",)), ("SameVertexError", ("i == j",)),
+    ("BulkError", ("latin", 3)), ("BulkError", ("sts", 7, 2))])
+def test_every_error_class_survives_pickling(name, args):
+    # a worker's error reaches the parent as the same type, message and attributes
+    public = [n for n, c in inspect.getmembers(errors, inspect.isclass) if not n.startswith("_")]
+    assert sorted(public) == sorted(MOVED)
+    error = getattr(errors, name)(*args)
+    back = pickle.loads(pickle.dumps(error))
+    assert type(back) is type(error)
+    assert (str(back), back.args, vars(back)) == (str(error), error.args, vars(error))

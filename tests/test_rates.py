@@ -10,12 +10,12 @@ from designcount.core import DesignError, validate_triple_system
 from designcount.enumeration import (
     EmptyPoolError,
     Pool,
+    PoolTooLargeError,
     count_one_factorizations,
     count_triple_systems,
     enumerate_pool,
 )
 from designcount.entropylab import (
-    TooLargeError,
     entropy_upper_estimate,
     finite_sum_rate,
     make_reveal_order,
@@ -34,6 +34,17 @@ PG32_TS = validate_triple_system(15, PG32)
 def _steps(*args):
     """Every (i, star, M, N) that ``reveal_steps(*args)`` yields, with dtypes."""
     return [tuple((x.dtype.str, x.tolist()) for x in step) for step in rates.reveal_steps(*args)]
+
+
+def _every_order_histogram(variant, tables):
+    """Each N over every design in each of the n! vertex orders of `rates.all_orders`."""
+    n = tables.shape[1] - 1
+    orders = rates.all_orders(n) + 1
+    hist = np.zeros(n + 1, np.int64)
+    for k in range(len(tables)):
+        for _, _, _, n_avail in rates.reveal_steps(variant, tables, k, orders):
+            hist += np.bincount(n_avail.ravel(), minlength=n + 1)
+    return hist
 
 
 def _draws(tables, n, reveals, seed):
@@ -162,14 +173,13 @@ class TestBatchesAndMasks:
                                match=f"^reveal masks hold at most {n - 1} points, got n={n}$"):
                 rates._mask_dtype(variant, n)
 
-    @pytest.mark.parametrize("variant,kind,n,designs", [
-        ("1f", "1f-labeled", 6, 10), ("sts", "sts", 7, 3)])
-    def test_order_histogram_batches(self, variant, kind, n, designs, monkeypatch):
-        # the histogram is the same for batches of fewer reveals than the
-        # n! orders, of a few designs each, and of one
-        tables = enumerate_pool(kind, n).cells[:designs]
+    @pytest.mark.parametrize("variant,kind,n", [("1f", "1f-labeled", 6), ("sts", "sts", 7)])
+    def test_order_histogram_batches(self, variant, kind, n, monkeypatch):
+        # the histogram is the same for passes of one design, of a few, of
+        # uneven cuts of the pool and of the whole pool
+        tables = enumerate_pool(kind, n).cells
         want = rates._order_histogram(variant, tables)
-        for size in (100, 1000, 5040):
+        for size in (1, 7, 100, 5040):
             monkeypatch.setattr(rates, "BLOCK_SIZE", size)
             assert (rates._order_histogram(variant, tables) == want).all(), size
 
@@ -269,11 +279,9 @@ class TestRevealLaw:
 
     def test_monte_carlo_estimates_the_exact_mean(self):
         # the estimator's mean is the exact one, within 3 SE at the bench's
-        # sample count for seeds 1-3; every STS(9) is AG(2,3), so one design
-        # gives the exact sts value
+        # sample count for seeds 1-3
         sts, onef = enumerate_pool("sts", 9), enumerate_pool("1f-labeled", 6)
-        exact = {"sts": entropy_upper_estimate(
-                     "sts", 9, 0, pool=Pool("sts", 9, sts.items[:1], sts.cells[:1])).estimate,
+        exact = {"sts": entropy_upper_estimate("sts", 9, 0, pool=sts).estimate,
                  "1f": entropy_upper_estimate("1f", 6, 0, pool=onef).estimate}
         for seed in (1, 2, 3):
             for variant, pool in (("sts", sts), ("1f", onef)):
@@ -290,34 +298,41 @@ class TestExactEvaluation:
         assert est.estimate >= math.log(6) - 1e-9
         assert abs(est.estimate - math.log(6)) < 1e-9
 
-    def test_too_large_guard(self):
-        with pytest.raises(TooLargeError,
-                           match="^exact evaluation needs 304819200 reveals, above the cap 5000000$"):
-            entropy_upper_estimate("sts", 9, samples=0)
+    @pytest.mark.parametrize("variant,kind,n", [
+        ("1f", "1f-labeled", 4), ("1f", "1f-labeled", 6), ("sts", "sts", 7)])
+    def test_identity_order_stands_for_every_order(self, variant, kind, n):
+        # design X in vertex order s reveals what its relabeling reveals in
+        # the identity order: over the complete pool, n! times the
+        # identity-order histogram is the histogram over every order, as integers
+        tables = enumerate_pool(kind, n).cells
+        want = _every_order_histogram(variant, tables)
+        assert want.sum() == len(tables) * math.factorial(n) * n * (n - 1) // 2
+        assert (rates._order_histogram(variant, tables) * math.factorial(n) == want).all()
 
-    def test_the_cap_counts_reveals(self, monkeypatch):
-        # designs x n! reveals: 14 STS(9)s (5,080,320) are refused, 12
-        # (4,354,560) admitted; their enumeration is stubbed out
+    @pytest.mark.parametrize("designs", [1, 12])
+    def test_exact_mode_refuses_an_incomplete_pool(self, designs):
         pool = enumerate_pool("sts", 9)
-        with pytest.raises(TooLargeError,
-                           match="^exact evaluation needs 5080320 reveals, above the cap 5000000$"):
-            entropy_upper_estimate("sts", 9, 0, pool=Pool("sts", 9, pool.items[:14],
-                                                          pool.cells[:14]))
-        monkeypatch.setattr(rates, "_order_histogram", lambda variant, tables: [])
-        est = entropy_upper_estimate("sts", 9, 0, pool=Pool("sts", 9, pool.items[:12],
-                                                            pool.cells[:12]))
-        assert est.exact and est.designs == 12
+        part = Pool("sts", 9, pool.items[:designs], pool.cells[:designs])
+        with pytest.raises(DesignError, match=f"^exact mode needs the complete sts n=9 pool "
+                                              f"of 840 designs, got {designs}$"):
+            entropy_upper_estimate("sts", 9, 0, pool=part)
+        # Monte Carlo reads any pool
+        assert entropy_upper_estimate("sts", 9, 100, pool=part).designs == designs
 
-    @pytest.mark.parametrize("variant,kind,n,designs,value", [
-        ("1f", "1f-labeled", 4, None, "1.791759469228055"),
-        ("1f", "1f-labeled", 6, None, "7.869651548979398"),
-        ("sts", "sts", 7, None, "3.4011973816621555"),
-        ("sts", "sts", 9, 1, "7.873111619427152")])
-    def test_exact_values_are_pinned(self, variant, kind, n, designs, value):
-        # every exact value, bit for bit; one STS(9) stands for all 840
+    def test_exact_mode_refuses_a_pool_above_the_gate(self):
+        # no complete pool lies above the gates, so no count runs there
+        X = enumerate_pool("sts", 9).items[0]
+        with pytest.raises(PoolTooLargeError, match="^sts pool gated at n <= 9, got 13$"):
+            entropy_upper_estimate("sts", 13, 0, pool=Pool("sts", 13, (X,)))
+
+    @pytest.mark.parametrize("variant,kind,n,value", [
+        ("1f", "1f-labeled", 4, "1.791759469228055"),
+        ("1f", "1f-labeled", 6, "7.869651548979398"),
+        ("sts", "sts", 7, "3.4011973816621555"),
+        ("sts", "sts", 9, "7.873111619427153")])
+    def test_exact_values_are_pinned(self, variant, kind, n, value):
+        # every exact value, bit for bit
         pool = enumerate_pool(kind, n)
-        if designs is not None:
-            pool = Pool(kind, n, pool.items[:designs], pool.cells[:designs])
         assert repr(entropy_upper_estimate(variant, n, 0, pool=pool).estimate) == value
 
     def test_1f_n4_matches_order_enumeration(self):
@@ -346,7 +361,7 @@ class TestExactEvaluation:
         # after i, one for each order of i's star
         X = enumerate_pool(kind, n).items[3]
         reveal_sets = reveal_sets_1f if variant == "1f" else reveal_sets_sts
-        hist = rates._order_histogram(variant, np.array([X.table]))
+        hist = _every_order_histogram(variant, np.array([X.table]))
         assert hist.sum() == math.factorial(n) * n * (n - 1) // 2
         want = np.zeros_like(hist)
         for i, j in itertools.permutations(range(1, n + 1), 2):
